@@ -20,7 +20,7 @@ xi a^+^2)/2)`` with ``xi = r e^{i theta}``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
@@ -163,7 +163,6 @@ class DensityMatrix:
     """Truncated density operator with Hermiticity/trace/positivity checks."""
 
     matrix: np.ndarray
-    validate_on_init: bool = field(default=True, repr=False)
 
     HERMITICITY_TOL = 1e-10
     TRACE_TOL = 1e-9
@@ -174,8 +173,7 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
-        if self.validate_on_init:
-            self.validate()
+        self.validate()
 
     @property
     def dim(self) -> int:

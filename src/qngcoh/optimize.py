@@ -1,8 +1,12 @@
 """Derivative-free bounded maximization shared by all threshold searches.
 
 Coarse grid seeding over the box, then Nelder-Mead refinement from the best
-seeds.  Deterministic: no randomness enters the search, so identical specs
-give identical results.
+seeds.  The refinement starts advance in lockstep: each simplex stage
+(reflection; expansion or contraction; shrink) is one batch evaluation over
+the starts that take it.  Each start follows scipy's bounded, non-adaptive
+Nelder-Mead step for step, with the same initial simplex, clipping and
+stopping rule.  Deterministic: no randomness enters the search, so identical
+specs give identical results.
 """
 
 from __future__ import annotations
@@ -11,7 +15,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+
+#: scipy's non-adaptive coefficients: reflection, expansion, contraction, shrink
+RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
+#: initial-simplex steps: relative for a nonzero coordinate, absolute for zero
+NONZDELT, ZDELT = 0.05, 0.00025
+#: per-start stopping rule
+XATOL, FATOL = 1e-10, 1e-13
+MAXITER, MAXFEV = 4000, 8000
 
 
 class NonConvergenceError(RuntimeError):
@@ -66,29 +77,130 @@ def _grid_points(spec: SearchSpec) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def maximize(objective: Callable[[np.ndarray], float], spec: SearchSpec,
+#: second-stage point ``a * xbar - b * worst`` for expansion, outside and
+#: inside contraction (inside: ``(1 - PSI) xbar + PSI worst``)
+_STAGE_A = np.array([1 + RHO * CHI, 1 + PSI * RHO, 1 - PSI])
+_STAGE_B = np.array([RHO * CHI, PSI * RHO, -PSI])
+
+
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray):
+    ind = fsim.argsort(axis=1)
+    starts = np.arange(len(fsim))[:, None]
+    return sim[starts, ind], fsim[starts, ind]
+
+
+def nelder_mead(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray):
+    """Minimize the batch function ``fun`` from every row of ``x0`` in lockstep.
+
+    ``fun`` maps an ``(npts, ndim)`` array to ``npts`` values.  Returns the
+    per-start minimizers, minima, evaluation counts and success flags (False
+    when a start ran out of iterations or evaluations).  A start that reaches
+    ``MAXFEV`` mid-iteration stops where scipy's evaluation counter would
+    stop it, so its simplex is left exactly as scipy leaves it.
+    """
+    n_starts, ndim = x0.shape
+    sim = np.repeat(np.clip(x0, lo, hi)[:, None, :], ndim + 1, axis=1)
+    for k in range(ndim):
+        coord = sim[:, k + 1, k]
+        sim[:, k + 1, k] = np.where(coord != 0, (1 + NONZDELT) * coord, ZDELT)
+    # a vertex stepped past the upper bound is reflected back into the box
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = fun(sim.reshape(-1, ndim)).reshape(n_starts, ndim + 1)
+    nfev = np.full(n_starts, ndim + 1)
+    iters = np.ones(n_starts, dtype=int)
+    # scipy sorts the initial simplex twice; an unstable sort may reorder ties
+    for _ in range(2):
+        sim, fsim = _sort_simplices(sim, fsim)
+
+    x_out, f_out = np.empty((n_starts, ndim)), np.empty(n_starts)
+    nfev_out, ok_out = np.empty(n_starts, dtype=int), np.empty(n_starts, dtype=bool)
+    act = np.arange(n_starts)          # starts still running, by input row
+    rows = np.arange(ndim)
+    while True:
+        within = (nfev < MAXFEV) & (iters < MAXITER)
+        live = within & ~(
+            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= XATOL)
+            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= FATOL))
+        if not live.all():
+            out, stop = act[~live], ~live
+            x_out[out], f_out[out] = sim[stop, 0], np.min(fsim[stop], axis=1)
+            nfev_out[out], ok_out[out] = nfev[stop], within[stop]
+            act, sim, fsim = act[live], sim[live], fsim[live]
+            nfev, iters = nfev[live], iters[live]
+            if act.size == 0:
+                return x_out, f_out, nfev_out, ok_out
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / ndim
+        worst = sim[:, -1]
+        xr = ((1 + RHO) * xbar - RHO * worst).clip(lo, hi)
+        fxr = fun(xr)
+        nfev += 1
+        expand = fxr < fsim[:, 0]
+        keep_r = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~keep_r & (fxr < fsim[:, -1])
+
+        # expansion or contraction; a start with no evaluation left stalls
+        second = ~keep_r & (nfev < MAXFEV)
+        stage = np.where(expand, 0, np.where(outside, 1, 2))
+        x2 = (_STAGE_A[stage, None] * xbar - _STAGE_B[stage, None] * worst).clip(lo, hi)
+        f2 = np.full(len(act), np.nan)
+        if second.any():
+            f2[second] = fun(x2[second])
+            nfev += second
+        take2 = second & np.where(expand, f2 < fxr,
+                                  np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
+        replace = keep_r | (second & expand) | take2
+        sim[replace, -1] = np.where(take2[:, None], x2, xr)[replace]
+        fsim[replace, -1] = np.where(take2, f2, fxr)[replace]
+
+        stalled = ~keep_r & ~second
+        shrink = np.flatnonzero(second & ~replace)
+        if shrink.size:
+            best = sim[shrink, :1]
+            pts = np.clip(best + SIGMA * (sim[shrink, 1:] - best), lo, hi)
+            budget = MAXFEV - nfev[shrink]
+            # scipy moves vertex j before evaluating it, so the vertex whose
+            # evaluation would exceed MAXFEV still moves
+            moved = rows <= budget[:, None]
+            evaluated = rows < budget[:, None]
+            sub, fsub = sim[shrink, 1:], fsim[shrink, 1:]
+            sub[moved] = pts[moved]
+            if evaluated.any():
+                fsub[evaluated] = fun(pts[evaluated])
+            sim[shrink, 1:], fsim[shrink, 1:] = sub, fsub
+            nfev[shrink] += evaluated.sum(axis=1)
+            stalled[shrink] = budget < ndim
+
+        iters += ~stalled
+        sim, fsim = _sort_simplices(sim, fsim)
+
+
+def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
              batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
              extra_seeds: Sequence[np.ndarray] = ()) -> MaximizeResult:
-    """Maximize ``objective`` over the box in ``spec``.
+    """Maximize over the box in ``spec``.
 
-    ``batch_objective``, if given, evaluates a whole ``(npts, ndim)`` array at
-    once and is used for the grid stage only.  ``extra_seeds`` are appended to
+    ``batch_objective`` evaluates a whole ``(npts, ndim)`` array at once and
+    drives every stage of the search.  Without it, the scalar ``objective``
+    is applied point by point in its place.  ``extra_seeds`` are appended to
     the grid before start selection (e.g. analytically motivated points).
 
     Raises ``NonConvergenceError`` when no refinement start reaches the best
     grid seed; trace records per-start outcomes either way.
     """
+    if batch_objective is None:
+        def batch_objective(pts: np.ndarray) -> np.ndarray:
+            return np.array([objective(x) for x in pts.copy()], dtype=float)
+
+    lo = np.array([b[0] for b in spec.bounds])
+    hi = np.array([b[1] for b in spec.bounds])
     pts = _grid_points(spec)
     if len(extra_seeds) > 0:
-        lo = np.array([b[0] for b in spec.bounds])
-        hi = np.array([b[1] for b in spec.bounds])
         extras = np.clip(np.atleast_2d(np.asarray(extra_seeds, dtype=float)), lo, hi)
         pts = np.vstack([pts, extras])
 
-    if batch_objective is not None:
-        vals = np.asarray(batch_objective(pts), dtype=float)
-    else:
-        vals = np.array([objective(p) for p in pts], dtype=float)
+    vals = np.asarray(batch_objective(pts), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("objective not finite on the search box")
 
@@ -96,19 +208,11 @@ def maximize(objective: Callable[[np.ndarray], float], spec: SearchSpec,
     seeds = pts[order[: spec.n_starts]]
     grid_best = float(vals[order[0]])
 
-    neg = lambda x: -float(objective(np.asarray(x, dtype=float)))
-    starts = []
-    for x0 in seeds:
-        res = minimize(neg, x0, method="Nelder-Mead", bounds=spec.bounds,
-                       options=dict(xatol=1e-10, fatol=1e-13,
-                                    maxiter=4000, maxfev=8000))
-        starts.append({
-            "x0": np.asarray(x0, dtype=float),
-            "x": np.asarray(res.x, dtype=float),
-            "value": -float(res.fun),
-            "nfev": int(res.nfev),
-            "success": bool(res.success),
-        })
+    xs, funs, nfevs, successes = nelder_mead(
+        lambda p: -np.asarray(batch_objective(p), dtype=float), seeds, lo, hi)
+    starts = [{"x0": x0.tolist(), "x": x.tolist(), "value": -float(f),
+               "nfev": int(nfev), "success": bool(ok)}
+              for x0, x, f, nfev, ok in zip(seeds, xs, funs, nfevs, successes)]
 
     starts_sorted = sorted(starts, key=lambda s: s["value"], reverse=True)
     best = starts_sorted[0]
@@ -118,8 +222,7 @@ def maximize(objective: Callable[[np.ndarray], float], spec: SearchSpec,
     trace = {
         "grid_points": int(len(pts)),
         "grid_best": grid_best,
-        "starts": [{k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                    for k, v in s.items()} for s in starts_sorted],
+        "starts": starts_sorted,
         "best_value": best["value"],
         "runner_up_value": runner_up,
         "converged": converged,
@@ -129,9 +232,7 @@ def maximize(objective: Callable[[np.ndarray], float], spec: SearchSpec,
         raise NonConvergenceError(
             f"no refinement start reached the grid seed value {grid_best!r}", trace)
 
-    lo = np.array([b[0] for b in spec.bounds])
-    hi = np.array([b[1] for b in spec.bounds])
-    argmax = np.clip(best["x"], lo, hi)
+    argmax = np.clip(np.array(best["x"]), lo, hi)
     # report the objective exactly as evaluated at the returned point
-    value = float(objective(argmax))
+    value = float(np.asarray(batch_objective(argmax[None, :]), dtype=float)[0])
     return MaximizeResult(argmax=argmax, value=value, trace=trace)

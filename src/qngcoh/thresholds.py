@@ -122,14 +122,8 @@ class CertificationReport:
 
 
 def _pair_amp_objective(pair: FockPair, k: int):
-    """C_{m,n} for the state S(xi)D(alpha)|k>, scalar and batch forms."""
+    """Batch C_{m,n} for the states S(xi)D(alpha)|k> at ``(npts, 3)`` points."""
     m, n = pair.m, pair.n
-
-    def f(x: np.ndarray) -> float:
-        r, th, amag = x
-        am = sdf_amplitude_raw(m, k, r, th, amag, 0.0)
-        an = sdf_amplitude_raw(n, k, r, th, amag, 0.0)
-        return 2.0 * float(np.abs(am * np.conj(an)))
 
     def f_batch(pts: np.ndarray) -> np.ndarray:
         r, th, amag = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -137,7 +131,7 @@ def _pair_amp_objective(pair: FockPair, k: int):
         an = sdf_amplitude_raw(n, k, r, th, amag, 0.0)
         return 2.0 * np.abs(am * np.conj(an))
 
-    return f, f_batch
+    return f_batch
 
 
 def _genuine_vectors(pair: FockPair, r, th, amag):
@@ -161,15 +155,12 @@ def _genuine_value(u: np.ndarray, v: np.ndarray):
 
 
 def _genuine_objective(pair: FockPair):
-    def f(x: np.ndarray) -> float:
-        u, v = _genuine_vectors(pair, x[0], x[1], x[2])
-        return float(_genuine_value(u, v))
-
+    """Batch core-state-optimized coherence at ``(npts, 3)`` points."""
     def f_batch(pts: np.ndarray) -> np.ndarray:
         u, v = _genuine_vectors(pair, pts[:, 0], pts[:, 1], pts[:, 2])
         return np.asarray(_genuine_value(u, v), dtype=float)
 
-    return f, f_batch
+    return f_batch
 
 
 def genuine_coherence_matrix(u: np.ndarray, v: np.ndarray,
@@ -185,29 +176,38 @@ def genuine_coherence_matrix(u: np.ndarray, v: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _search_gaussian(objective, batch_objective, extra_seeds=(),
+def _search_gaussian(batch_objective, extra_seeds=(),
                      grid_density: int = 12, n_starts: int = 16) -> MaximizeResult:
     """Multistart search over (|xi|, arg xi, |alpha|) with bound doubling.
 
     A magnitude bound hit at the optimum doubles that bound (up to the
     validated amplitude range) and reruns, so reported maxima are never
-    artifacts of the box.
+    artifacts of the box.  The trace records every box tried as
+    ``magnitude_bounds`` ([|xi| bound, |alpha| bound] per run) and sets
+    ``at_cap`` when the optimum is left on a magnitude bound that could not
+    be doubled further.
     """
     xi_hi, alpha_hi = XI_BOUND, ALPHA_BOUND
+    boxes = []
     for _ in range(3):
+        boxes.append([xi_hi, alpha_hi])
         spec = SearchSpec(bounds=((0.0, xi_hi), (0.0, 2.0 * math.pi),
                                   (0.0, alpha_hi)),
                           grid_density=grid_density, n_starts=n_starts)
-        res = maximize(objective, spec, batch_objective=batch_objective,
+        res = maximize(None, spec, batch_objective=batch_objective,
                        extra_seeds=extra_seeds)
-        hit_xi = res.argmax[0] > xi_hi - 1e-3 and xi_hi < XI_CAP
-        hit_alpha = res.argmax[2] > alpha_hi - 1e-3 and alpha_hi < ALPHA_CAP
+        on_xi = bool(res.argmax[0] > xi_hi - 1e-3)
+        on_alpha = bool(res.argmax[2] > alpha_hi - 1e-3)
+        hit_xi = on_xi and xi_hi < XI_CAP
+        hit_alpha = on_alpha and alpha_hi < ALPHA_CAP
         if not hit_xi and not hit_alpha:
-            return res
+            break
         if hit_xi:
             xi_hi = min(2.0 * xi_hi, XI_CAP)
         if hit_alpha:
             alpha_hi = min(2.0 * alpha_hi, ALPHA_CAP)
+    res.trace["magnitude_bounds"] = boxes
+    res.trace["at_cap"] = on_xi or on_alpha
     return res
 
 
@@ -381,8 +381,8 @@ def gaussian_min_threshold(pair: FockPair) -> ThresholdResult:
         raise ValueError(f"validated for max(m,n) <= {GAUSSIAN_MIN_INDEX_CAP}")
 
     def compute() -> ThresholdResult:
-        f, fb = _pair_amp_objective(pair, 0)
-        res = _search_gaussian(f, fb, extra_seeds=_constraint_seeds(pair))
+        res = _search_gaussian(_pair_amp_objective(pair, 0),
+                               extra_seeds=_constraint_seeds(pair))
         result = ThresholdResult(ThresholdKind.GAUSSIAN_MIN, pair, res.value,
                                  _params_from(res.argmax), fock_index=0,
                                  diagnostics=res.trace)
@@ -404,17 +404,19 @@ def intrinsic_threshold(pair: FockPair,
 
     def compute() -> ThresholdResult:
         best: ThresholdResult | None = None
-        per_fock = {}
+        per_fock, per_fock_at_cap = {}, {}
         for k in range(max_fock + 1):
-            f, fb = _pair_amp_objective(pair, k)
-            res = _search_gaussian(f, fb, grid_density=9, n_starts=8)
+            res = _search_gaussian(_pair_amp_objective(pair, k),
+                                   grid_density=9, n_starts=8)
             per_fock[k] = res.value
+            per_fock_at_cap[k] = res.trace["at_cap"]
             if best is None or res.value > best.value:
                 best = ThresholdResult(ThresholdKind.GAUSSIAN_INTRINSIC, pair,
                                        res.value, _params_from(res.argmax),
                                        fock_index=k, diagnostics=res.trace)
         best.diagnostics = dict(best.diagnostics)
         best.diagnostics["per_fock_values"] = per_fock
+        best.diagnostics["per_fock_at_cap"] = per_fock_at_cap
         _recheck_truncation(best)
         return best
 
@@ -436,8 +438,7 @@ def genuine_threshold(pair: FockPair) -> ThresholdResult:
         raise ValueError(f"validated for max(m,n) <= {GENUINE_INDEX_CAP}")
 
     def compute() -> ThresholdResult:
-        f, fb = _genuine_objective(pair)
-        res = _search_gaussian(f, fb)
+        res = _search_gaussian(_genuine_objective(pair))
         u, v = _genuine_vectors(pair, res.argmax[0], res.argmax[1], res.argmax[2])
         theta = -float(np.angle(np.vdot(u, v))) if pair.n > 1 else 0.0
         gmat = genuine_coherence_matrix(u, v, theta)

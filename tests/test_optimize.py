@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from qngcoh.optimize import MaximizeResult, SearchSpec, maximize
+from qngcoh.optimize import (MAXFEV, MaximizeResult, SearchSpec, maximize,
+                             nelder_mead)
 
 
 def test_quadratic_peak():
@@ -88,3 +91,74 @@ def test_spec_validation():
         SearchSpec(bounds=((0.0, 1.0),), tol=1e-3)
     with pytest.raises(ValueError):
         SearchSpec(bounds=((0.0, 1.0),), grid_density=1)
+
+
+# ---------------------------------------------------------------------------
+# lockstep Nelder-Mead against scipy's per-start Nelder-Mead
+# ---------------------------------------------------------------------------
+
+BOX3 = ((0.0, 2.0), (-1.0, 1.0), (0.0, 3.0))
+SCIPY_OPTIONS = dict(xatol=1e-10, fatol=1e-13, maxiter=4000, maxfev=8000)
+
+
+def _tilted_bowl(x):
+    # minimum outside the box along the third axis, so starts end on a bound
+    return ((x[0] - 0.7) ** 2 + 3.0 * (x[1] + 0.2) ** 2 + (x[2] - 3.5) ** 2
+            + 0.3 * x[0] * x[1] + 0.1 * math.sin(5.0 * x[0]))
+
+
+def _hash_noise(x):
+    # deterministic noise: no simplex ever meets the tolerance test
+    digest = hashlib.blake2b(np.asarray(x, dtype=float).tobytes(), digest_size=8)
+    return int.from_bytes(digest.digest(), "little") / 2.0 ** 64
+
+
+def _lockstep_vs_scipy(f, x0s):
+    lo = np.array([b[0] for b in BOX3])
+    hi = np.array([b[1] for b in BOX3])
+    x0s = np.array(x0s, dtype=float)
+    xs, funs, nfevs, oks = nelder_mead(lambda pts: np.array([f(p) for p in pts]),
+                                       x0s, lo, hi)
+    for x0, x, fun, nfev, ok in zip(x0s, xs, funs, nfevs, oks):
+        ref = minimize(f, x0, method="Nelder-Mead", bounds=BOX3,
+                       options=SCIPY_OPTIONS)
+        assert np.array_equal(x, ref.x), (x0, x, ref.x)
+        assert nfev == ref.nfev
+        assert fun == ref.fun
+        assert ok == ref.success
+    return nfevs, oks
+
+
+def test_lockstep_matches_scipy_per_start():
+    # the second and fifth starts sit on upper bounds, so their initial
+    # simplices are reflected back into the box
+    nfevs, oks = _lockstep_vs_scipy(_tilted_bowl, [
+        [0.1, 0.2, 0.3], [2.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+        [1.3, -0.9, 2.2], [1.99999, 1.0, 3.0]])
+    assert oks.all()
+    assert len(set(nfevs.tolist())) > 1   # starts stop at different iterations
+
+
+def test_lockstep_matches_scipy_out_of_evaluations():
+    nfevs, oks = _lockstep_vs_scipy(_hash_noise, [[0.1, 0.2, 0.3], [1.0, 0.5, 2.0]])
+    assert nfevs.max() == MAXFEV and not oks.all()
+
+
+def test_maximize_starts_match_scipy():
+    spec = SearchSpec(bounds=BOX3, grid_density=4, n_starts=8)
+    res = maximize(lambda x: -_tilted_bowl(x), spec)
+    for start in res.trace["starts"]:
+        ref = minimize(_tilted_bowl, start["x0"], method="Nelder-Mead",
+                       bounds=BOX3, options=SCIPY_OPTIONS)
+        assert start["x"] == ref.x.tolist()
+        assert start["nfev"] == ref.nfev
+        assert start["value"] == -ref.fun
+
+
+def test_scalar_objective_equals_its_batch_form():
+    spec = SearchSpec(bounds=BOX3, grid_density=4, n_starts=8)
+    f = lambda x: -_tilted_bowl(x)
+    fb = lambda pts: np.array([f(p) for p in pts])
+    scalar, batch = maximize(f, spec), maximize(None, spec, batch_objective=fb)
+    assert batch.trace == scalar.trace
+    assert np.array_equal(batch.argmax, scalar.argmax)

@@ -8,7 +8,8 @@ import pytest
 from qngcoh.fock import (FockPair, GaussianParams,
                          bogoliubov_displacement, build_gaussian_matrix,
                          coherence_quantifier, sdf_amplitude_raw)
-from qngcoh.thresholds import (ORDERED_KINDS, ThresholdKind,
+from qngcoh.thresholds import (ALPHA_BOUND, ALPHA_CAP, ORDERED_KINDS, XI_BOUND,
+                               XI_CAP, ThresholdKind, _search_gaussian,
                                certify, classical_threshold, clear_threshold_cache,
                                gaussian_min_threshold, genuine_coherence_matrix,
                                genuine_threshold, intrinsic_threshold,
@@ -215,6 +216,43 @@ class TestCaching:
         assert cached.value == pytest.approx(fresh.value, abs=1e-15)
         assert cached.diagnostics.get("source") == "disk-cache"
         clear_threshold_cache()
+
+
+class TestSearchReproducibility:
+    def test_cold_genuine_search_is_bit_identical(self):
+        runs = []
+        for _ in range(2):
+            clear_threshold_cache()
+            runs.append(genuine_threshold(FockPair(0, 3)))
+        first, second = runs
+        assert first is not second
+        assert first.value == second.value
+        assert first.argmax == second.argmax
+        assert first.diagnostics == second.diagnostics
+
+    def test_published_values_pinned(self):
+        assert genuine_threshold(FockPair(0, 2)).value == pytest.approx(
+            0.8583496255859265, abs=1e-6)
+        intrinsic = intrinsic_threshold(FockPair(1, 3))
+        assert intrinsic.value == pytest.approx(0.7954951288348672, abs=1e-6)
+        assert not any(intrinsic.diagnostics["per_fock_at_cap"].values())
+
+
+class TestBoundDoubling:
+    def test_interior_optimum_keeps_first_box(self):
+        trace = genuine_threshold(FockPair(0, 2)).diagnostics
+        assert trace["magnitude_bounds"] == [[XI_BOUND, ALPHA_BOUND]]
+        assert trace["at_cap"] is False
+
+    def test_optimum_left_at_cap_is_flagged(self):
+        # increasing in |xi| and |alpha|: both bounds double up to their caps
+        res = _search_gaussian(lambda pts: pts[:, 0] + pts[:, 2],
+                               grid_density=4, n_starts=8)
+        assert res.trace["magnitude_bounds"] == [[XI_BOUND, ALPHA_BOUND],
+                                                 [XI_CAP, ALPHA_CAP]]
+        assert res.trace["at_cap"] is True
+        assert res.argmax[0] == pytest.approx(XI_CAP)
+        assert res.argmax[2] == pytest.approx(ALPHA_CAP)
 
 
 def test_parse_kind_names():
