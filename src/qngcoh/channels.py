@@ -15,13 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal
 
 from .fock import DensityMatrix, FockPair, ideal_superposition
 from .thresholds import DEFAULT_MAX_FOCK, ThresholdKind, threshold
-
-#: completely-positive integration step cap for thermalization
-MAX_THERMAL_STEP = 1e-5
 
 
 class TruncationError(RuntimeError):
@@ -90,9 +87,9 @@ def dephase(rho: DensityMatrix, p: DephasingParams) -> DensityMatrix:
 
 
 @lru_cache(maxsize=256)
-def _offset_generator(dim: int, offset: int) -> np.ndarray:
-    """Tridiagonal generator of one (j-k)=offset diagonal under the
-    equal-rate raising/lowering reservoir at unit rate.
+def _offset_eigensystem(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the generator of one (j-k)=offset
+    diagonal under the equal-rate raising/lowering reservoir at unit rate.
 
     The reservoir couples only elements of equal index offset, so each
     diagonal evolves under its own small linear system:
@@ -100,62 +97,65 @@ def _offset_generator(dim: int, offset: int) -> np.ndarray:
     - (2i + q + 1) x_i``.  Built from the truncated ladder operators, so the
     top level has no upward loss channel and the map preserves trace exactly
     (the tail guard in :func:`thermalize` polices the physical validity).
+    The generator is real, symmetric and tridiagonal.  The cached arrays are
+    shared by every caller and therefore read-only.
     """
-    size = dim - offset
-
-    def up_weight(level: int) -> float:
-        # diag of a a^+ with the truncated raising operator
-        return level + 1.0 if level < dim - 1 else 0.0
-
-    gen = np.zeros((size, size))
-    for i in range(size):
-        j = i + offset
-        gen[i, i] = -0.5 * (j + i) - 0.5 * (up_weight(j) + up_weight(i))
-        if i + 1 < size and j + 1 < dim:
-            gen[i, i + 1] = math.sqrt((j + 1) * (i + 1))
-        if i > 0:
-            gen[i, i - 1] = math.sqrt(j * i)
-    return gen
+    i = np.arange(dim - offset, dtype=float)
+    j = i + offset
+    # diag of a a^+ with the truncated raising operator: no weight at the top
+    up = np.arange(1.0, dim + 1)
+    up[-1] = 0.0
+    diag = -0.5 * (j + i) - 0.5 * (up[offset:] + up[:dim - offset])
+    off = np.sqrt((j[:-1] + 1.0) * (i[:-1] + 1.0))
+    lam, vec = eigh_tridiagonal(diag, off)
+    lam.flags.writeable = False
+    vec.flags.writeable = False
+    return lam, vec
 
 
-def thermalize_matrix(mat: np.ndarray, rate: float, duration: float,
-                      max_step: float = MAX_THERMAL_STEP) -> np.ndarray:
-    """Evolve an operator matrix under the infinite-temperature reservoir.
+def _apply(prop: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``prop @ v`` for every vector ``v`` along the last axis of ``vecs``."""
+    return (vecs[..., None, :] * prop).sum(axis=-1)
+
+
+def thermalize_matrix(mat: np.ndarray, rate: float, duration: float) -> np.ndarray:
+    """Evolve an operator matrix, or a ``(..., d, d)`` stack of them, under
+    the infinite-temperature reservoir.
 
     The reservoir couples only matrix elements of equal index offset, so each
-    diagonal propagates under its own small generator.  Completely-positive
-    propagation composed from fixed steps of at most ``max_step``; each step
-    is the exact exponential of the per-diagonal generators, so halving the
-    step is a no-op (covered by tests) and the calibration ``d<n>/dt = rate``
-    holds to solver precision.  Hermiticity is not assumed (the Ramsey
-    simulator feeds spin-block slices through here), only preserved.
+    diagonal propagates under its own small generator.  The propagator of a
+    diagonal is formed in one step for any ``duration`` from the cached
+    eigensystem of its generator, ``P = V exp(lambda rate duration) V^T``, so
+    propagators compose exactly and the calibration ``d<n>/dt = rate`` holds
+    to rounding.  Hermiticity is not assumed (the Ramsey simulator feeds
+    spin-block slices through here), only preserved.
     """
-    dim = mat.shape[0]
+    dim = mat.shape[-1]
     if rate == 0.0 or duration == 0.0:
         return mat.copy()
-    n_steps = max(1, math.ceil(duration / max_step))
-    dt = duration / n_steps
-    out = np.zeros_like(mat, dtype=complex)
+    out = np.empty(mat.shape, dtype=complex)
     idx_all = np.arange(dim)
     for q in range(dim):
-        step = expm(_offset_generator(dim, q) * (rate * dt))
-        prop = np.linalg.matrix_power(step, n_steps)
+        lam, vec = _offset_eigensystem(dim, q)
+        prop = (vec * np.exp(lam * (rate * duration))) @ vec.T
         idx = idx_all[: dim - q]
-        out[idx + q, idx] = prop @ np.diagonal(mat, offset=-q).astype(complex)
+        # an explicit row sum, not a BLAS call, so that a stack gives exactly
+        # the per-matrix results
+        out[..., idx + q, idx] = _apply(prop, np.diagonal(mat, -q, -2, -1))
         if q:
-            out[idx, idx + q] = prop @ np.diagonal(mat, offset=q).astype(complex)
+            out[..., idx, idx + q] = _apply(prop, np.diagonal(mat, q, -2, -1))
     return out
 
 
 def thermalize(rho: DensityMatrix, h: HeatingParams,
-               max_step: float = MAX_THERMAL_STEP,
                tail_tol: float = 1e-6) -> DensityMatrix:
-    """Heating channel with mean-phonon growth ``d<n>/dt`` equal to ``h.rate``.
+    """Heating channel with mean-phonon growth ``d<n>/dt`` equal to ``h.rate``,
+    propagated exactly over ``h.duration`` (see :func:`thermalize_matrix`).
 
     Raises ``TruncationError`` when the evolved population in the top
     truncation levels exceeds ``tail_tol``.
     """
-    out = thermalize_matrix(rho.matrix, h.rate, h.duration, max_step=max_step)
+    out = thermalize_matrix(rho.matrix, h.rate, h.duration)
     if h.rate * h.duration > 0.0:
         dim = out.shape[0]
         guard = min(8, max(2, dim // 8))

@@ -213,7 +213,8 @@ def cmd_simulate(config_path: Path, out_dir: Path, trunc_dim) -> int:
             raise ValueError("config needs 'pair' or 'pairs'")
         pairs = [FockPair(int(p[0]), int(p[1])) for p in raw_pairs]
         delays = [float(t) for t in blob["delays"]]
-        noise = _noise_from_config(blob.get("noise", {}))
+        noise_block = blob.get("noise", {})
+        noise = _noise_from_config(noise_block)
         n_phases = int(blob.get("phases", 16))
         shots = blob.get("shots")
         shots = int(shots) if shots else None
@@ -267,7 +268,8 @@ def cmd_simulate(config_path: Path, out_dir: Path, trunc_dim) -> int:
                                      {"config": str(config_path),
                                       "pairs": [str(p) for p in pairs],
                                       "delays": delays, "phases": n_phases,
-                                      "shots": shots, "kind": KIND_NAMES[kind]},
+                                      "shots": shots, "kind": KIND_NAMES[kind],
+                                      "noise": noise_block, "seed": seed},
                                      t0, seeds=[seed], trunc_dim=trunc_dim)}
     _write_json(out_dir / "summary.json", payload)
     sys.exit(0)

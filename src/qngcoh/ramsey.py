@@ -60,15 +60,14 @@ class PulseKind(enum.Enum):
 class PulseSpec:
     """One laser pulse: kind, bare area (radians) and optical phase.
 
-    The effective rotation angle on a sideband rung k is ``area * sqrt(k+1)``;
-    ``detuning`` is reserved (pulses are instantaneous in this model) and must
-    stay zero.
+    The effective rotation angle on a sideband rung k is ``area * sqrt(k+1)``.
+    Pulses are instantaneous in this model; a detuning acts only during the
+    delay (``NoiseConfig.delay_detuning``).
     """
 
     kind: PulseKind
     area: float
     phase: float = 0.0
-    detuning: float = 0.0
 
     def __post_init__(self) -> None:
         if self.area < 0:
@@ -224,9 +223,6 @@ def apply_pulse(state: SpinOscState, pulse: PulseSpec) -> SpinOscState:
     truncation edge (blue sideband with the top ground level occupied, red
     sideband with the top excited level occupied).
     """
-    if pulse.detuning != 0.0:
-        raise ValueError("pulse detuning is reserved; pulses are instantaneous "
-                         "in this model (use NoiseConfig.delay_detuning)")
     amps = state.amplitudes
     edge = None
     if pulse.kind == PulseKind.BSB:
@@ -238,15 +234,6 @@ def apply_pulse(state: SpinOscState, pulse: PulseSpec) -> SpinOscState:
             f"{pulse.kind.value} pulse with population {edge:.2e} at the "
             "truncation edge; increase the dimension")
     return SpinOscState(_rotate(amps[:, :, None], pulse)[:, :, 0])
-
-
-def pulse_unitary(pulse: PulseSpec, dim: int) -> np.ndarray:
-    """Dense (3 dim x 3 dim) unitary of one pulse, for density-matrix runs."""
-    if pulse.detuning != 0.0:
-        raise ValueError("pulse detuning is reserved; pulses are instantaneous "
-                         "in this model (use NoiseConfig.delay_detuning)")
-    eye = np.eye(3 * dim, dtype=complex).reshape(3, dim, 3 * dim)
-    return _rotate(eye, pulse).reshape(3 * dim, 3 * dim)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +375,10 @@ def thermal_spin_osc(nbar: float, dim: int) -> np.ndarray:
 
 def _apply_unitaries(rho: np.ndarray, pulses: list[PulseSpec], dim: int,
                      jitter: np.ndarray | None) -> np.ndarray:
+    """Apply ``rho -> U rho U^H`` for each pulse to a Hermitian ``rho``, as
+    ``U (U rho)^H``: two ``_rotate`` calls on the (3, dim, 3 dim) row view,
+    O(dim^2) each."""
+    shape = (3, dim, 3 * dim)
     for i, pulse in enumerate(pulses):
         if jitter is not None:
             pulse = replace(pulse, area=pulse.area * max(0.0, 1.0 + jitter[i]))
@@ -395,14 +386,15 @@ def _apply_unitaries(rho: np.ndarray, pulses: list[PulseSpec], dim: int,
             raise TruncationError("blue sideband at the truncation edge")
         if pulse.kind == PulseKind.RSB and abs(rho[2 * dim - 1, 2 * dim - 1]) > 1e-12:
             raise TruncationError("red sideband at the truncation edge")
-        u = pulse_unitary(pulse, dim)
-        rho = u @ rho @ u.conj().T
+        half = _rotate(rho.reshape(shape), pulse).reshape(rho.shape)
+        rho = _rotate(half.conj().T.reshape(shape), pulse).reshape(rho.shape)
     return rho
 
 
 def _delay_channels(rho: np.ndarray, delay: float, noise: NoiseConfig,
                     dim: int) -> np.ndarray:
-    """Free-precession channels applied block-wise on the motional indices."""
+    """Free-precession channels applied to all nine spin blocks at once, on
+    the motional indices."""
     if delay == 0.0:
         return rho
     factors = dephasing_factors(dim, noise.dephasing_rate * delay)
@@ -410,14 +402,10 @@ def _delay_channels(rho: np.ndarray, delay: float, noise: NoiseConfig,
         k = np.arange(dim)
         factors = factors * np.exp(-1j * noise.delay_detuning * delay
                                    * (k[:, None] - k[None, :]))
-    out = rho.copy()
-    for s1 in range(3):
-        for s2 in range(3):
-            block = out[s1 * dim:(s1 + 1) * dim, s2 * dim:(s2 + 1) * dim]
-            block *= factors
-            if noise.heating_rate > 0.0:
-                block[:] = thermalize_matrix(block, noise.heating_rate, delay)
-    return out
+    blocks = rho.reshape(3, dim, 3, dim).transpose(0, 2, 1, 3) * factors
+    if noise.heating_rate > 0.0:
+        blocks = thermalize_matrix(blocks, noise.heating_rate, delay)
+    return blocks.transpose(0, 2, 1, 3).reshape(rho.shape)
 
 
 def _excited_probability(rho: np.ndarray, dim: int) -> float:
@@ -613,6 +601,11 @@ def decay_scan(pair: FockPair, delays, noise: NoiseConfig, kind: ThresholdKind,
     pairs the mapping-pulse sequence.  Returns (delay, contrast, depth)
     tuples; depth is ``-inf`` once the contrast hits zero.  ``fringe_sink``,
     when given, receives ``(delay, fringe)`` for every completed point.
+
+    The depth is computed from the fitted contrast as it is.  With
+    ``initial_thermal_nbar > 0`` that contrast includes the spectator-rung
+    fringe ``S`` (see :func:`run_ramsey`; 0.0394 at nbar 0.07), so it exceeds
+    the prepared coherence and the depth is larger than the prepared state's.
     """
     delays = list(delays)
     if any(t2 < t1 for t1, t2 in zip(delays, delays[1:])):

@@ -107,11 +107,20 @@ class TestThermalize:
         oracle = (prop @ mat.reshape(-1)).reshape(dim, dim)
         assert np.max(np.abs(ours - oracle)) < 1e-9
 
-    def test_step_halving_is_noop(self, rng):
+    def test_propagator_composition(self, rng):
         mat = random_density_matrix(rng, 12)
-        coarse = thermalize_matrix(mat, 3.2, 0.013, max_step=1e-5)
-        fine = thermalize_matrix(mat, 3.2, 0.013, max_step=5e-6)
-        assert np.max(np.abs(coarse - fine)) < 1e-8
+        twice = thermalize_matrix(thermalize_matrix(mat, 3.2, 0.005), 3.2, 0.008)
+        once = thermalize_matrix(mat, 3.2, 0.013)
+        assert np.max(np.abs(twice - once)) < 1e-12
+
+    def test_stack_matches_per_block(self, rng):
+        dim = 9
+        stack = rng.normal(size=(3, 3, dim, dim)) + 1j * rng.normal(size=(3, 3, dim, dim))
+        out = thermalize_matrix(stack, 3.2, 0.013)
+        for s1 in range(3):
+            for s2 in range(3):
+                block = thermalize_matrix(stack[s1, s2], 3.2, 0.013)
+                assert np.array_equal(out[s1, s2], block)
 
     def test_zero_superposition_decay_is_monotone(self):
         # heated (|0>+|2>)/sqrt(2): coherence decays, population mixes up

@@ -106,13 +106,15 @@ class TestSimulateCommand:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({
             "pairs": [[0, 2]], "delays": [0.0], "phases": 12, "seed": 1,
-            "kind": "genuine"}))
+            "kind": "genuine", "noise": {"heating_rate": 3.2}}))
         out_dir = tmp_path / "out"
         result = runner.invoke(main, ["simulate", "--config", str(cfg),
                                       "--out", str(out_dir)])
         assert result.exit_code == 0
         payload = json.loads((out_dir / "summary.json").read_text())
         validate(payload, "simulation_summary.schema.json")
+        params = payload["manifest"]["parameters"]
+        assert (params["noise"], params["seed"]) == ({"heating_rate": 3.2}, 1)
         assert payload["scans"]["0,2"][0]["contrast"] == pytest.approx(
             1.0, abs=1e-6)
         fringes = (out_dir / "fringes_0_2.csv").read_text().splitlines()

@@ -9,10 +9,10 @@ from qngcoh.channels import TruncationError
 from qngcoh.fock import FockPair
 from qngcoh.ramsey import (ConditioningError, FitError, MappingConditionError,
                            NoiseConfig, PulseKind, PulseSpec,
-                           SpinOscState, apply_pulse, build_sequence_0n,
-                           build_sequence_mn, decay_scan, find_mapping_pulse,
-                           fit_fringe, fit_populations, motional_populations,
-                           prepared_state, pulse_unitary, run_ramsey)
+                           SpinOscState, _apply_unitaries, apply_pulse,
+                           build_sequence_0n, build_sequence_mn, decay_scan,
+                           find_mapping_pulse, fit_fringe, fit_populations,
+                           motional_populations, prepared_state, run_ramsey)
 from qngcoh.thresholds import ThresholdKind, threshold
 
 PHASES = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
@@ -75,22 +75,44 @@ class TestPulses:
         with pytest.raises(TruncationError):
             apply_pulse(SpinOscState(amps), PulseSpec(PulseKind.BSB, math.pi))
 
-    def test_pulse_detuning_reserved(self):
-        with pytest.raises(ValueError):
-            apply_pulse(SpinOscState.ground(4),
-                        PulseSpec(PulseKind.BSB, 1.0, detuning=100.0))
+    def test_density_matrix_truncation_edge_raises(self):
+        # blue sideband with the top ground level populated, red sideband with
+        # the top excited level populated, also when an earlier pulse of the
+        # same sequence moved the population there
+        dim = 4
+        bsb, rsb = PulseSpec(PulseKind.BSB, math.pi), PulseSpec(PulseKind.RSB, math.pi)
+        cases = (([bsb], dim - 1), ([rsb], 2 * dim - 1),
+                 ([rsb, bsb], 2 * dim - 2), ([bsb, rsb], dim - 2))
+        for pulses, level in cases:
+            rho = np.zeros((3 * dim, 3 * dim), dtype=complex)
+            rho[level, level] = 1.0
+            with pytest.raises(TruncationError):
+                _apply_unitaries(rho, pulses, dim, None)
+            _apply_unitaries(rho, pulses[:-1], dim, None)
 
-    def test_unitary_matches_pure_application(self):
-        pulse = PulseSpec(PulseKind.RSB, 1.7, 0.9)
-        u = pulse_unitary(pulse, 6)
-        assert np.max(np.abs(u @ u.conj().T - np.eye(18))) < 1e-12
-        state = apply_pulse(apply_pulse(SpinOscState.ground(6),
-                                        PulseSpec(PulseKind.BSB, math.pi)),
-                            pulse)
-        vec = u @ apply_pulse(SpinOscState.ground(6),
-                              PulseSpec(PulseKind.BSB, math.pi)
-                              ).amplitudes.reshape(-1)
-        assert np.max(np.abs(vec - state.amplitudes.reshape(-1))) < 1e-12
+    def test_pulse_detuning_reserved(self):
+        # pulses are instantaneous; a detuning exists only during the delay
+        with pytest.raises(TypeError):
+            PulseSpec(PulseKind.BSB, 1.0, detuning=100.0)
+
+    def test_unitary_matches_pure_application(self, rng):
+        # the two-sided density-matrix pulse against a mixture of pure-state
+        # pulses, sum_i p_i |U psi_i><U psi_i|, for every pulse kind
+        dim = 6
+        for kind in PulseKind:
+            pulse = PulseSpec(kind, 1.7, 0.9)
+            rho = np.zeros((3 * dim, 3 * dim), dtype=complex)
+            expected = np.zeros_like(rho)
+            for p in rng.dirichlet(np.ones(4)):
+                amps = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+                amps[:, -1] = 0.0  # stay clear of the truncation edge
+                amps /= np.linalg.norm(amps)
+                vec = amps.reshape(-1)
+                rho += p * np.outer(vec, vec.conj())
+                out = apply_pulse(SpinOscState(amps), pulse).amplitudes.reshape(-1)
+                expected += p * np.outer(out, out.conj())
+            got = _apply_unitaries(rho, [pulse], dim, None)
+            assert np.max(np.abs(got - expected)) < 1e-12, kind
 
 
 class TestSequences:
