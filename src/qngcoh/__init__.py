@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .fock import (CoreState, DensityMatrix, FockPair, GaussianParams,
                    PureState, build_gaussian_matrix, coherence_quantifier,
-                   coherent_amplitude, hermite_eval, ideal_superposition,
-                   sdf_amplitude)
+                   coherent_amplitude, ideal_superposition, sdf_amplitude)
 from .thresholds import (CertificationReport, ThresholdKind, ThresholdResult,
                          certify, classical_threshold, gaussian_min_threshold,
                          genuine_threshold, intrinsic_threshold, threshold)
@@ -22,7 +21,7 @@ __all__ = [
     "__version__",
     "CoreState", "DensityMatrix", "FockPair", "GaussianParams", "PureState",
     "build_gaussian_matrix", "coherence_quantifier", "coherent_amplitude",
-    "hermite_eval", "ideal_superposition", "sdf_amplitude",
+    "ideal_superposition", "sdf_amplitude",
     "CertificationReport", "ThresholdKind", "ThresholdResult", "certify",
     "classical_threshold", "gaussian_min_threshold", "genuine_threshold",
     "intrinsic_threshold", "threshold",

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -109,18 +110,8 @@ def cmd_thresholds(pairs, kinds, max_fock, out: Path) -> int:
         row: dict = {}
         for kind in kind_objs:
             try:
-                res = threshold(kind, pair, max_fock=max_fock)
-                entry = {"status": "ok", "value": res.value,
-                         "argmax": {"xi_mag": res.argmax.xi_mag,
-                                    "xi_phase": res.argmax.xi_phase,
-                                    "alpha_mag": res.argmax.alpha_mag,
-                                    "alpha_phase": res.argmax.alpha_phase}}
-                if res.fock_index is not None:
-                    entry["fock_index"] = res.fock_index
-                if res.core_state is not None:
-                    entry["core_state"] = {
-                        "re": res.core_state.coeffs.real.tolist(),
-                        "im": res.core_state.coeffs.imag.tolist()}
+                res = threshold(kind, pair, max_fock=max_fock).as_dict()
+                entry = {"status": "ok", **{k: v for k, v in res.items() if v is not None}}
             except NonConvergenceError as exc:
                 failed = True
                 entry = {"status": "non-convergence", "error": str(exc)}
@@ -183,10 +174,7 @@ def cmd_certify(pair, measured, uncertainty, max_fock, out: Path) -> int:
 
 
 def _noise_from_config(blob: dict) -> NoiseConfig:
-    allowed = {"initial_thermal_nbar", "heating_rate", "dephasing_rate",
-               "pulse_error", "electronic_coherence_time", "pulse_duration",
-               "shelving_contrast_loss", "delay_detuning"}
-    unknown = set(blob) - allowed
+    unknown = set(blob) - {f.name for f in fields(NoiseConfig)}
     if unknown:
         raise ValueError(f"unknown noise keys: {sorted(unknown)}")
     return NoiseConfig(**blob)
@@ -226,6 +214,7 @@ def cmd_simulate(config_path: Path, out_dir: Path, trunc_dim) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {}
+    used_dim = 0
     for pair in pairs:
         fringes: list = []
 
@@ -243,6 +232,7 @@ def cmd_simulate(config_path: Path, out_dir: Path, trunc_dim) -> int:
                        f"{failing}: {exc}", err=True)
             sys.exit(2)
 
+        used_dim = max([used_dim] + [fringe.dim for _, fringe in fringes])
         tag = f"{pair.m}_{pair.n}"
         with open(out_dir / f"fringes_{tag}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -270,7 +260,7 @@ def cmd_simulate(config_path: Path, out_dir: Path, trunc_dim) -> int:
                                       "delays": delays, "phases": n_phases,
                                       "shots": shots, "kind": KIND_NAMES[kind],
                                       "noise": noise_block, "seed": seed},
-                                     t0, seeds=[seed], trunc_dim=trunc_dim)}
+                                     t0, seeds=[seed], trunc_dim=used_dim)}
     _write_json(out_dir / "summary.json", payload)
     sys.exit(0)
 

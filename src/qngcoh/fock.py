@@ -7,7 +7,8 @@ Ramsey simulator) is built on two independent routes to the same physics:
   squeeze-then-displace operator between number states, evaluated through
   numerically stable scaled-Hermite recurrences, and
 * a brute-force truncated-matrix construction that exponentiates the quadratic
-  and linear generators (``build_gaussian_matrix``).
+  and linear generators (``build_gaussian_matrix``) through the eigensystems
+  of their real tridiagonal forms.
 
 The two routes are kept strictly separate so each can serve as an oracle for
 the other.
@@ -21,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from math import lgamma
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,9 +37,6 @@ DEFAULT_TRUNC = 128
 #: padding added on top of the requested dimension before exponentiating
 #: truncated generators; the padded tail absorbs leakage before cropping
 DEFAULT_PAD = 32
-
-#: hard cap on Hermite polynomial order (three-term recurrence validated range)
-HERMITE_ORDER_CAP = 64
 
 #: validated parameter range of the analytic amplitude closed form
 SDF_XI_MAX = 2.0
@@ -108,14 +108,6 @@ class GaussianParams:
         object.__setattr__(self, "alpha_phase", float(self.alpha_phase) % TWO_PI)
         object.__setattr__(self, "xi_mag", float(self.xi_mag))
         object.__setattr__(self, "alpha_mag", float(self.alpha_mag))
-
-    @property
-    def xi(self) -> complex:
-        return self.xi_mag * np.exp(1j * self.xi_phase)
-
-    @property
-    def alpha(self) -> complex:
-        return self.alpha_mag * np.exp(1j * self.alpha_phase)
 
     @classmethod
     def from_complex(cls, xi: complex, alpha: complex) -> "GaussianParams":
@@ -191,15 +183,6 @@ class DensityMatrix:
         if lo < -self.EIGEN_TOL:
             raise ValueError(f"negative eigenvalue {lo:.3e} beyond tolerance")
 
-    def element(self, m: int, n: int) -> complex:
-        return complex(self.matrix[m, n])
-
-    @classmethod
-    def from_pure(cls, amplitudes: np.ndarray) -> "DensityMatrix":
-        v = np.asarray(amplitudes, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
     @classmethod
     def fock(cls, k: int, dim: int) -> "DensityMatrix":
         mat = np.zeros((dim, dim), dtype=complex)
@@ -242,26 +225,6 @@ class CoreState:
 # ---------------------------------------------------------------------------
 
 
-def hermite_eval(order: int, z: complex) -> complex:
-    """Physicists' Hermite polynomial H_order(z) by the three-term recurrence.
-
-    The recurrence ``H_{k+1} = 2 z H_k - 2 k H_{k-1}`` is stable for the
-    dominant solution, unlike the explicit factorial sum which cancels badly
-    above order ~20.
-    """
-    if order < 0:
-        raise UnsupportedOrderError("Hermite order must be non-negative")
-    if order > HERMITE_ORDER_CAP:
-        raise UnsupportedOrderError(
-            f"Hermite order {order} above supported cap {HERMITE_ORDER_CAP}")
-    if order == 0:
-        return 1.0 + 0j
-    h_prev, h = 1.0 + 0j, 2.0 * z
-    for k in range(1, order):
-        h_prev, h = h, 2.0 * z * h - 2.0 * k * h_prev
-    return h
-
-
 def coherent_amplitude(n: int, alpha: complex) -> complex:
     """Fock overlap ``<n|alpha> = exp(-|alpha|^2/2) alpha^n / sqrt(n!)``.
 
@@ -278,7 +241,7 @@ def coherent_amplitude(n: int, alpha: complex) -> complex:
     return math.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
-def _scaled_hermite_ladder(kmax: int, xy, ysq) -> list:
+def _scaled_hermite_ladder(kmax: int, xy, ysq) -> np.ndarray:
     """Rescaled Hermite values h_k = H_k(x) y^k given xy = x*y and ysq = y^2.
 
     Only integer powers of y^2 enter, so no square-root branch is ever taken;
@@ -288,21 +251,37 @@ def _scaled_hermite_ladder(kmax: int, xy, ysq) -> list:
     h = [np.ones_like(xy * 0j + 1.0), 2.0 * xy]
     for k in range(1, kmax):
         h.append(2.0 * xy * h[k] - 2.0 * k * ysq * h[k - 1])
-    return h[: kmax + 1]
+    return np.stack(h[: kmax + 1])
 
 
-def sdf_amplitude_raw(m: int, n: int, xi_mag, xi_phase, alpha_mag, alpha_phase):
+@lru_cache(maxsize=256)
+def _contraction_weights(ms: tuple, ns: tuple) -> np.ndarray:
+    """Read-only ``w[i, a, b] = sqrt(m! n!) / (i! (m-i)! (n-i)!)`` for
+    ``m = ms[a]``, ``n = ns[b]``; zero for ``i > min(m, n)``."""
+    w = np.zeros((min(max(ms), max(ns)) + 1, len(ms), len(ns)))
+    for (a, m), (b, n) in product(enumerate(ms), enumerate(ns)):
+        log_fact_mn = 0.5 * (lgamma(m + 1) + lgamma(n + 1))
+        for i in range(min(m, n) + 1):
+            w[i, a, b] = math.exp(log_fact_mn - lgamma(i + 1)
+                                  - lgamma(m - i + 1) - lgamma(n - i + 1))
+    w.flags.writeable = False
+    return w
+
+
+def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     """Vectorized closed form for ``<m|S(xi)D(alpha)|n>``; no range checks.
 
     Derived by inserting the normal-ordered squeeze between coherent-state
     generating kernels: the result is a finite contraction of two rescaled
     Hermite ladders, one per Fock index, summed over the number of ladder
-    contractions.  Broadcasts over array-valued Gaussian parameters.
+    contractions.  Broadcasts over array-valued Gaussian parameters; ``m``
+    and ``n`` may be 1-D index sequences, and the ladders up to the largest
+    index then give the whole block, of shape
+    ``shape(m) + shape(n) + shape(params)``.
     """
-    r = np.asarray(xi_mag, dtype=float)
-    th = np.asarray(xi_phase, dtype=float)
-    amag = np.asarray(alpha_mag, dtype=float)
-    aph = np.asarray(alpha_phase, dtype=float)
+    ms, ns = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
+    r, th, amag, aph = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (xi_mag, xi_phase, alpha_mag, alpha_phase)))
 
     alpha = amag * np.exp(1j * aph)
     t = np.tanh(r)
@@ -311,17 +290,18 @@ def sdf_amplitude_raw(m: int, n: int, xi_mag, xi_phase, alpha_mag, alpha_phase):
     tau_conj = t * np.exp(-1j * th)
 
     a00 = np.exp(-0.5 * amag ** 2 + 0.5 * tau_conj * alpha ** 2) / np.sqrt(c)
-    h_m = _scaled_hermite_ladder(m, alpha / (2.0 * c), tau / 2.0)
-    h_n = _scaled_hermite_ladder(n, (tau_conj * alpha - np.conj(alpha)) / 2.0,
+    h_m = _scaled_hermite_ladder(ms.max(), alpha / (2.0 * c), tau / 2.0)
+    h_n = _scaled_hermite_ladder(ns.max(), (tau_conj * alpha - np.conj(alpha)) / 2.0,
                                  -tau_conj / 2.0)
 
-    acc = np.zeros_like(a00)
-    log_fact_mn = 0.5 * (lgamma(m + 1) + lgamma(n + 1))
-    for i in range(min(m, n) + 1):
-        w = math.exp(log_fact_mn - lgamma(i + 1) - lgamma(m - i + 1)
-                     - lgamma(n - i + 1))
-        acc = acc + w * h_m[m - i] * h_n[n - i] / c ** i
-    return a00 * acc
+    mv, nv = ms.ravel(), ns.ravel()
+    w = _contraction_weights(tuple(mv.tolist()), tuple(nv.tolist()))
+    w = w.reshape(w.shape + (1,) * r.ndim)
+    acc = np.zeros((mv.size, nv.size) + r.shape, dtype=complex)
+    for i in range(len(w)):
+        acc = acc + (w[i] * h_m[np.maximum(mv - i, 0)][:, None]
+                     * h_n[np.maximum(nv - i, 0)][None] / c ** i)
+    return (a00 * acc).reshape(ms.shape + ns.shape + r.shape)
 
 
 def sdf_amplitude(m: int, n: int, g: GaussianParams) -> complex:
@@ -363,11 +343,19 @@ def bogoliubov_displacement(alpha: complex, xi: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def lowering_operator(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
-    k = np.arange(1, dim)
-    a[k - 1, k] = np.sqrt(k)
-    return a
+@lru_cache(maxsize=8)
+def _generator_eigensystems(total: int) -> tuple:
+    """Read-only eigensystems ``((lam, V), ((mu_0, W_0), (mu_1, W_1)))`` of
+    ``X = a + a^+`` and, on the levels ``s, s+2, ...`` of each parity ``s``,
+    of ``Y_s`` with off-diagonal ``sqrt((k+1)(k+2))/2``: with ``T = diag(i^p)``
+    over the position ``p`` in the chain, ``a^+ - a = -i T X T^-1`` and
+    ``(a^2 - a^+^2)/2 = i T Y_s T^-1``."""
+    pos = eigh_tridiagonal(np.zeros(total), np.sqrt(np.arange(1.0, total)))
+    sectors = tuple(eigh_tridiagonal(np.zeros(len(k) + 1), 0.5 * np.sqrt((k + 1) * (k + 2)))
+                    for k in (np.arange(s, total - 2, 2.0) for s in (0, 1)))
+    for arr in (*pos, *sectors[0], *sectors[1]):
+        arr.flags.writeable = False
+    return pos, sectors
 
 
 def build_gaussian_matrix(g: GaussianParams, dim: int,
@@ -379,6 +367,12 @@ def build_gaussian_matrix(g: GaussianParams, dim: int,
     Fock coefficients of the squeezed-displaced number state
     ``S(xi) D(alpha) |k>``.  Accuracy of the crop degrades once the state
     energy ``~ (|alpha| e^{|xi|})^2`` approaches ``dim + pad``.
+
+    The gauges ``D(alpha) = R(phi) D(|alpha|) R(-phi)`` and ``S(xi) =
+    R(theta/2) S(r) R(-theta/2)``, ``R(phi) = exp(i phi n)``, leave real
+    tridiagonal generators, so ``D_jk = e^{i(phi+pi/2)(j-k)} [V e^{-i|alpha|
+    lam} V^T]_jk`` and ``S_jk = e^{i(theta+pi/2)(j-k)/2} [W e^{i r mu} W^T]_pq``
+    (same parity).  Only the kept ``dim`` columns of D and rows of S are formed.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -386,13 +380,18 @@ def build_gaussian_matrix(g: GaussianParams, dim: int,
         raise TruncationRiskError(
             f"pad {pad} leaves the requested {dim}x{dim} block too close to the "
             "truncation edge; use pad >= 16")
-    total = dim + pad
-    a = lowering_operator(total)
-    ad = a.conj().T
-    xi, alpha = g.xi, g.alpha
-    squeeze = expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
-    displace = expm(alpha * ad - np.conj(alpha) * a)
-    return np.ascontiguousarray((squeeze @ displace)[:dim, :dim])
+    (lam, vec), sectors = _generator_eigensystems(dim + pad)
+    k = np.arange(dim + pad)
+    # V e^{-i|alpha| lam} V^T as two real products, times D's row gauge and S's column gauge
+    disp = ((vec * np.cos(g.alpha_mag * lam)) @ vec[:dim].T
+            - 1j * ((vec * np.sin(g.alpha_mag * lam)) @ vec[:dim].T))
+    disp *= np.exp(1j * (g.alpha_phase - 0.5 * g.xi_phase + 0.25 * math.pi) * k)[:, None]
+    out = np.empty((dim, dim), dtype=complex)
+    for s, (mu, w) in enumerate(sectors):
+        rows = w[: (dim - s + 1) // 2] * np.exp(1j * g.xi_mag * mu)
+        out[s::2] = (rows @ w.T) @ disp[s::2]
+    return (np.exp(1j * (0.5 * g.xi_phase + 0.25 * math.pi) * k[:dim])[:, None] * out
+            * np.exp(-1j * (g.alpha_phase + 0.5 * math.pi) * k[:dim]))
 
 
 def oracle_dim_for(g: GaussianParams, top_index: int = 0) -> int:

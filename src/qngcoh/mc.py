@@ -24,6 +24,9 @@ VIOLATION_SLACK = 1e-3
 #: coherent-state energy scale floor for the classical sampler
 _MIN_ENERGY_SCALE = 1.0
 
+#: samples per amplitude evaluation; bounds the working memory
+MC_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class McReport:
@@ -52,41 +55,45 @@ class McReport:
 
 def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """Coherences of random pure extreme points of the admissible family."""
+    """Coherences of random pure extreme points of the admissible family.
+
+    Every random number is drawn first, in a fixed order; the amplitudes are
+    then evaluated in chunks of ``MC_CHUNK`` samples of one Fock input each,
+    so memory stays bounded and the result does not depend on the chunk size.
+    """
     m, n = pair.m, pair.n
+    core = ks = None
     if kind == ThresholdKind.CLASSICAL:
         # exponential energy distribution concentrated near the optimum scale
         scale = max(_MIN_ENERGY_SCALE, 0.5 * (m + n))
         amag = np.sqrt(rng.exponential(scale=scale, size=samples))
-        am = sdf_amplitude_raw(m, 0, 0.0, 0.0, amag, 0.0)
-        an = sdf_amplitude_raw(n, 0, 0.0, 0.0, amag, 0.0)
-        return 2.0 * np.abs(am * np.conj(an))
-
-    r = rng.uniform(0.0, XI_BOUND, size=samples)
-    th = rng.uniform(0.0, 2.0 * math.pi, size=samples)
-    amag = rng.uniform(0.0, ALPHA_BOUND, size=samples)
-
-    if kind == ThresholdKind.GAUSSIAN_MIN:
-        ks = np.zeros(samples, dtype=int)
-    elif kind == ThresholdKind.GAUSSIAN_INTRINSIC:
-        ks = rng.integers(0, DEFAULT_MAX_FOCK + 1, size=samples)
-    elif kind == ThresholdKind.GENUINE_N:
-        d = pair.n
-        u = np.stack([sdf_amplitude_raw(m, j, r, th, amag, 0.0) for j in range(d)])
-        v = np.stack([sdf_amplitude_raw(n, j, r, th, amag, 0.0) for j in range(d)])
-        # Haar-random core states on the complex d-sphere
-        c = rng.normal(size=(d, samples)) + 1j * rng.normal(size=(d, samples))
-        c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
-        return 2.0 * np.abs(np.sum(u * c, axis=0) * np.conj(np.sum(v * c, axis=0)))
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+        r = th = np.zeros(samples)
+    else:   # kinds are validated by the threshold lookup in mc_verify
+        r = rng.uniform(0.0, XI_BOUND, size=samples)
+        th = rng.uniform(0.0, 2.0 * math.pi, size=samples)
+        amag = rng.uniform(0.0, ALPHA_BOUND, size=samples)
+        if kind == ThresholdKind.GAUSSIAN_INTRINSIC:
+            ks = rng.integers(0, DEFAULT_MAX_FOCK + 1, size=samples)
+        elif kind == ThresholdKind.GENUINE_N:
+            # Haar-random core states on the complex d-sphere, drawn as real
+            # and imaginary parts and normalized per chunk
+            core = np.empty((2, n, samples))
+            rng.standard_normal(out=core[0])
+            rng.standard_normal(out=core[1])
 
     out = np.empty(samples)
-    for k in np.unique(ks):
-        sel = ks == k
-        am = sdf_amplitude_raw(m, int(k), r[sel], th[sel], amag[sel], 0.0)
-        an = sdf_amplitude_raw(n, int(k), r[sel], th[sel], amag[sel], 0.0)
-        out[sel] = 2.0 * np.abs(am * np.conj(an))
+    for k, group in ([(0, np.arange(samples))] if ks is None else
+                     [(k, np.flatnonzero(ks == k)) for k in np.unique(ks)]):
+        for lo in range(0, group.size, MC_CHUNK):
+            sel = group[lo:lo + MC_CHUNK]
+            if core is None:
+                am, an = sdf_amplitude_raw((m, n), int(k), r[sel], th[sel], amag[sel], 0.0)
+            else:
+                u, v = sdf_amplitude_raw((m, n), range(n), r[sel], th[sel], amag[sel], 0.0)
+                c = core[0][:, sel] + 1j * core[1][:, sel]
+                c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
+                am, an = np.sum(u * c, axis=0), np.sum(v * c, axis=0)
+            out[sel] = 2.0 * np.abs(am * np.conj(an))
     return out
 
 

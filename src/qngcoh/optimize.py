@@ -55,16 +55,14 @@ class SearchSpec:
         if self.grid_density < 2:
             raise ValueError("grid density must be >= 2")
 
-    @property
-    def ndim(self) -> int:
-        return len(self.bounds)
-
 
 @dataclass
 class MaximizeResult:
     argmax: np.ndarray
     value: float
     trace: dict = field(repr=False)
+    #: one result per group of a grouped run (see ``maximize``)
+    groups: list["MaximizeResult"] = field(default_factory=list, repr=False)
 
     @property
     def converged(self) -> bool:
@@ -89,16 +87,20 @@ def _sort_simplices(sim: np.ndarray, fsim: np.ndarray):
     return sim[starts, ind], fsim[starts, ind]
 
 
-def nelder_mead(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray):
+def nelder_mead(fun: Callable[..., np.ndarray], x0: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, labels: np.ndarray | None = None):
     """Minimize the batch function ``fun`` from every row of ``x0`` in lockstep.
 
-    ``fun`` maps an ``(npts, ndim)`` array to ``npts`` values.  Returns the
+    ``fun`` maps an ``(npts, ndim)`` array to ``npts`` values; with ``labels``
+    (one per start) it is called as ``fun(pts, labels_of_pts)``.  Returns the
     per-start minimizers, minima, evaluation counts and success flags (False
     when a start ran out of iterations or evaluations).  A start that reaches
     ``MAXFEV`` mid-iteration stops where scipy's evaluation counter would
     stop it, so its simplex is left exactly as scipy leaves it.
     """
+    def ev(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        return fun(pts) if labels is None else fun(pts, labels[starts])
+
     n_starts, ndim = x0.shape
     sim = np.repeat(np.clip(x0, lo, hi)[:, None, :], ndim + 1, axis=1)
     for k in range(ndim):
@@ -106,7 +108,8 @@ def nelder_mead(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
         sim[:, k + 1, k] = np.where(coord != 0, (1 + NONZDELT) * coord, ZDELT)
     # a vertex stepped past the upper bound is reflected back into the box
     sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    fsim = fun(sim.reshape(-1, ndim)).reshape(n_starts, ndim + 1)
+    fsim = ev(sim.reshape(-1, ndim),
+              np.repeat(np.arange(n_starts), ndim + 1)).reshape(n_starts, ndim + 1)
     nfev = np.full(n_starts, ndim + 1)
     iters = np.ones(n_starts, dtype=int)
     # scipy sorts the initial simplex twice; an unstable sort may reorder ties
@@ -134,7 +137,7 @@ def nelder_mead(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
         xbar = np.add.reduce(sim[:, :-1], 1) / ndim
         worst = sim[:, -1]
         xr = ((1 + RHO) * xbar - RHO * worst).clip(lo, hi)
-        fxr = fun(xr)
+        fxr = ev(xr, act)
         nfev += 1
         expand = fxr < fsim[:, 0]
         keep_r = ~expand & (fxr < fsim[:, -2])
@@ -146,7 +149,7 @@ def nelder_mead(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
         x2 = (_STAGE_A[stage, None] * xbar - _STAGE_B[stage, None] * worst).clip(lo, hi)
         f2 = np.full(len(act), np.nan)
         if second.any():
-            f2[second] = fun(x2[second])
+            f2[second] = ev(x2[second], act[second])
             nfev += second
         take2 = second & np.where(expand, f2 < fxr,
                                   np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
@@ -167,7 +170,8 @@ def nelder_mead(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
             sub, fsub = sim[shrink, 1:], fsim[shrink, 1:]
             sub[moved] = pts[moved]
             if evaluated.any():
-                fsub[evaluated] = fun(pts[evaluated])
+                fsub[evaluated] = ev(pts[evaluated],
+                                     np.repeat(act[shrink], evaluated.sum(axis=1)))
             sim[shrink, 1:], fsim[shrink, 1:] = sub, fsub
             nfev[shrink] += evaluated.sum(axis=1)
             stalled[shrink] = budget < ndim
@@ -178,7 +182,8 @@ def nelder_mead(fun: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
 
 def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
              batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
-             extra_seeds: Sequence[np.ndarray] = ()) -> MaximizeResult:
+             extra_seeds: Sequence[np.ndarray] = (),
+             groups: Sequence[int] | None = None) -> MaximizeResult:
     """Maximize over the box in ``spec``.
 
     ``batch_objective`` evaluates a whole ``(npts, ndim)`` array at once and
@@ -186,53 +191,63 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
     is applied point by point in its place.  ``extra_seeds`` are appended to
     the grid before start selection (e.g. analytically motivated points).
 
-    Raises ``NonConvergenceError`` when no refinement start reaches the best
-    grid seed; trace records per-start outcomes either way.
+    With ``groups``, ``batch_objective`` returns a table with one row per
+    objective; each listed row gets its own seeds from the one grid
+    evaluation and ``n_starts`` starts in the one lockstep run.  The result is
+    the best group's, with every start in its trace and each row's in ``groups``.
+
+    Raises ``NonConvergenceError`` when no refinement start (of a group)
+    reaches the best grid seed; trace records per-start outcomes either way.
     """
     if batch_objective is None:
         def batch_objective(pts: np.ndarray) -> np.ndarray:
             return np.array([objective(x) for x in pts.copy()], dtype=float)
 
-    lo = np.array([b[0] for b in spec.bounds])
-    hi = np.array([b[1] for b in spec.bounds])
+    def values(pts: np.ndarray, rows=None) -> np.ndarray:
+        table = np.asarray(batch_objective(pts), dtype=float)
+        return table if rows is None else table[rows, np.arange(len(rows))]
+
+    lo, hi = np.array(spec.bounds).T
     pts = _grid_points(spec)
     if len(extra_seeds) > 0:
         extras = np.clip(np.atleast_2d(np.asarray(extra_seeds, dtype=float)), lo, hi)
         pts = np.vstack([pts, extras])
 
-    vals = np.asarray(batch_objective(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
+    grid = np.asarray(batch_objective(pts), dtype=float)[
+        None if groups is None else list(groups)]
+    if not np.all(np.isfinite(grid)):
         raise ValueError("objective not finite on the search box")
 
-    order = np.argsort(vals)[::-1]
-    seeds = pts[order[: spec.n_starts]]
-    grid_best = float(vals[order[0]])
+    n = spec.n_starts
+    seeds = np.concatenate([pts[np.argsort(vals)[::-1][:n]] for vals in grid])
+    labels = None if groups is None else np.repeat(list(groups), n)
+    runs = nelder_mead(lambda p, *rows: -values(p, *rows), seeds, lo, hi, labels)
 
-    xs, funs, nfevs, successes = nelder_mead(
-        lambda p: -np.asarray(batch_objective(p), dtype=float), seeds, lo, hi)
-    starts = [{"x0": x0.tolist(), "x": x.tolist(), "value": -float(f),
-               "nfev": int(nfev), "success": bool(ok)}
-              for x0, x, f, nfev, ok in zip(seeds, xs, funs, nfevs, successes)]
+    results = []
+    for g, vals in enumerate(grid):
+        part = slice(g * n, (g + 1) * n)
+        starts = [{"x0": x0.tolist(), "x": x.tolist(), "value": -float(f),
+                   "nfev": int(nfev), "success": bool(ok)}
+                  for x0, x, f, nfev, ok in zip(seeds[part], *(a[part] for a in runs))]
+        starts.sort(key=lambda s: s["value"], reverse=True)
+        best, runner_up = starts[0]["value"], starts[1]["value"]
+        trace = {"grid_points": len(pts), "grid_best": float(vals.max()),
+                 "starts": starts, "best_value": best, "runner_up_value": runner_up,
+                 "converged": abs(best - runner_up) <= max(spec.tol, spec.tol * abs(best))}
+        if best < trace["grid_best"] - 1e-12:
+            raise NonConvergenceError("no refinement start reached the grid seed value "
+                                      f"{trace['grid_best']!r}", trace)
+        argmax = np.clip(np.array(starts[0]["x"]), lo, hi)
+        results.append(MaximizeResult(argmax, 0.0, trace))
 
-    starts_sorted = sorted(starts, key=lambda s: s["value"], reverse=True)
-    best = starts_sorted[0]
-    runner_up = starts_sorted[1]["value"] if len(starts_sorted) > 1 else best["value"]
-    converged = abs(best["value"] - runner_up) <= max(spec.tol, spec.tol * abs(best["value"]))
-
-    trace = {
-        "grid_points": int(len(pts)),
-        "grid_best": grid_best,
-        "starts": starts_sorted,
-        "best_value": best["value"],
-        "runner_up_value": runner_up,
-        "converged": converged,
-    }
-
-    if best["value"] < grid_best - 1e-12:
-        raise NonConvergenceError(
-            f"no refinement start reached the grid seed value {grid_best!r}", trace)
-
-    argmax = np.clip(np.array(best["x"]), lo, hi)
-    # report the objective exactly as evaluated at the returned point
-    value = float(np.asarray(batch_objective(argmax[None, :]), dtype=float)[0])
-    return MaximizeResult(argmax=argmax, value=value, trace=trace)
+    # report the objective exactly as evaluated at the returned points
+    finals = values(np.array([res.argmax for res in results]),
+                    None if groups is None else list(groups))
+    for res, value in zip(results, finals):
+        res.value = float(value)
+    if groups is None:
+        return results[0]
+    top = max(results, key=lambda res: res.value)
+    return MaximizeResult(top.argmax, top.value, groups=results, trace={
+        "starts": [s for res in results for s in res.trace["starts"]],
+        "best_value": top.trace["best_value"]})

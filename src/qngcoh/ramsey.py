@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import channels
 from .channels import TruncationError, dephasing_factors, thermalize_matrix
@@ -142,6 +141,7 @@ class RamseyFringe:
     contrast: float
     contrast_err: float
     fit_phase_offset: float
+    dim: int    # oscillator truncation the fringe was simulated at
 
 
 @dataclass
@@ -457,6 +457,11 @@ def fit_fringe(phases: np.ndarray, pe: np.ndarray,
     return contrast, err, offset
 
 
+def simulation_dim(seq: RamseySequence, noise: NoiseConfig, delay: float) -> int:
+    """Default truncation: top level, 12 guard levels, 8 per expected phonon."""
+    return seq.top_level + 12 + math.ceil(8.0 * noise.heating_rate * delay)
+
+
 def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
                phases, shots: int | None = None, seed: int = 0,
                dim: int | None = None) -> RamseyFringe:
@@ -475,7 +480,7 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
     if shots is not None and shots < 1:
         raise ValueError("shots must be positive (or None for exact readout)")
     if dim is None:
-        dim = seq.top_level + 12 + math.ceil(8.0 * noise.heating_rate * delay)
+        dim = simulation_dim(seq, noise, delay)
 
     root = np.random.SeedSequence((seed, 0x52414D))
     children = root.spawn(phases.size + 1)
@@ -516,14 +521,14 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
 
     contrast, err, offset = fit_fringe(phases, pes, shots=shots)
     return RamseyFringe(points=points, contrast=min(1.0, max(0.0, contrast)),
-                        contrast_err=err, fit_phase_offset=offset)
+                        contrast_err=err, fit_phase_offset=offset, dim=dim)
 
 
 def prepared_state(seq: RamseySequence, noise: NoiseConfig,
                    dim: int | None = None) -> np.ndarray:
     """Density matrix right after the preparation half (no delay, no jitter)."""
     if dim is None:
-        dim = seq.top_level + 12
+        dim = simulation_dim(seq, noise, 0.0)
     rho0 = thermal_spin_osc(noise.initial_thermal_nbar, dim)
     return _apply_unitaries(rho0, seq.prep, dim, None)
 
@@ -557,6 +562,8 @@ def fit_populations(signal, carrier_rabi: float, eta: float, gamma0: float,
     renormalized to unit sum; a near-zero recovered weight marks the fit
     degenerate (no oscillation information in the signal).
     """
+    from scipy.optimize import nnls  # here: scipy.optimize costs ~0.2 s to import
+
     data = np.asarray(signal, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("signal must be an (npts, 2) array of (time, P_g)")

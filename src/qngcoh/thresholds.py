@@ -23,7 +23,8 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import groupby
 from math import lgamma
 from pathlib import Path
 
@@ -92,6 +93,15 @@ class ThresholdResult:
     core_state: CoreState | None = None
     diagnostics: dict = field(default_factory=dict, repr=False)
 
+    def as_dict(self) -> dict:
+        """Value, argmax and, when set, Fock input and core state, as JSON data."""
+        out = {"value": self.value, "argmax": asdict(self.argmax),
+               "fock_index": self.fock_index}
+        if self.core_state is not None:
+            out["core_state"] = {"re": self.core_state.coeffs.real.tolist(),
+                                 "im": self.core_state.coeffs.imag.tolist()}
+        return out
+
     def argmax_state(self, dim: int = fock.DEFAULT_TRUNC) -> fock.PureState:
         """Reconstruct the maximizing pure state on a ``dim``-level space."""
         k = self.fock_index if self.fock_index is not None else 0
@@ -121,44 +131,27 @@ class CertificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _pair_amp_objective(pair: FockPair, k: int):
-    """Batch C_{m,n} for the states S(xi)D(alpha)|k> at ``(npts, 3)`` points."""
-    m, n = pair.m, pair.n
-
+def _pair_amp_objective(pair: FockPair, k):
+    """Batch C_{m,n} for the states S(xi)D(alpha)|k> at ``(npts, 3)`` points;
+    a ``(len(k), npts)`` table when ``k`` is a sequence of Fock inputs."""
     def f_batch(pts: np.ndarray) -> np.ndarray:
-        r, th, amag = pts[:, 0], pts[:, 1], pts[:, 2]
-        am = sdf_amplitude_raw(m, k, r, th, amag, 0.0)
-        an = sdf_amplitude_raw(n, k, r, th, amag, 0.0)
+        am, an = sdf_amplitude_raw((pair.m, pair.n), k, *pts.T, 0.0)
         return 2.0 * np.abs(am * np.conj(an))
 
     return f_batch
 
 
-def _genuine_vectors(pair: FockPair, r, th, amag):
-    """Overlap vectors u_j = a_{m,j}, v_j = a_{n,j} over the core indices."""
-    d = pair.n
-    u = np.stack([sdf_amplitude_raw(pair.m, j, r, th, amag, 0.0) for j in range(d)])
-    v = np.stack([sdf_amplitude_raw(pair.n, j, r, th, amag, 0.0) for j in range(d)])
-    return u, v
-
-
-def _genuine_value(u: np.ndarray, v: np.ndarray):
-    """Core-state-optimized coherence: ||u|| ||v|| + |<u,v>|.
-
-    Rank-2 closed form of the largest eigenvalue of the phase-optimized
-    coherence matrix; the maximizing core state is its top eigenvector.
-    """
-    nu = np.sqrt(np.sum(np.abs(u) ** 2, axis=0))
-    nv = np.sqrt(np.sum(np.abs(v) ** 2, axis=0))
-    ip = np.abs(np.sum(np.conj(u) * v, axis=0))
-    return nu * nv + ip
-
-
 def _genuine_objective(pair: FockPair):
-    """Batch core-state-optimized coherence at ``(npts, 3)`` points."""
+    """Batch core-state-optimized coherence ``||u|| ||v|| + |<u,v>|`` at
+    ``(npts, 3)`` points, for the overlaps ``u_j = a_{m,j}``, ``v_j = a_{n,j}``
+    over the core indices: the rank-2 closed form of the largest eigenvalue of
+    the phase-optimized coherence matrix, whose top eigenvector is the best
+    core state."""
     def f_batch(pts: np.ndarray) -> np.ndarray:
-        u, v = _genuine_vectors(pair, pts[:, 0], pts[:, 1], pts[:, 2])
-        return np.asarray(_genuine_value(u, v), dtype=float)
+        u, v = sdf_amplitude_raw((pair.m, pair.n), range(pair.n), *pts.T, 0.0)
+        nu = np.sqrt(np.sum(np.abs(u) ** 2, axis=0))
+        nv = np.sqrt(np.sum(np.abs(v) ** 2, axis=0))
+        return nu * nv + np.abs(np.sum(np.conj(u) * v, axis=0))
 
     return f_batch
 
@@ -176,8 +169,8 @@ def genuine_coherence_matrix(u: np.ndarray, v: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _search_gaussian(batch_objective, extra_seeds=(),
-                     grid_density: int = 12, n_starts: int = 16) -> MaximizeResult:
+def _search_gaussian(batch_objective, extra_seeds=(), grid_density: int = 12,
+                     n_starts: int = 16, groups=None):
     """Multistart search over (|xi|, arg xi, |alpha|) with bound doubling.
 
     A magnitude bound hit at the optimum doubles that bound (up to the
@@ -186,29 +179,39 @@ def _search_gaussian(batch_objective, extra_seeds=(),
     ``magnitude_bounds`` ([|xi| bound, |alpha| bound] per run) and sets
     ``at_cap`` when the optimum is left on a magnitude bound that could not
     be doubled further.
+
+    With ``groups`` (rows of the objective's table, see ``maximize``) the
+    groups share each run, keep their own boxes and get one result each.
     """
-    xi_hi, alpha_hi = XI_BOUND, ALPHA_BOUND
-    boxes = []
+    labels = [None] if groups is None else list(groups)
+    box = dict.fromkeys(labels, (XI_BOUND, ALPHA_BOUND))
+    boxes, results, pending = {g: [] for g in labels}, {}, labels
     for _ in range(3):
-        boxes.append([xi_hi, alpha_hi])
-        spec = SearchSpec(bounds=((0.0, xi_hi), (0.0, 2.0 * math.pi),
-                                  (0.0, alpha_hi)),
-                          grid_density=grid_density, n_starts=n_starts)
-        res = maximize(None, spec, batch_objective=batch_objective,
-                       extra_seeds=extra_seeds)
-        on_xi = bool(res.argmax[0] > xi_hi - 1e-3)
-        on_alpha = bool(res.argmax[2] > alpha_hi - 1e-3)
-        hit_xi = on_xi and xi_hi < XI_CAP
-        hit_alpha = on_alpha and alpha_hi < ALPHA_CAP
-        if not hit_xi and not hit_alpha:
+        runs = groupby(sorted(pending, key=box.get), key=box.get)
+        pending = []
+        for (xi_hi, alpha_hi), members in ((b, list(m)) for b, m in runs):
+            spec = SearchSpec(bounds=((0.0, xi_hi), (0.0, 2.0 * math.pi),
+                                      (0.0, alpha_hi)),
+                              grid_density=grid_density, n_starts=n_starts)
+            res = maximize(None, spec, batch_objective=batch_objective,
+                           extra_seeds=extra_seeds,
+                           groups=None if groups is None else members)
+            for g, part in zip(members, res.groups or [res]):
+                boxes[g].append([xi_hi, alpha_hi])
+                on_xi = part.argmax[0] > xi_hi - 1e-3
+                on_alpha = part.argmax[2] > alpha_hi - 1e-3
+                part.trace["magnitude_bounds"] = boxes[g]
+                part.trace["at_cap"] = bool(on_xi or on_alpha)
+                results[g] = part
+                grow_xi = on_xi and xi_hi < XI_CAP
+                grow_alpha = on_alpha and alpha_hi < ALPHA_CAP
+                if grow_xi or grow_alpha:
+                    box[g] = (min(2.0 * xi_hi, XI_CAP) if grow_xi else xi_hi,
+                              min(2.0 * alpha_hi, ALPHA_CAP) if grow_alpha else alpha_hi)
+                    pending.append(g)
+        if not pending:
             break
-        if hit_xi:
-            xi_hi = min(2.0 * xi_hi, XI_CAP)
-        if hit_alpha:
-            alpha_hi = min(2.0 * alpha_hi, ALPHA_CAP)
-    res.trace["magnitude_bounds"] = boxes
-    res.trace["at_cap"] = on_xi or on_alpha
-    return res
+    return results[None] if groups is None else [results[g] for g in labels]
 
 
 def _params_from(x: np.ndarray) -> GaussianParams:
@@ -220,17 +223,11 @@ def _recheck_truncation(result: ThresholdResult,
                         dim: int = fock.DEFAULT_TRUNC) -> None:
     """Re-evaluate the optimum through the truncated-matrix route at ``dim``
     and ``2 dim``; all three values must agree to 1e-6."""
-    vals = []
-    for d in (dim, 2 * dim):
-        cols = build_gaussian_matrix(result.argmax, d)
-        if result.core_state is not None:
-            c = result.core_state.coeffs
-            psi = cols[:, : c.shape[0]] @ c
-            vals.append(2.0 * abs(psi[result.pair.m] * np.conj(psi[result.pair.n])))
-        else:
-            k = result.fock_index if result.fock_index is not None else 0
-            vals.append(2.0 * abs(cols[result.pair.m, k]
-                                  * np.conj(cols[result.pair.n, k])))
+    k = result.fock_index if result.fock_index is not None else 0
+    c = result.core_state.coeffs if result.core_state is not None else np.eye(k + 1)[k]
+    vals = [2.0 * abs(psi[result.pair.m] * np.conj(psi[result.pair.n]))
+            for psi in (build_gaussian_matrix(result.argmax, d)[:, : len(c)] @ c
+                        for d in (dim, 2 * dim))]
     spread = max(abs(vals[0] - vals[1]), abs(vals[1] - result.value))
     if spread > 1e-6:
         raise TruncationRiskError(
@@ -288,18 +285,8 @@ def _disk_store(key: tuple, result: ThresholdResult) -> None:
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob = {
-        "kind": int(result.kind), "m": result.pair.m, "n": result.pair.n,
-        "value": result.value,
-        "argmax": {"xi_mag": result.argmax.xi_mag,
-                   "xi_phase": result.argmax.xi_phase,
-                   "alpha_mag": result.argmax.alpha_mag,
-                   "alpha_phase": result.argmax.alpha_phase},
-        "fock_index": result.fock_index,
-        "core_state": None if result.core_state is None else {
-            "re": result.core_state.coeffs.real.tolist(),
-            "im": result.core_state.coeffs.imag.tolist()},
-    }
+    blob = {"kind": int(result.kind), "m": result.pair.m, "n": result.pair.n,
+            **result.as_dict()}
     path.write_text(json.dumps(blob, indent=1))
 
 
@@ -396,27 +383,23 @@ def intrinsic_threshold(pair: FockPair,
                         max_fock: int = DEFAULT_MAX_FOCK) -> ThresholdResult:
     """Largest C_{m,n} over Gaussian operations on any single Fock state.
 
-    Runs the Gaussian search separately for each input Fock level up to
-    ``max_fock`` and records which level attains the maximum.
+    Searches every input Fock level up to ``max_fock`` in one lockstep run,
+    each level with its own seeds and boxes, and records which level attains
+    the maximum.
     """
     if max_fock > INTRINSIC_FOCK_CAP:
         raise ValueError(f"max_fock above validated cap {INTRINSIC_FOCK_CAP}")
 
     def compute() -> ThresholdResult:
-        best: ThresholdResult | None = None
-        per_fock, per_fock_at_cap = {}, {}
-        for k in range(max_fock + 1):
-            res = _search_gaussian(_pair_amp_objective(pair, k),
-                                   grid_density=9, n_starts=8)
-            per_fock[k] = res.value
-            per_fock_at_cap[k] = res.trace["at_cap"]
-            if best is None or res.value > best.value:
-                best = ThresholdResult(ThresholdKind.GAUSSIAN_INTRINSIC, pair,
-                                       res.value, _params_from(res.argmax),
-                                       fock_index=k, diagnostics=res.trace)
-        best.diagnostics = dict(best.diagnostics)
-        best.diagnostics["per_fock_values"] = per_fock
-        best.diagnostics["per_fock_at_cap"] = per_fock_at_cap
+        ks = range(max_fock + 1)
+        runs = _search_gaussian(_pair_amp_objective(pair, ks), grid_density=9,
+                                n_starts=8, groups=ks)
+        k = max(ks, key=lambda j: runs[j].value)
+        best = ThresholdResult(ThresholdKind.GAUSSIAN_INTRINSIC, pair,
+                               runs[k].value, _params_from(runs[k].argmax),
+                               fock_index=k, diagnostics=dict(runs[k].trace))
+        best.diagnostics["per_fock_values"] = {j: runs[j].value for j in ks}
+        best.diagnostics["per_fock_at_cap"] = {j: runs[j].trace["at_cap"] for j in ks}
         _recheck_truncation(best)
         return best
 
@@ -439,7 +422,7 @@ def genuine_threshold(pair: FockPair) -> ThresholdResult:
 
     def compute() -> ThresholdResult:
         res = _search_gaussian(_genuine_objective(pair))
-        u, v = _genuine_vectors(pair, res.argmax[0], res.argmax[1], res.argmax[2])
+        u, v = sdf_amplitude_raw((pair.m, pair.n), range(pair.n), *res.argmax, 0.0)
         theta = -float(np.angle(np.vdot(u, v))) if pair.n > 1 else 0.0
         gmat = genuine_coherence_matrix(u, v, theta)
         evals, evecs = np.linalg.eigh(gmat)

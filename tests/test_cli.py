@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +14,8 @@ from qngcoh.cli import main
 from qngcoh.thresholds import ThresholdResult, ThresholdKind
 from qngcoh.fock import FockPair, GaussianParams
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "qngcoh" / "schemas"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+SCHEMA_DIR = SRC_DIR / "qngcoh" / "schemas"
 
 
 def validate(payload: dict, schema_name: str) -> None:
@@ -123,6 +127,23 @@ class TestSimulateCommand:
         depths = (out_dir / "depth_0_2.csv").read_text().splitlines()
         assert depths[0] == "delay_s,contrast,depth"
 
+    def test_manifest_reports_truncation_used(self, runner, tmp_path):
+        # the README scenario cut to two delays; run_ramsey picks
+        # top_level + 12 + ceil(8 rate delay) levels: 14/15 for (0,2), 16/17 for (0,4)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "pairs": [[0, 2], [0, 4]], "delays": [0.0, 0.004],
+            "noise": {"initial_thermal_nbar": 0.07, "heating_rate": 3.2,
+                      "dephasing_rate": 1.0},
+            "phases": 16, "shots": None, "seed": 1, "kind": "genuine"}))
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out", str(out_dir)])
+        assert result.exit_code == 0
+        payload = json.loads((out_dir / "summary.json").read_text())
+        validate(payload, "simulation_summary.schema.json")
+        assert payload["manifest"]["truncation_dim"] == 17
+
     def test_depth_ratio_04_vs_06(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({
@@ -197,3 +218,13 @@ class TestMcVerifyCommand:
                                       "--pair", "0,1", "--samples", "10",
                                       "--out", str(tmp_path / "mc.json")])
         assert result.exit_code == 1
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize serves only ramsey.fit_populations and takes ~0.2 s to import
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, qngcoh.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "False"

@@ -1,56 +1,63 @@
 import math
-from math import factorial
+from math import lgamma
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qngcoh.fock import (DEFAULT_TRUNC, DensityMatrix, FockPair,
                          GaussianParams, ParamRangeError, PureState,
                          TruncationRiskError, UnsupportedOrderError,
                          bogoliubov_displacement, build_gaussian_matrix,
                          coherence_quantifier, coherent_amplitude,
-                         gaussian_fock_state, hermite_eval,
-                         ideal_superposition, oracle_dim_for, sdf_amplitude,
-                         sdf_amplitude_raw)
+                         gaussian_fock_state, ideal_superposition,
+                         oracle_dim_for, sdf_amplitude, sdf_amplitude_raw)
 from conftest import random_density_matrix
 
 
-def hermite_naive(order: int, z: complex) -> complex:
-    """Explicit factorial-sum oracle; only stable at low order."""
-    total = 0j
-    for k in range(order // 2 + 1):
-        total += ((-1) ** k * z ** (order - 2 * k) * 2 ** (order - 2 * k)
-                  / (factorial(k) * factorial(order - 2 * k)))
-    return factorial(order) * total
+def lowering_operator(dim: int) -> np.ndarray:
+    a = np.zeros((dim, dim), dtype=complex)
+    k = np.arange(1, dim)
+    a[k - 1, k] = np.sqrt(k)
+    return a
 
 
-class TestHermite:
-    def test_order_zero_is_one(self):
-        assert hermite_eval(0, 3.7 - 2j) == 1.0
+def dense_gaussian_matrix(g: GaussianParams, dim: int, pad: int) -> np.ndarray:
+    """Dense-``expm`` oracle for ``build_gaussian_matrix``: both generators
+    exponentiated as full matrices at ``dim + pad`` levels, then cropped."""
+    a = lowering_operator(dim + pad)
+    ad = a.conj().T
+    xi = g.xi_mag * np.exp(1j * g.xi_phase)
+    alpha = g.alpha_mag * np.exp(1j * g.alpha_phase)
+    squeeze = expm(0.5 * (np.conj(xi) * (a @ a) - xi * (ad @ ad)))
+    displace = expm(alpha * ad - np.conj(alpha) * a)
+    return (squeeze @ displace)[:dim, :dim]
 
-    def test_order_one(self):
-        assert hermite_eval(1, 1.0 + 0j) == pytest.approx(2.0)
 
-    def test_order_two_matches_naive_sum(self):
-        # naive oracle: H_2(1) = 4 - 2 = 2
-        assert hermite_naive(2, 1.0) == pytest.approx(2.0)
-        assert hermite_eval(2, 1.0 + 0j) == pytest.approx(2.0)
+def per_index_amplitude(m: int, n: int, r, th, amag, aph):
+    """``<m|S(xi)D(alpha)|n>`` one index pair at a time: the per-index form
+    of the ladder contraction, a plain loop over the contraction order."""
+    alpha = amag * np.exp(1j * aph)
+    t, c = np.tanh(r), np.cosh(r)
+    tau, tau_conj = t * np.exp(1j * th), t * np.exp(-1j * th)
+    a00 = np.exp(-0.5 * amag ** 2 + 0.5 * tau_conj * alpha ** 2) / np.sqrt(c)
 
-    @given(order=st.integers(0, 15),
-           re=st.floats(-3, 3), im=st.floats(-3, 3))
-    def test_recurrence_matches_naive_sum(self, order, re, im):
-        z = complex(re, im)
-        expected = hermite_naive(order, z)
-        scale = max(1.0, abs(expected))
-        assert abs(hermite_eval(order, z) - expected) / scale < 1e-9
+    def ladder(kmax, xy, ysq):
+        h = [np.ones_like(xy * 0j + 1.0), 2.0 * xy]
+        for k in range(1, kmax):
+            h.append(2.0 * xy * h[k] - 2.0 * k * ysq * h[k - 1])
+        return h
 
-    def test_order_cap(self):
-        with pytest.raises(UnsupportedOrderError):
-            hermite_eval(65, 0.0)
-        with pytest.raises(UnsupportedOrderError):
-            hermite_eval(-1, 0.0)
+    h_m = ladder(m, alpha / (2.0 * c), tau / 2.0)
+    h_n = ladder(n, (tau_conj * alpha - np.conj(alpha)) / 2.0, -tau_conj / 2.0)
+    acc = 0j
+    for i in range(min(m, n) + 1):
+        w = math.exp(0.5 * (lgamma(m + 1) + lgamma(n + 1)) - lgamma(i + 1)
+                     - lgamma(m - i + 1) - lgamma(n - i + 1))
+        acc = acc + w * h_m[m - i] * h_n[n - i] / c ** i
+    return a00 * acc
 
 
 class TestCoherentAmplitude:
@@ -101,6 +108,17 @@ class TestGaussianMatrix:
             u = build_gaussian_matrix(g, dim, pad=oracle_dim_for(g, dim // 2))
             defect = u.conj().T @ u - np.eye(dim)
             assert np.max(np.abs(defect[: dim // 2, : dim // 2])) < 1e-8
+
+    @pytest.mark.parametrize("dim, pad, g", [
+        (8, 32, GaussianParams(0.3, 0.4, 1.1, 2.0)),
+        (9, 17, GaussianParams(1.2, 5.9, 0.4, 4.4)),
+        (128, 32, GaussianParams(0.8, 2.1, 1.7, 0.6)),     # recheck dimensions
+        (256, 32, GaussianParams(1.9, 3.3, 2.5, 5.1)),
+        (12, 420, GaussianParams(1.6, 0.9, 4.0, 1.3)),     # largest sweep pad
+    ])
+    def test_matches_dense_expm_oracle(self, dim, pad, g):
+        tri = build_gaussian_matrix(g, dim, pad=pad)
+        assert np.max(np.abs(tri - dense_gaussian_matrix(g, dim, pad))) < 1e-12
 
     def test_small_pad_rejected(self):
         with pytest.raises(TruncationRiskError):
@@ -155,11 +173,25 @@ class TestSdfAmplitude:
             g = GaussianParams(r[i], th[i], am[i], ap[i])
             assert batch[i] == pytest.approx(sdf_amplitude(3, 2, g), abs=1e-12)
 
+    def test_block_matches_per_index(self, rng):
+        # rows above and below every column index, and squeezing down to zero
+        ms, ks = [0, 2, 5, 9], [0, 1, 3, 7, 10]
+        for npts in (1, 33):
+            r = rng.uniform(0, 2.0, npts)
+            r[: npts // 3] = 0.0
+            r[npts // 3: npts // 2] = 1e-12
+            th, am, ap = (rng.uniform(0, 2 * np.pi, npts), rng.uniform(0, 6.0, npts),
+                          rng.uniform(0, 2 * np.pi, npts))
+            block = sdf_amplitude_raw(ms, ks, r, th, am, ap)
+            assert block.shape == (len(ms), len(ks), npts)
+            for a, m in enumerate(ms):
+                for b, k in enumerate(ks):
+                    ref = per_index_amplitude(m, k, r, th, am, ap)
+                    assert np.max(np.abs(block[a, b] - ref)) < 1e-12
+        assert sdf_amplitude_raw(3, ks, 0.2, 1.0, 0.5, 0.0).shape == (len(ks),)
+
     def test_bogoliubov_identity(self):
         # D(alpha) S(xi) = S(xi) D(beta) as truncated matrices
-        from scipy.linalg import expm
-
-        from qngcoh.fock import lowering_operator
         dim = 60
         a = lowering_operator(dim)
         ad = a.conj().T
