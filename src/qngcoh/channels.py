@@ -114,8 +114,10 @@ def _offset_eigensystem(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply(prop: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``prop @ v`` for every vector ``v`` along the last axis of ``vecs``."""
-    return (vecs[..., None, :] * prop).sum(axis=-1)
+    """``prop @ v`` for every vector ``v`` along the last axis of ``vecs``.
+    ``einsum``, not BLAS and with no ``(..., n, n)`` product, sums every
+    vector alike in any stack or layout: a stack gives the per-matrix results."""
+    return np.einsum("...j,ij->...i", vecs, prop)
 
 
 def thermalize_matrix(mat: np.ndarray, rate: float, duration: float) -> np.ndarray:
@@ -139,11 +141,26 @@ def thermalize_matrix(mat: np.ndarray, rate: float, duration: float) -> np.ndarr
         lam, vec = _offset_eigensystem(dim, q)
         prop = (vec * np.exp(lam * (rate * duration))) @ vec.T
         idx = idx_all[: dim - q]
-        # an explicit row sum, not a BLAS call, so that a stack gives exactly
-        # the per-matrix results
         out[..., idx + q, idx] = _apply(prop, np.diagonal(mat, -q, -2, -1))
         if q:
             out[..., idx, idx + q] = _apply(prop, np.diagonal(mat, q, -2, -1))
+    return out
+
+
+def _heat(mat: np.ndarray, rate: float, duration: float,
+          tail_tol: float = 1e-6) -> np.ndarray:
+    """:func:`thermalize_matrix` of one density matrix, raising
+    ``TruncationError`` when heating leaves more than ``tail_tol`` of the
+    population in the top ``min(8, max(2, dim // 8))`` levels."""
+    out = thermalize_matrix(mat, rate, duration)
+    if rate * duration > 0.0:
+        dim = out.shape[0]
+        guard = min(8, max(2, dim // 8))
+        tail = float(np.real(np.trace(out[dim - guard:, dim - guard:])))
+        if tail > tail_tol:
+            raise TruncationError(
+                f"population {tail:.3e} in the top {guard} levels after "
+                "heating; increase the truncation dimension")
     return out
 
 
@@ -155,16 +172,7 @@ def thermalize(rho: DensityMatrix, h: HeatingParams,
     Raises ``TruncationError`` when the evolved population in the top
     truncation levels exceeds ``tail_tol``.
     """
-    out = thermalize_matrix(rho.matrix, h.rate, h.duration)
-    if h.rate * h.duration > 0.0:
-        dim = out.shape[0]
-        guard = min(8, max(2, dim // 8))
-        tail = float(np.real(np.trace(out[dim - guard:, dim - guard:])))
-        if tail > tail_tol:
-            raise TruncationError(
-                f"population {tail:.3e} in the top {guard} levels after "
-                "heating; increase the truncation dimension")
-    return DensityMatrix(out)
+    return DensityMatrix(_heat(rho.matrix, h.rate, h.duration, tail_tol))
 
 
 def mean_phonons(rho: DensityMatrix | np.ndarray) -> float:
@@ -205,7 +213,8 @@ def thermal_depth_limit(pair: FockPair, h_rate: float, times, kind: ThresholdKin
 
     Thermalizes the ideal balanced superposition for each requested time and
     converts the surviving coherence to a depth; an upper envelope for any
-    experiment at the same heating rate.
+    experiment at the same heating rate.  Raises ``TruncationError`` under
+    the same tail guard as :func:`thermalize`.
     """
     times = list(times)
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
@@ -218,7 +227,7 @@ def thermal_depth_limit(pair: FockPair, h_rate: float, times, kind: ThresholdKin
     prev_t = 0.0
     mat = rho.matrix
     for t in times:
-        mat = thermalize_matrix(mat, h_rate, t - prev_t)
+        mat = _heat(mat, h_rate, t - prev_t)
         prev_t = t
         c = 2.0 * float(np.abs(mat[pair.m, pair.n]))
         d = depth_value(c, thr, pair.delta) if c > 0 else float("-inf")

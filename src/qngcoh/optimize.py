@@ -61,7 +61,7 @@ class MaximizeResult:
     argmax: np.ndarray
     value: float
     trace: dict = field(repr=False)
-    #: one result per group of a grouped run (see ``maximize``)
+    #: one result per objective row searched (see ``maximize``)
     groups: list["MaximizeResult"] = field(default_factory=list, repr=False)
 
     @property
@@ -183,7 +183,7 @@ def nelder_mead(fun: Callable[..., np.ndarray], x0: np.ndarray,
 def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
              batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
              extra_seeds: Sequence[np.ndarray] = (),
-             groups: Sequence[int] | None = None) -> MaximizeResult:
+             groups: Sequence[int] = (0,)) -> MaximizeResult:
     """Maximize over the box in ``spec``.
 
     ``batch_objective`` evaluates a whole ``(npts, ndim)`` array at once and
@@ -191,21 +191,21 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
     is applied point by point in its place.  ``extra_seeds`` are appended to
     the grid before start selection (e.g. analytically motivated points).
 
-    With ``groups``, ``batch_objective`` returns a table with one row per
-    objective; each listed row gets its own seeds from the one grid
-    evaluation and ``n_starts`` starts in the one lockstep run.  The result is
-    the best group's, with every start in its trace and each row's in ``groups``.
+    ``batch_objective`` returns a table with one row per objective; a 1-D
+    result is a one-row table.  Each row listed in ``groups`` gets its own
+    seeds from the one grid evaluation and ``n_starts`` starts in the one
+    lockstep run.  The result is the best row's, with every start in its
+    trace and each row's result in ``groups``.
 
-    Raises ``NonConvergenceError`` when no refinement start (of a group)
+    Raises ``NonConvergenceError`` when no refinement start (of a row)
     reaches the best grid seed; trace records per-start outcomes either way.
     """
     if batch_objective is None:
         def batch_objective(pts: np.ndarray) -> np.ndarray:
             return np.array([objective(x) for x in pts.copy()], dtype=float)
 
-    def values(pts: np.ndarray, rows=None) -> np.ndarray:
-        table = np.asarray(batch_objective(pts), dtype=float)
-        return table if rows is None else table[rows, np.arange(len(rows))]
+    def table(pts: np.ndarray) -> np.ndarray:
+        return np.atleast_2d(np.asarray(batch_objective(pts), dtype=float))
 
     lo, hi = np.array(spec.bounds).T
     pts = _grid_points(spec)
@@ -213,15 +213,15 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
         extras = np.clip(np.atleast_2d(np.asarray(extra_seeds, dtype=float)), lo, hi)
         pts = np.vstack([pts, extras])
 
-    grid = np.asarray(batch_objective(pts), dtype=float)[
-        None if groups is None else list(groups)]
+    groups = list(groups)
+    grid = table(pts)[groups]
     if not np.all(np.isfinite(grid)):
         raise ValueError("objective not finite on the search box")
 
     n = spec.n_starts
     seeds = np.concatenate([pts[np.argsort(vals)[::-1][:n]] for vals in grid])
-    labels = None if groups is None else np.repeat(list(groups), n)
-    runs = nelder_mead(lambda p, *rows: -values(p, *rows), seeds, lo, hi, labels)
+    runs = nelder_mead(lambda p, rows: -table(p)[rows, np.arange(len(rows))],
+                       seeds, lo, hi, np.repeat(groups, n))
 
     results = []
     for g, vals in enumerate(grid):
@@ -241,13 +241,9 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
         results.append(MaximizeResult(argmax, 0.0, trace))
 
     # report the objective exactly as evaluated at the returned points
-    finals = values(np.array([res.argmax for res in results]),
-                    None if groups is None else list(groups))
-    for res, value in zip(results, finals):
-        res.value = float(value)
-    if groups is None:
-        return results[0]
+    finals = table(np.array([res.argmax for res in results]))
+    for g, res in enumerate(results):
+        res.value = float(finals[groups[g], g])
     top = max(results, key=lambda res: res.value)
-    return MaximizeResult(top.argmax, top.value, groups=results, trace={
-        "starts": [s for res in results for s in res.trace["starts"]],
-        "best_value": top.trace["best_value"]})
+    return MaximizeResult(top.argmax, top.value, groups=results, trace=dict(
+        top.trace, starts=[s for res in results for s in res.trace["starts"]]))

@@ -154,12 +154,6 @@ class RamseySequence:
     scan_index: int
     meta: dict = field(default_factory=dict)
 
-    def analysis_with(self, scan_phase: float) -> list[PulseSpec]:
-        pulses = list(self.analysis)
-        p = pulses[self.scan_index]
-        pulses[self.scan_index] = replace(p, phase=p.phase + scan_phase)
-        return pulses
-
     @property
     def top_level(self) -> int:
         return self.meta.get("top_level", self.pair.n)
@@ -175,45 +169,36 @@ class RamseySequence:
 # ---------------------------------------------------------------------------
 
 
-def _rotate(amps: np.ndarray, pulse: PulseSpec) -> np.ndarray:
-    """Apply one pulse to an array of shape (3, dim, ...) of state columns."""
-    dim = amps.shape[1]
-    out = amps.copy()
-    phase = np.exp(1j * pulse.phase)
+#: per pulse kind: the row the ground row exchanges with, the (ground,
+#: partner) level slices it couples, the sign of the phase factor, and whether
+#: rung k couples with strength sqrt(k) ({g,k-1} <-> {e,k} blue, {g,k} <-> {e,k-1} red)
+_COUPLING = {
+    PulseKind.CARRIER: (ROW_E, slice(None), slice(None), 1.0, False),
+    PulseKind.SHELVE: (ROW_SHELF, slice(None), slice(None), 1.0, False),
+    PulseKind.UNSHELVE: (ROW_SHELF, slice(None), slice(None), -1.0, False),
+    PulseKind.BSB: (ROW_E, slice(None, -1), slice(1, None), 1.0, True),
+    PulseKind.RSB: (ROW_E, slice(1, None), slice(None, -1), 1.0, True),
+}
 
-    if pulse.kind == PulseKind.CARRIER:
-        theta = pulse.area
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        g, e = amps[ROW_G], amps[ROW_E]
-        out[ROW_G] = c * g - 1j * phase * s * e
-        out[ROW_E] = -1j * np.conj(phase) * s * g + c * e
-        return out
 
-    if pulse.kind in (PulseKind.SHELVE, PulseKind.UNSHELVE):
-        ph = phase if pulse.kind == PulseKind.SHELVE else -phase
-        theta = pulse.area
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        g, a = amps[ROW_G], amps[ROW_SHELF]
-        out[ROW_G] = c * g - 1j * ph * s * a
-        out[ROW_SHELF] = -1j * np.conj(ph) * s * g + c * a
-        return out
-
-    # sidebands: rung k = 1..dim-1 couples {g,k} <-> {e,k-1} (red) or
-    # {g,k-1} <-> {e,k} (blue) with strength sqrt(k)
-    k = np.arange(1, dim)
-    theta = pulse.area * np.sqrt(k)
-    shape = (dim - 1,) + (1,) * (amps.ndim - 2)
-    c = np.cos(theta / 2.0).reshape(shape)
-    s = np.sin(theta / 2.0).reshape(shape)
-    if pulse.kind == PulseKind.BSB:
-        g, e = amps[ROW_G, :-1], amps[ROW_E, 1:]
-        out[ROW_G, :-1] = c * g - 1j * phase * s * e
-        out[ROW_E, 1:] = -1j * np.conj(phase) * s * g + c * e
-    else:  # RSB
-        g, e = amps[ROW_G, 1:], amps[ROW_E, :-1]
-        out[ROW_G, 1:] = c * g - 1j * phase * s * e
-        out[ROW_E, :-1] = -1j * np.conj(phase) * s * g + c * e
-    return out
+def _rotate(amps: np.ndarray, kind: PulseKind, area, phase) -> np.ndarray:
+    """Apply one pulse in place to an array of shape (3, dim, ...) of state
+    columns and return it.  ``area`` and ``phase`` are floats or arrays that
+    broadcast over the trailing axes (one value per matrix of a stack)."""
+    partner, sg, sp, sign, sideband = _COUPLING[kind]
+    g, e = amps[ROW_G, sg], amps[partner, sp]
+    theta = area
+    if sideband:
+        rungs = np.sqrt(np.arange(1, amps.shape[1]))
+        theta = area * rungs.reshape((-1,) + (1,) * (amps.ndim - 2))
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    ph = sign * np.exp(1j * phase)
+    g_new = c * g
+    g_new -= 1j * ph * s * e
+    e *= c
+    e += -1j * np.conj(ph) * s * g
+    g[...] = g_new
+    return amps
 
 
 def apply_pulse(state: SpinOscState, pulse: PulseSpec) -> SpinOscState:
@@ -233,7 +218,7 @@ def apply_pulse(state: SpinOscState, pulse: PulseSpec) -> SpinOscState:
         raise TruncationError(
             f"{pulse.kind.value} pulse with population {edge:.2e} at the "
             "truncation edge; increase the dimension")
-    return SpinOscState(_rotate(amps[:, :, None], pulse)[:, :, 0])
+    return SpinOscState(_rotate(amps.copy(), pulse.kind, pulse.area, pulse.phase))
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +359,37 @@ def thermal_spin_osc(nbar: float, dim: int) -> np.ndarray:
 
 
 def _apply_unitaries(rho: np.ndarray, pulses: list[PulseSpec], dim: int,
-                     jitter: np.ndarray | None) -> np.ndarray:
-    """Apply ``rho -> U rho U^H`` for each pulse to a Hermitian ``rho``, as
-    ``U (U rho)^H``: two ``_rotate`` calls on the (3, dim, 3 dim) row view,
-    O(dim^2) each."""
-    shape = (3, dim, 3 * dim)
-    for i, pulse in enumerate(pulses):
-        if jitter is not None:
-            pulse = replace(pulse, area=pulse.area * max(0.0, 1.0 + jitter[i]))
-        if pulse.kind == PulseKind.BSB and abs(rho[dim - 1, dim - 1]) > 1e-12:
-            raise TruncationError("blue sideband at the truncation edge")
-        if pulse.kind == PulseKind.RSB and abs(rho[2 * dim - 1, 2 * dim - 1]) > 1e-12:
-            raise TruncationError("red sideband at the truncation edge")
-        half = _rotate(rho.reshape(shape), pulse).reshape(rho.shape)
-        rho = _rotate(half.conj().T.reshape(shape), pulse).reshape(rho.shape)
+                     areas=None, phases=None) -> np.ndarray:
+    """Apply ``rho -> U rho U^H`` for each pulse to a stack of Hermitian
+    matrices of shape (3 dim, 3 dim, P), as ``U (U rho)^H``: two in-place
+    ``_rotate`` calls on the (3, dim, 3 dim, P) row view, O(dim^2) each.
+
+    ``areas`` and ``phases`` (default: the pulses' own) hold one entry per
+    pulse, a float or one value per matrix.  A stack of one matrix widens at
+    the first pulse whose entries differ per matrix, so work before it is
+    shared.  Works in place: ``rho`` is overwritten unless it widens first,
+    and the result is the returned stack.
+    """
+    areas = [p.area for p in pulses] if areas is None else areas
+    phases = [p.phase for p in pulses] if phases is None else phases
+    for pulse, area, phase in zip(pulses, areas, phases):
+        width = max(np.size(area), np.size(phase))
+        if width > rho.shape[-1]:
+            rho = np.repeat(rho, width, axis=-1)
+        edge = {PulseKind.BSB: dim - 1, PulseKind.RSB: 2 * dim - 1}.get(pulse.kind)
+        if edge is not None and np.max(np.abs(rho[edge, edge])) > 1e-12:
+            raise TruncationError(f"{pulse.kind.value} pulse at the truncation edge")
+        # each row view only splits the leading axis, so it is a view of rho
+        _rotate(rho.reshape(3, dim, 3 * dim, -1), pulse.kind, area, phase)
+        rho = np.conjugate(rho, out=rho).transpose(1, 0, 2)
+        _rotate(rho.reshape(3, dim, 3 * dim, -1), pulse.kind, area, phase)
     return rho
 
 
 def _delay_channels(rho: np.ndarray, delay: float, noise: NoiseConfig,
                     dim: int) -> np.ndarray:
-    """Free-precession channels applied to all nine spin blocks at once, on
-    the motional indices."""
+    """Free-precession channels applied in place to every spin block of every
+    matrix of a (3 dim, 3 dim, P) stack at once, on the motional indices."""
     if delay == 0.0:
         return rho
     factors = dephasing_factors(dim, noise.dephasing_rate * delay)
@@ -402,16 +397,11 @@ def _delay_channels(rho: np.ndarray, delay: float, noise: NoiseConfig,
         k = np.arange(dim)
         factors = factors * np.exp(-1j * noise.delay_detuning * delay
                                    * (k[:, None] - k[None, :]))
-    blocks = rho.reshape(3, dim, 3, dim).transpose(0, 2, 1, 3) * factors
+    blocks = rho.reshape(3, dim, 3, dim, -1).transpose(4, 0, 2, 1, 3)
+    blocks *= factors
     if noise.heating_rate > 0.0:
-        blocks = thermalize_matrix(blocks, noise.heating_rate, delay)
-    return blocks.transpose(0, 2, 1, 3).reshape(rho.shape)
-
-
-def _excited_probability(rho: np.ndarray, dim: int) -> float:
-    """Fluorescence-dark probability 1 - P(g); shelf counts as dark."""
-    pg = float(np.real(np.trace(rho[:dim, :dim])))
-    return min(1.0, max(0.0, 1.0 - pg))
+        blocks[...] = thermalize_matrix(blocks, noise.heating_rate, delay)
+    return rho
 
 
 def fit_fringe(phases: np.ndarray, pe: np.ndarray,
@@ -468,11 +458,12 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
     """Simulate one full Ramsey fringe at a fixed delay.
 
     Thermal initialization, jittered preparation pulses, free-precession
-    channels, then one analysis run per scan phase; the excited-state
-    probability is fitted to a cosine fringe.  ``shots=None`` reads P_e
-    exactly, otherwise binomial projection noise is added.  With a thermal
-    start the fitted contrast includes the in-phase fringes of the occupied
-    spectator rungs, so it is not the prepared state's coherence.
+    channels and jittered analysis pulses act on one stack of density
+    matrices, one per scan phase; the excited-state probability is fitted to
+    a cosine fringe.  ``shots=None`` reads P_e exactly, otherwise binomial
+    projection noise is added.  With a thermal start the fitted contrast
+    includes the in-phase fringes of the occupied spectator rungs, so it is
+    not the prepared state's coherence.
     """
     phases = np.asarray(list(phases), dtype=float)
     if phases.size == 0:
@@ -482,43 +473,36 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
     if dim is None:
         dim = simulation_dim(seq, noise, delay)
 
-    root = np.random.SeedSequence((seed, 0x52414D))
-    children = root.spawn(phases.size + 1)
-    rng_shots = np.random.default_rng(children[-1])
-
+    children = np.random.SeedSequence((seed, 0x52414D)).spawn(phases.size + 1)
+    pulses = seq.prep + seq.analysis
     n_prep = len(seq.prep)
-    n_analysis = len(seq.analysis)
-    jittered = noise.pulse_error > 0.0
+    areas = [p.area for p in pulses]
+    if noise.pulse_error > 0.0:
+        # one area error per pulse for each scan phase, from its own stream
+        jit = noise.pulse_error * np.array(
+            [np.random.default_rng(c).standard_normal(len(pulses))
+             for c in children[:-1]])
+        areas = [a * np.maximum(0.0, 1.0 + j) for a, j in zip(areas, jit.T)]
+    offsets = [p.phase for p in pulses]
+    offsets[n_prep + seq.scan_index] += phases
 
-    rho0 = thermal_spin_osc(noise.initial_thermal_nbar, dim)
-    rho_stored = None
-    if not jittered:
-        rho_stored = _delay_channels(
-            _apply_unitaries(rho0, seq.prep, dim, None), delay, noise, dim)
+    rho = thermal_spin_osc(noise.initial_thermal_nbar, dim)[..., None]
+    rho = _apply_unitaries(rho, seq.prep, dim, areas[:n_prep], offsets[:n_prep])
+    rho = _delay_channels(rho, delay, noise, dim)
+    rho = _apply_unitaries(rho, seq.analysis, dim, areas[n_prep:], offsets[n_prep:])
 
     penalty = 1.0
     if noise.pulse_duration > 0.0 and math.isfinite(noise.electronic_coherence_time):
-        t_sup = noise.pulse_duration * (n_prep + n_analysis)
+        t_sup = noise.pulse_duration * len(pulses)
         penalty *= math.exp(-t_sup / noise.electronic_coherence_time)
     penalty *= (1.0 - noise.shelving_contrast_loss) ** seq.shelve_pairs()
 
-    points = []
-    pes = np.empty(phases.size)
-    for i, phi in enumerate(phases):
-        if jittered:
-            rng = np.random.default_rng(children[i])
-            jit = noise.pulse_error * rng.standard_normal(n_prep + n_analysis)
-            rho = _apply_unitaries(rho0, seq.prep, dim, jit[:n_prep])
-            rho = _delay_channels(rho, delay, noise, dim)
-            rho = _apply_unitaries(rho, seq.analysis_with(phi), dim, jit[n_prep:])
-        else:
-            rho = _apply_unitaries(rho_stored, seq.analysis_with(phi), dim, None)
-        pe = 0.5 + penalty * (_excited_probability(rho, dim) - 0.5)
-        if shots is not None:
-            pe = rng_shots.binomial(shots, pe) / shots
-        pes[i] = pe
-        points.append((float(phi), float(pe), shots))
-
+    # fluorescence-dark probability 1 - P(g); shelf counts as dark
+    pg = np.real(np.trace(rho[:dim, :dim]))
+    pes = 0.5 + penalty * (np.clip(1.0 - pg, 0.0, 1.0) - 0.5)
+    if shots is not None:
+        pes = np.random.default_rng(children[-1]).binomial(shots, pes) / shots
+    points = [(float(phi), float(pe), shots) for phi, pe in zip(phases, pes)]
     contrast, err, offset = fit_fringe(phases, pes, shots=shots)
     return RamseyFringe(points=points, contrast=min(1.0, max(0.0, contrast)),
                         contrast_err=err, fit_phase_offset=offset, dim=dim)
@@ -529,8 +513,8 @@ def prepared_state(seq: RamseySequence, noise: NoiseConfig,
     """Density matrix right after the preparation half (no delay, no jitter)."""
     if dim is None:
         dim = simulation_dim(seq, noise, 0.0)
-    rho0 = thermal_spin_osc(noise.initial_thermal_nbar, dim)
-    return _apply_unitaries(rho0, seq.prep, dim, None)
+    rho0 = thermal_spin_osc(noise.initial_thermal_nbar, dim)[..., None]
+    return _apply_unitaries(rho0, seq.prep, dim)[..., 0]
 
 
 def motional_populations(rho: np.ndarray, dim: int) -> np.ndarray:

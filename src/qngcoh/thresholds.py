@@ -170,7 +170,7 @@ def genuine_coherence_matrix(u: np.ndarray, v: np.ndarray,
 
 
 def _search_gaussian(batch_objective, extra_seeds=(), grid_density: int = 12,
-                     n_starts: int = 16, groups=None):
+                     n_starts: int = 16, groups=(0,)):
     """Multistart search over (|xi|, arg xi, |alpha|) with bound doubling.
 
     A magnitude bound hit at the optimum doubles that bound (up to the
@@ -180,12 +180,12 @@ def _search_gaussian(batch_objective, extra_seeds=(), grid_density: int = 12,
     ``at_cap`` when the optimum is left on a magnitude bound that could not
     be doubled further.
 
-    With ``groups`` (rows of the objective's table, see ``maximize``) the
-    groups share each run, keep their own boxes and get one result each.
+    Returns one result per entry of ``groups`` (rows of the objective's
+    table, see ``maximize``); the groups share each run and keep their own
+    boxes.
     """
-    labels = [None] if groups is None else list(groups)
-    box = dict.fromkeys(labels, (XI_BOUND, ALPHA_BOUND))
-    boxes, results, pending = {g: [] for g in labels}, {}, labels
+    box = dict.fromkeys(groups, (XI_BOUND, ALPHA_BOUND))
+    boxes, results, pending = {g: [] for g in groups}, {}, list(groups)
     for _ in range(3):
         runs = groupby(sorted(pending, key=box.get), key=box.get)
         pending = []
@@ -194,9 +194,8 @@ def _search_gaussian(batch_objective, extra_seeds=(), grid_density: int = 12,
                                       (0.0, alpha_hi)),
                               grid_density=grid_density, n_starts=n_starts)
             res = maximize(None, spec, batch_objective=batch_objective,
-                           extra_seeds=extra_seeds,
-                           groups=None if groups is None else members)
-            for g, part in zip(members, res.groups or [res]):
+                           extra_seeds=extra_seeds, groups=members)
+            for g, part in zip(members, res.groups):
                 boxes[g].append([xi_hi, alpha_hi])
                 on_xi = part.argmax[0] > xi_hi - 1e-3
                 on_alpha = part.argmax[2] > alpha_hi - 1e-3
@@ -211,7 +210,7 @@ def _search_gaussian(batch_objective, extra_seeds=(), grid_density: int = 12,
                     pending.append(g)
         if not pending:
             break
-    return results[None] if groups is None else [results[g] for g in labels]
+    return [results[g] for g in groups]
 
 
 def _params_from(x: np.ndarray) -> GaussianParams:
@@ -368,8 +367,8 @@ def gaussian_min_threshold(pair: FockPair) -> ThresholdResult:
         raise ValueError(f"validated for max(m,n) <= {GAUSSIAN_MIN_INDEX_CAP}")
 
     def compute() -> ThresholdResult:
-        res = _search_gaussian(_pair_amp_objective(pair, 0),
-                               extra_seeds=_constraint_seeds(pair))
+        res, = _search_gaussian(_pair_amp_objective(pair, 0),
+                                extra_seeds=_constraint_seeds(pair))
         result = ThresholdResult(ThresholdKind.GAUSSIAN_MIN, pair, res.value,
                                  _params_from(res.argmax), fock_index=0,
                                  diagnostics=res.trace)
@@ -421,7 +420,7 @@ def genuine_threshold(pair: FockPair) -> ThresholdResult:
         raise ValueError(f"validated for max(m,n) <= {GENUINE_INDEX_CAP}")
 
     def compute() -> ThresholdResult:
-        res = _search_gaussian(_genuine_objective(pair))
+        res, = _search_gaussian(_genuine_objective(pair))
         u, v = sdf_amplitude_raw((pair.m, pair.n), range(pair.n), *res.argmax, 0.0)
         theta = -float(np.angle(np.vdot(u, v))) if pair.n > 1 else 0.0
         gmat = genuine_coherence_matrix(u, v, theta)

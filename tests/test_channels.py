@@ -207,6 +207,13 @@ class TestThermalDepthLimit:
             thermal_depth_limit(FockPair(0, 1), 3.2, [0.01, 0.0],
                                 ThresholdKind.CLASSICAL)
 
+    def test_tail_guard(self):
+        # the default truncation for (0,1) at 400 phonons/s and 50 ms is 97
+        # levels, and heating leaves 0.8% of the population in the top 8
+        with pytest.raises(TruncationError):
+            thermal_depth_limit(FockPair(0, 1), 400.0, [0.05],
+                                ThresholdKind.CLASSICAL)
+
 
 def test_depth_value_formula():
     assert depth_value(1.0, 0.86, 2) == pytest.approx(0.0754, abs=1e-3)

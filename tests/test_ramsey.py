@@ -9,10 +9,12 @@ from qngcoh.channels import TruncationError
 from qngcoh.fock import FockPair
 from qngcoh.ramsey import (ConditioningError, FitError, MappingConditionError,
                            NoiseConfig, PulseKind, PulseSpec,
-                           SpinOscState, _apply_unitaries, apply_pulse,
-                           build_sequence_0n, build_sequence_mn, decay_scan,
-                           find_mapping_pulse, fit_fringe, fit_populations,
-                           motional_populations, prepared_state, run_ramsey)
+                           SpinOscState, _apply_unitaries, _delay_channels,
+                           apply_pulse, build_sequence_0n, build_sequence_mn,
+                           decay_scan, find_mapping_pulse, fit_fringe,
+                           fit_populations, motional_populations,
+                           prepared_state, run_ramsey, simulation_dim,
+                           thermal_spin_osc)
 from qngcoh.thresholds import ThresholdKind, threshold
 
 PHASES = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
@@ -87,8 +89,8 @@ class TestPulses:
             rho = np.zeros((3 * dim, 3 * dim), dtype=complex)
             rho[level, level] = 1.0
             with pytest.raises(TruncationError):
-                _apply_unitaries(rho, pulses, dim, None)
-            _apply_unitaries(rho, pulses[:-1], dim, None)
+                _apply_unitaries(rho.copy()[..., None], pulses, dim)
+            _apply_unitaries(rho[..., None], pulses[:-1], dim)
 
     def test_pulse_detuning_reserved(self):
         # pulses are instantaneous; a detuning exists only during the delay
@@ -111,7 +113,7 @@ class TestPulses:
                 rho += p * np.outer(vec, vec.conj())
                 out = apply_pulse(SpinOscState(amps), pulse).amplitudes.reshape(-1)
                 expected += p * np.outer(out, out.conj())
-            got = _apply_unitaries(rho, [pulse], dim, None)
+            got = _apply_unitaries(rho[..., None], [pulse], dim)[..., 0]
             assert np.max(np.abs(got - expected)) < 1e-12, kind
 
 
@@ -248,6 +250,52 @@ class TestRunRamsey:
             run_ramsey(build_sequence_0n(1), 0.0, NoiseConfig(), [0.0, 0.0])
         with pytest.raises(ValueError):
             run_ramsey(build_sequence_0n(1), 0.0, NoiseConfig(), [])
+
+
+def per_phase_fringe(seq, delay, noise, phases, shots, seed):
+    """One preparation, delay and analysis of a single matrix per scan phase,
+    with that phase's jitter; returns the exact P_e and the shot counts."""
+    dim = simulation_dim(seq, noise, delay)
+    children = np.random.SeedSequence((seed, 0x52414D)).spawn(len(phases) + 1)
+    rng_shots = np.random.default_rng(children[-1])
+    pulses = seq.prep + seq.analysis
+    n_prep = len(seq.prep)
+    pes, counts = [], []
+    for i, phi in enumerate(phases):
+        rng = np.random.default_rng(children[i])
+        jit = noise.pulse_error * rng.standard_normal(len(pulses))
+        areas = [p.area * max(0.0, 1.0 + j) for p, j in zip(pulses, jit)]
+        offsets = [p.phase for p in pulses]
+        offsets[n_prep + seq.scan_index] += phi
+        rho = thermal_spin_osc(noise.initial_thermal_nbar, dim)[..., None]
+        rho = _apply_unitaries(rho, seq.prep, dim, areas[:n_prep], offsets[:n_prep])
+        rho = _delay_channels(rho, delay, noise, dim)
+        rho = _apply_unitaries(rho, seq.analysis, dim, areas[n_prep:],
+                               offsets[n_prep:])
+        pg = float(np.real(np.trace(rho[:dim, :dim, 0])))
+        pe = 0.5 + 1.0 * (min(1.0, max(0.0, 1.0 - pg)) - 0.5)
+        pes.append(pe)
+        counts.append(rng_shots.binomial(shots, pe))
+    return np.array(pes), np.array(counts)
+
+
+@pytest.mark.parametrize("pair", [(0, 4), (1, 3)])
+def test_batched_fringe_matches_per_phase_runs(pair):
+    # a shelved (0,n) ladder and an (m,n) mapping sequence, with every
+    # channel of the delay and jittered pulses
+    m, n = pair
+    seq = build_sequence_0n(n) if m == 0 else build_sequence_mn(m, n)
+    noise = NoiseConfig(initial_thermal_nbar=0.07, heating_rate=3.2,
+                        dephasing_rate=1.0, pulse_error=0.02,
+                        delay_detuning=150.0)
+    delay, shots, seed = 0.004, 200, 11
+    pes, counts = per_phase_fringe(seq, delay, noise, PHASES, shots, seed)
+    exact = run_ramsey(seq, delay, noise, PHASES, seed=seed)
+    sampled = run_ramsey(seq, delay, noise, PHASES, shots=shots, seed=seed)
+    got = np.array([pe for _, pe, _ in exact.points])
+    assert np.max(np.abs(got - pes)) < 1e-12
+    assert [pe for _, pe, _ in sampled.points] == list(counts / shots)
+    assert 0.0 < exact.contrast < 1.0
 
 
 class TestFringeFit:

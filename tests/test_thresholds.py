@@ -246,8 +246,8 @@ class TestBoundDoubling:
 
     def test_optimum_left_at_cap_is_flagged(self):
         # increasing in |xi| and |alpha|: both bounds double up to their caps
-        res = _search_gaussian(lambda pts: pts[:, 0] + pts[:, 2],
-                               grid_density=4, n_starts=8)
+        res, = _search_gaussian(lambda pts: pts[:, 0] + pts[:, 2],
+                                grid_density=4, n_starts=8)
         assert res.trace["magnitude_bounds"] == [[XI_BOUND, ALPHA_BOUND],
                                                  [XI_CAP, ALPHA_CAP]]
         assert res.trace["at_cap"] is True
