@@ -273,6 +273,7 @@ def per_phase_fringe(seq, delay, noise, phases, shots, seed):
         rho = _apply_unitaries(rho, seq.analysis, dim, areas[n_prep:],
                                offsets[n_prep:])
         pg = float(np.real(np.trace(rho[:dim, :dim, 0])))
+        # run_ramsey's readout formula with its contrast penalty of 1
         pe = 0.5 + 1.0 * (min(1.0, max(0.0, 1.0 - pg)) - 0.5)
         pes.append(pe)
         counts.append(rng_shots.binomial(shots, pe))
