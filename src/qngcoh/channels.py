@@ -18,7 +18,10 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .fock import DensityMatrix, FockPair, ideal_superposition
-from .thresholds import DEFAULT_MAX_FOCK, ThresholdKind, threshold
+from .thresholds import DEFAULT_MAX_FOCK, ThresholdKind, depth_value, threshold
+
+#: population allowed in the top truncation levels after heating
+HEAT_TAIL_TOL = 1e-6
 
 
 class TruncationError(RuntimeError):
@@ -147,32 +150,30 @@ def thermalize_matrix(mat: np.ndarray, rate: float, duration: float) -> np.ndarr
     return out
 
 
-def _heat(mat: np.ndarray, rate: float, duration: float,
-          tail_tol: float = 1e-6) -> np.ndarray:
+def _heat(mat: np.ndarray, rate: float, duration: float) -> np.ndarray:
     """:func:`thermalize_matrix` of one density matrix, raising
-    ``TruncationError`` when heating leaves more than ``tail_tol`` of the
+    ``TruncationError`` when heating leaves more than ``HEAT_TAIL_TOL`` of the
     population in the top ``min(8, max(2, dim // 8))`` levels."""
     out = thermalize_matrix(mat, rate, duration)
     if rate * duration > 0.0:
         dim = out.shape[0]
         guard = min(8, max(2, dim // 8))
         tail = float(np.real(np.trace(out[dim - guard:, dim - guard:])))
-        if tail > tail_tol:
+        if tail > HEAT_TAIL_TOL:
             raise TruncationError(
                 f"population {tail:.3e} in the top {guard} levels after "
                 "heating; increase the truncation dimension")
     return out
 
 
-def thermalize(rho: DensityMatrix, h: HeatingParams,
-               tail_tol: float = 1e-6) -> DensityMatrix:
+def thermalize(rho: DensityMatrix, h: HeatingParams) -> DensityMatrix:
     """Heating channel with mean-phonon growth ``d<n>/dt`` equal to ``h.rate``,
     propagated exactly over ``h.duration`` (see :func:`thermalize_matrix`).
 
     Raises ``TruncationError`` when the evolved population in the top
-    truncation levels exceeds ``tail_tol``.
+    truncation levels exceeds ``HEAT_TAIL_TOL``.
     """
-    return DensityMatrix(_heat(rho.matrix, h.rate, h.duration, tail_tol))
+    return DensityMatrix(_heat(rho.matrix, h.rate, h.duration))
 
 
 def mean_phonons(rho: DensityMatrix | np.ndarray) -> float:
@@ -183,12 +184,6 @@ def mean_phonons(rho: DensityMatrix | np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # dephasing depth
 # ---------------------------------------------------------------------------
-
-
-def depth_value(measured: float, threshold_value: float, delta: int) -> float:
-    """Phase variance that dephases ``measured`` down to the threshold:
-    ``(2 / delta^2) ln(measured / threshold)``."""
-    return (2.0 / delta ** 2) * math.log(measured / threshold_value)
 
 
 def depth(measured: float, pair: FockPair, kind: ThresholdKind,

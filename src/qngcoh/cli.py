@@ -5,8 +5,8 @@ CSV for curves) stamped with a run manifest: command, full parameter echo,
 package version, seeds, wall time and truncation dimension.  Exit codes are
 part of the contract so CI can gate on them:
 
-* ``thresholds``: 0 ok, 1 usage error, 2 optimizer non-convergence
-  (partial results are still written, with per-entry status);
+* ``thresholds``: 0 ok, 1 usage error, 2 threshold failure (on optimizer
+  non-convergence partial results are still written, with per-entry status);
 * ``certify``: 0 some verdict true, 3 all false, 1 domain error,
   2 threshold failure;
 * ``simulate``: 0 ok, 2 simulation error (failing delay identified);
@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from . import __version__, fock
-from .fock import FockPair
+from .fock import FockPair, TruncationRiskError
 from .mc import mc_verify
 from .optimize import NonConvergenceError
 from .ramsey import NoiseConfig, decay_scan
@@ -115,6 +115,12 @@ def cmd_thresholds(pairs, kinds, max_fock, out: Path) -> int:
             except NonConvergenceError as exc:
                 failed = True
                 entry = {"status": "non-convergence", "error": str(exc)}
+            except TruncationRiskError as exc:
+                click.echo(f"threshold failure: {exc}", err=True)
+                sys.exit(2)
+            except ValueError as exc:
+                click.echo(f"usage error: {exc}", err=True)
+                sys.exit(1)
             row[KIND_NAMES[kind]] = entry
         results[str(pair)] = row
 
@@ -138,18 +144,13 @@ def cmd_certify(pair, measured, uncertainty, max_fock, out: Path) -> int:
     t0 = time.monotonic()
     try:
         pair_obj = _parse_pair(pair)
-        if not 0.0 <= measured <= 1.0 or uncertainty < 0.0:
-            raise ValueError(
-                f"measured must lie in [0,1] and uncertainty be >= 0, "
-                f"got {measured}, {uncertainty}")
+        report = certify(pair_obj, measured, uncertainty, max_fock=max_fock)
+    except (NonConvergenceError, TruncationRiskError) as exc:
+        click.echo(f"threshold failure: {exc}", err=True)
+        sys.exit(2)
     except ValueError as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(1)
-    try:
-        report = certify(pair_obj, measured, uncertainty, max_fock=max_fock)
-    except NonConvergenceError as exc:
-        click.echo(f"threshold failure: {exc}", err=True)
-        sys.exit(2)
 
     payload = {
         "schema": "qngcoh/certification/v1",

@@ -121,6 +121,9 @@ class PureState:
 
     amplitudes: np.ndarray
 
+    NORM_TOL = 1e-9
+    TAIL_TOL = 1e-8
+
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
@@ -137,12 +140,12 @@ class PureState:
         g = min(guard, self.dim)
         return float(np.sum(np.abs(self.amplitudes[self.dim - g:]) ** 2))
 
-    def validate(self, norm_tol: float = 1e-9, tail_tol: float = 1e-8) -> None:
-        if abs(self.norm() ** 2 - 1.0) > norm_tol:
+    def validate(self) -> None:
+        if abs(self.norm() ** 2 - 1.0) > self.NORM_TOL:
             raise ValueError(f"state not normalized: |psi|^2 = {self.norm()**2!r}")
-        if self.tail_population() > tail_tol:
+        if self.tail_population() > self.TAIL_TOL:
             raise TruncationRiskError(
-                f"tail population {self.tail_population():.3e} exceeds {tail_tol:.0e}; "
+                f"tail population {self.tail_population():.3e} exceeds {self.TAIL_TOL:.0e}; "
                 "increase the truncation dimension")
 
     def density_matrix(self) -> "DensityMatrix":
@@ -407,11 +410,9 @@ def oracle_dim_for(g: GaussianParams, top_index: int = 0) -> int:
     return int(math.ceil(energy + 10.0 * math.sqrt(energy + 1.0))) + 16
 
 
-def gaussian_fock_state(g: GaussianParams, k: int, dim: int,
-                        pad: int | None = None) -> PureState:
+def gaussian_fock_state(g: GaussianParams, k: int, dim: int) -> PureState:
     """State vector of ``S(xi) D(alpha) |k>`` on a ``dim``-level space."""
-    if pad is None:
-        pad = max(DEFAULT_PAD, oracle_dim_for(g, k) - dim + DEFAULT_PAD)
+    pad = max(DEFAULT_PAD, oracle_dim_for(g, k) - dim + DEFAULT_PAD)
     col = build_gaussian_matrix(g, dim, pad=pad)[:, k]
     return PureState(col)
 

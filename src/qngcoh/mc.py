@@ -27,6 +27,9 @@ _MIN_ENERGY_SCALE = 1.0
 #: samples per amplitude evaluation; bounds the working memory
 MC_CHUNK = 1 << 14
 
+#: bins of the margin histogram between zero and the threshold
+HISTOGRAM_BINS = 20
+
 
 @dataclass(frozen=True)
 class McReport:
@@ -97,25 +100,26 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
     return out
 
 
-def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int, seed: int,
-              max_fock: int = DEFAULT_MAX_FOCK, n_bins: int = 20) -> McReport:
+def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int,
+              seed: int) -> McReport:
     """Sample the admissible family and count threshold violations.
 
     Deterministic in ``(kind, pair, samples, seed)``: the same call returns a
-    bit-identical report.
+    bit-identical report.  The intrinsic sampler and threshold both range
+    over Fock inputs up to ``DEFAULT_MAX_FOCK``.
     """
     if samples < 1000:
         raise ValueError("need at least 1e3 samples for a meaningful report")
-    thr = threshold(kind, pair, max_fock=max_fock).value
+    thr = threshold(kind, pair).value
     rng = np.random.default_rng(seed)
     coh = _sample_coherences(kind, pair, samples, rng)
 
     margins = thr - coh
     violations = int(np.sum(coh > thr + VIOLATION_SLACK))
-    edges = np.linspace(0.0, thr, n_bins + 1)
+    edges = np.linspace(0.0, thr, HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(np.clip(margins, 0.0, thr), bins=edges)
     hist = tuple((float(edges[i]), float(edges[i + 1]), int(counts[i]))
-                 for i in range(n_bins))
+                 for i in range(HISTOGRAM_BINS))
     return McReport(kind=kind, pair=pair, samples=samples, seed=seed,
                     max_observed=float(np.max(coh)), threshold=thr,
                     violations=violations,

@@ -19,14 +19,11 @@ independent cross-check of every reported optimum.
 from __future__ import annotations
 
 import enum
-import json
 import math
-import os
 import threading
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from math import lgamma
-from pathlib import Path
 
 import numpy as np
 
@@ -48,8 +45,6 @@ GAUSSIAN_MIN_INDEX_CAP = 10
 GENUINE_INDEX_CAP = 10
 INTRINSIC_FOCK_CAP = 12
 DEFAULT_MAX_FOCK = 10
-
-CACHE_ENV_VAR = "QNG_CACHE_DIR"
 
 
 class ThresholdKind(enum.IntEnum):
@@ -237,7 +232,7 @@ def _recheck_truncation(result: ThresholdResult,
 
 
 # ---------------------------------------------------------------------------
-# memo / disk cache
+# in-process memo
 # ---------------------------------------------------------------------------
 
 _MEMO: dict = {}
@@ -249,60 +244,13 @@ def clear_threshold_cache() -> None:
         _MEMO.clear()
 
 
-def _cache_path(key: tuple) -> Path | None:
-    root = os.environ.get(CACHE_ENV_VAR)
-    if not root:
-        return None
-    kind, m, n, extra = key
-    name = f"{kind.name.lower()}_{m}_{n}" + (f"_f{extra}" if extra is not None else "")
-    return Path(root) / f"{name}.json"
-
-
-def _disk_load(key: tuple) -> ThresholdResult | None:
-    path = _cache_path(key)
-    if path is None or not path.exists():
-        return None
-    try:
-        blob = json.loads(path.read_text())
-        core = blob.get("core_state")
-        return ThresholdResult(
-            kind=ThresholdKind(blob["kind"]),
-            pair=FockPair(blob["m"], blob["n"]),
-            value=float(blob["value"]),
-            argmax=GaussianParams(**blob["argmax"]),
-            fock_index=blob.get("fock_index"),
-            core_state=CoreState(np.array(core["re"]) + 1j * np.array(core["im"]))
-            if core else None,
-            diagnostics={"source": "disk-cache"},
-        )
-    except (KeyError, ValueError, json.JSONDecodeError):
-        return None
-
-
-def _disk_store(key: tuple, result: ThresholdResult) -> None:
-    path = _cache_path(key)
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    blob = {"kind": int(result.kind), "m": result.pair.m, "n": result.pair.n,
-            **result.as_dict()}
-    path.write_text(json.dumps(blob, indent=1))
-
-
 def _memoized(key: tuple, compute):
     with _MEMO_LOCK:
         if key in _MEMO:
             return _MEMO[key]
-    cached = _disk_load(key)
-    if cached is not None:
-        with _MEMO_LOCK:
-            _MEMO.setdefault(key, cached)
-        return cached
     result = compute()
     with _MEMO_LOCK:
-        result = _MEMO.setdefault(key, result)
-    _disk_store(key, result)
-    return result
+        return _MEMO.setdefault(key, result)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +404,12 @@ def threshold(kind: ThresholdKind, pair: FockPair,
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def depth_value(measured: float, threshold_value: float, delta: int) -> float:
+    """Phase variance that dephases ``measured`` down to the threshold:
+    ``(2 / delta^2) ln(measured / threshold)``."""
+    return (2.0 / delta ** 2) * math.log(measured / threshold_value)
+
+
 def certify(pair: FockPair, measured: float, uncertainty: float,
             max_fock: int = DEFAULT_MAX_FOCK) -> CertificationReport:
     """Compare a measured coherence against all four thresholds.
@@ -470,8 +424,6 @@ def certify(pair: FockPair, measured: float, uncertainty: float,
     if uncertainty < 0.0:
         raise ValueError("uncertainty must be non-negative")
 
-    from . import channels  # local import; channels depends on this module
-
     thresholds, margins, verdicts, marginal, depths = {}, {}, {}, {}, {}
     for kind in ORDERED_KINDS:
         thr = threshold(kind, pair, max_fock=max_fock).value
@@ -482,7 +434,7 @@ def certify(pair: FockPair, measured: float, uncertainty: float,
         if measured == 0.0:
             depths[kind] = float("-inf")
         else:
-            depths[kind] = channels.depth_value(measured, thr, pair.delta)
+            depths[kind] = depth_value(measured, thr, pair.delta)
     return CertificationReport(pair=pair, measured=measured,
                                uncertainty=uncertainty, thresholds=thresholds,
                                margins=margins, verdicts=verdicts,

@@ -52,6 +52,14 @@ class TestThresholdsCommand:
                                       "--out", str(tmp_path / "t.json")])
         assert result.exit_code == 1
 
+    def test_out_of_range_pair_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["thresholds", "--pair", "0,12",
+                                      "--kind", "genuine",
+                                      "--out", str(tmp_path / "t.json")])
+        assert result.exit_code == 1
+        assert "usage error: validated for max(m,n) <= 10" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_reproducible_output(self, runner, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
@@ -96,6 +104,14 @@ class TestCertifyCommand:
                                       "--out", str(tmp_path / "c.json")])
         assert result.exit_code == 1
         assert "domain error" in result.output
+
+    def test_out_of_range_max_fock_domain_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["certify", "--pair", "0,2",
+                                      "--measured", "0.9", "--max-fock", "13",
+                                      "--out", str(tmp_path / "c.json")])
+        assert result.exit_code == 1
+        assert "domain error: max_fock above validated cap 12" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_all_false_exit_code(self, runner, tmp_path):
         out = tmp_path / "cert.json"

@@ -205,17 +205,23 @@ class TestCaching:
             t.join()
         assert len({id(r) for r in results}) == 1
 
-    def test_disk_cache_roundtrip(self, tmp_path, monkeypatch):
+    def test_stale_threshold_file_is_ignored(self, tmp_path, monkeypatch):
+        # thresholds are derived in-process only: a file in QNG_CACHE_DIR
+        # must neither reach a verdict nor be written
+        (tmp_path / "genuine_n_0_2.json").write_text(
+            '{"kind": 3, "m": 0, "n": 2, "value": 0.5, "argmax": {"xi_mag": 0.0,'
+            ' "xi_phase": 0.0, "alpha_mag": 0.0, "alpha_phase": 0.0},'
+            ' "fock_index": null}')
         monkeypatch.setenv("QNG_CACHE_DIR", str(tmp_path))
-        clear_threshold_cache()  # must compute, not hit the in-process memo
-        pair = FockPair(0, 4)
-        fresh = classical_threshold(pair)
-        assert (tmp_path / "classical_0_4.json").exists()
         clear_threshold_cache()
-        cached = classical_threshold(pair)
-        assert cached.value == pytest.approx(fresh.value, abs=1e-15)
-        assert cached.diagnostics.get("source") == "disk-cache"
-        clear_threshold_cache()
+        pair = FockPair(0, 2)
+        report = certify(pair, 0.6, 0.0, max_fock=6)
+        genuine = ThresholdKind.GENUINE_N
+        assert report.thresholds[genuine] == pytest.approx(0.8583496, abs=1e-6)
+        assert report.verdicts[genuine] is False
+        assert [p.name for p in tmp_path.iterdir()] == ["genuine_n_0_2.json"]
+        for kind in ORDERED_KINDS:
+            assert "truncation_recheck" in threshold(kind, pair, max_fock=6).diagnostics
 
 
 class TestSearchReproducibility:
