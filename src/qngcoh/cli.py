@@ -10,7 +10,7 @@ part of the contract so CI can gate on them:
 * ``certify``: 0 some verdict true, 3 all false, 1 domain error,
   2 threshold failure;
 * ``simulate``: 0 ok, 2 simulation error (failing delay identified);
-* ``mc-verify``: 0 sound, 4 threshold violations (release blocker).
+* ``mc-verify``: 0 sound, 1 usage error, 2 threshold failure, 4 violations (release blocker).
 """
 
 from __future__ import annotations
@@ -279,6 +279,9 @@ def cmd_mc_verify(kind, pair, samples, seed, out: Path) -> int:
     try:
         pair_obj = _parse_pair(pair)
         report = mc_verify(parse_kind(kind), pair_obj, samples, seed)
+    except (NonConvergenceError, TruncationRiskError) as exc:
+        click.echo(f"threshold failure: {exc}", err=True)
+        sys.exit(2)
     except ValueError as exc:
         click.echo(f"usage error: {exc}", err=True)
         sys.exit(1)

@@ -123,6 +123,7 @@ class PureState:
 
     NORM_TOL = 1e-9
     TAIL_TOL = 1e-8
+    TAIL_LEVELS = 8
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -135,10 +136,9 @@ class PureState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def tail_population(self, guard: int = 8) -> float:
-        """Population in the top ``guard`` truncation levels."""
-        g = min(guard, self.dim)
-        return float(np.sum(np.abs(self.amplitudes[self.dim - g:]) ** 2))
+    def tail_population(self) -> float:
+        """Population in the top ``TAIL_LEVELS`` truncation levels."""
+        return float(np.sum(np.abs(self.amplitudes[-self.TAIL_LEVELS:]) ** 2))
 
     def validate(self) -> None:
         if abs(self.norm() ** 2 - 1.0) > self.NORM_TOL:

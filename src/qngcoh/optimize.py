@@ -11,7 +11,7 @@ specs give identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,7 +61,7 @@ class MaximizeResult:
     argmax: np.ndarray
     value: float
     trace: dict = field(repr=False)
-    #: one result per objective row searched (see ``maximize``)
+    #: one result per group searched (see ``maximize``)
     groups: list["MaximizeResult"] = field(default_factory=list, repr=False)
 
     @property
@@ -180,24 +180,39 @@ def nelder_mead(fun: Callable[..., np.ndarray], x0: np.ndarray,
         sim, fsim = _sort_simplices(sim, fsim)
 
 
+@dataclass(frozen=True, eq=False)
+class Group:
+    """One objective row searched in a ``maximize`` run, with its own seeding.
+
+    ``grid_density`` and ``n_starts`` replace the spec's when given;
+    ``seeds`` are appended to the group's grid before start selection (e.g.
+    analytically motivated points) after clipping into the box.
+    """
+
+    row: int = 0
+    grid_density: int | None = None
+    n_starts: int | None = None
+    seeds: Sequence[np.ndarray] = ()
+
+
 def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
              batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
-             extra_seeds: Sequence[np.ndarray] = (),
-             groups: Sequence[int] = (0,)) -> MaximizeResult:
+             groups: Sequence[Group] = (Group(),)) -> MaximizeResult:
     """Maximize over the box in ``spec``.
 
     ``batch_objective`` evaluates a whole ``(npts, ndim)`` array at once and
     drives every stage of the search.  Without it, the scalar ``objective``
-    is applied point by point in its place.  ``extra_seeds`` are appended to
-    the grid before start selection (e.g. analytically motivated points).
+    is applied point by point in its place.
 
     ``batch_objective`` returns a table with one row per objective; a 1-D
-    result is a one-row table.  Each row listed in ``groups`` gets its own
-    seeds from the one grid evaluation and ``n_starts`` starts in the one
-    lockstep run.  The result is the best row's, with every start in its
-    trace and each row's result in ``groups``.
+    result is a one-row table.  Each entry of ``groups`` searches its row
+    (several entries may share one) from its own grid and seeds with its own
+    starts in the one lockstep run, so its result is what it would get alone
+    as long as no point's value depends on the others in its batch.  The
+    result is the best group's, with every start in its trace and each
+    group's result in ``groups``.
 
-    Raises ``NonConvergenceError`` when no refinement start (of a row)
+    Raises ``NonConvergenceError`` when no refinement start (of a group)
     reaches the best grid seed; trace records per-start outcomes either way.
     """
     if batch_objective is None:
@@ -208,27 +223,36 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
         return np.atleast_2d(np.asarray(batch_objective(pts), dtype=float))
 
     lo, hi = np.array(spec.bounds).T
-    pts = _grid_points(spec)
-    if len(extra_seeds) > 0:
-        extras = np.clip(np.atleast_2d(np.asarray(extra_seeds, dtype=float)), lo, hi)
-        pts = np.vstack([pts, extras])
-
-    groups = list(groups)
-    grid = table(pts)[groups]
-    if not np.all(np.isfinite(grid)):
+    specs = [replace(spec, **{name: value for name, value in
+                              (("grid_density", g.grid_density), ("n_starts", g.n_starts))
+                              if value is not None}) for g in groups]
+    # each group reads its row off its grid's table (one evaluation per grid
+    # density) and off the table of its own clipped seeds
+    grids, own = {}, []
+    for g, gspec in zip(groups, specs):
+        if gspec.grid_density not in grids:
+            pts = _grid_points(gspec)
+            grids[gspec.grid_density] = pts, table(pts)
+        pts, vals = grids[gspec.grid_density]
+        if len(g.seeds) > 0:
+            extras = np.clip(np.atleast_2d(np.asarray(g.seeds, dtype=float)), lo, hi)
+            pts, vals = np.vstack([pts, extras]), np.hstack([vals, table(extras)])
+        own.append((pts, vals[g.row]))
+    if not all(np.all(np.isfinite(vals)) for _, vals in own):
         raise ValueError("objective not finite on the search box")
 
-    n = spec.n_starts
-    seeds = np.concatenate([pts[np.argsort(vals)[::-1][:n]] for vals in grid])
-    runs = nelder_mead(lambda p, rows: -table(p)[rows, np.arange(len(rows))],
-                       seeds, lo, hi, np.repeat(groups, n))
+    counts = [gspec.n_starts for gspec in specs]
+    seeds = np.concatenate([pts[np.argsort(vals)[::-1][:n]]
+                            for (pts, vals), n in zip(own, counts)])
+    rows = np.repeat([g.row for g in groups], counts)
+    runs = nelder_mead(lambda p, labels: -table(p)[labels, np.arange(len(labels))],
+                       seeds, lo, hi, rows)
 
-    results = []
-    for g, vals in enumerate(grid):
-        part = slice(g * n, (g + 1) * n)
+    results, offsets = [], np.cumsum([0] + counts)
+    for (pts, vals), a, b in zip(own, offsets, offsets[1:]):
         starts = [{"x0": x0.tolist(), "x": x.tolist(), "value": -float(f),
                    "nfev": int(nfev), "success": bool(ok)}
-                  for x0, x, f, nfev, ok in zip(seeds[part], *(a[part] for a in runs))]
+                  for x0, x, f, nfev, ok in zip(seeds[a:b], *(arr[a:b] for arr in runs))]
         starts.sort(key=lambda s: s["value"], reverse=True)
         best, runner_up = starts[0]["value"], starts[1]["value"]
         trace = {"grid_points": len(pts), "grid_best": float(vals.max()),
@@ -242,8 +266,8 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
 
     # report the objective exactly as evaluated at the returned points
     finals = table(np.array([res.argmax for res in results]))
-    for g, res in enumerate(results):
-        res.value = float(finals[groups[g], g])
+    for i, (g, res) in enumerate(zip(groups, results)):
+        res.value = float(finals[g.row, i])
     top = max(results, key=lambda res: res.value)
     return MaximizeResult(top.argmax, top.value, groups=results, trace=dict(
         top.trace, starts=[s for res in results for s in res.trace["starts"]]))

@@ -30,7 +30,7 @@ import numpy as np
 from . import fock
 from .fock import (CoreState, FockPair, GaussianParams, TruncationRiskError,
                    build_gaussian_matrix, sdf_amplitude_raw)
-from .optimize import MaximizeResult, SearchSpec, maximize
+from .optimize import Group, SearchSpec, maximize
 
 #: search box: squeeze magnitude, squeeze phase, displacement magnitude
 #: (displacement phase is gauged away by a number-conserving rotation)
@@ -122,31 +122,28 @@ class CertificationReport:
 
 
 # ---------------------------------------------------------------------------
-# objectives
+# objective
 # ---------------------------------------------------------------------------
 
 
-def _pair_amp_objective(pair: FockPair, k):
-    """Batch C_{m,n} for the states S(xi)D(alpha)|k> at ``(npts, 3)`` points;
-    a ``(len(k), npts)`` table when ``k`` is a sequence of Fock inputs."""
+def _pair_objective(pair: FockPair, n_inputs: int):
+    """Batch table of the Gaussian searches of ``pair`` at ``(npts, 3)`` points.
+
+    Row ``k < n_inputs`` is C_{m,n} of S(xi)D(alpha)|k>.  The last row is the
+    core-state-optimized coherence ``||u|| ||v|| + |<u,v>|`` for the overlaps
+    ``u_j = a_{m,j}``, ``v_j = a_{n,j}``, ``j < n <= n_inputs``: the rank-2
+    closed form of the top eigenvalue of the phase-optimized coherence
+    matrix, whose top eigenvector is the best core state.
+    """
     def f_batch(pts: np.ndarray) -> np.ndarray:
-        am, an = sdf_amplitude_raw((pair.m, pair.n), k, *pts.T, 0.0)
-        return 2.0 * np.abs(am * np.conj(an))
-
-    return f_batch
-
-
-def _genuine_objective(pair: FockPair):
-    """Batch core-state-optimized coherence ``||u|| ||v|| + |<u,v>|`` at
-    ``(npts, 3)`` points, for the overlaps ``u_j = a_{m,j}``, ``v_j = a_{n,j}``
-    over the core indices: the rank-2 closed form of the largest eigenvalue of
-    the phase-optimized coherence matrix, whose top eigenvector is the best
-    core state."""
-    def f_batch(pts: np.ndarray) -> np.ndarray:
-        u, v = sdf_amplitude_raw((pair.m, pair.n), range(pair.n), *pts.T, 0.0)
-        nu = np.sqrt(np.sum(np.abs(u) ** 2, axis=0))
-        nv = np.sqrt(np.sum(np.abs(v) ** 2, axis=0))
-        return nu * nv + np.abs(np.sum(np.conj(u) * v, axis=0))
+        am, an = sdf_amplitude_raw((pair.m, pair.n), range(n_inputs), *pts.T, 0.0)
+        u, v = am[: pair.n], an[: pair.n]
+        # builtin sum adds the core terms in index order at any batch size
+        # (numpy pairs them up for a one-point batch): no point's value
+        # depends on the points evaluated beside it
+        nu, nv = np.sqrt(sum(np.abs(u) ** 2)), np.sqrt(sum(np.abs(v) ** 2))
+        genuine = nu * nv + np.abs(sum(np.conj(u) * v))
+        return np.vstack([2.0 * np.abs(am * np.conj(an)), genuine[None]])
 
     return f_batch
 
@@ -164,8 +161,7 @@ def genuine_coherence_matrix(u: np.ndarray, v: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _search_gaussian(batch_objective, extra_seeds=(), grid_density: int = 12,
-                     n_starts: int = 16, groups=(0,)):
+def _search_gaussian(batch_objective, groups=(Group(),)):
     """Multistart search over (|xi|, arg xi, |alpha|) with bound doubling.
 
     A magnitude bound hit at the optimum doubles that bound (up to the
@@ -175,53 +171,52 @@ def _search_gaussian(batch_objective, extra_seeds=(), grid_density: int = 12,
     ``at_cap`` when the optimum is left on a magnitude bound that could not
     be doubled further.
 
-    Returns one result per entry of ``groups`` (rows of the objective's
-    table, see ``maximize``); the groups share each run and keep their own
-    boxes.
+    Returns one result per entry of ``groups`` (see ``maximize``); the
+    groups share each run and keep their own boxes.
     """
-    box = dict.fromkeys(groups, (XI_BOUND, ALPHA_BOUND))
-    boxes, results, pending = {g: [] for g in groups}, {}, list(groups)
+    box = [(XI_BOUND, ALPHA_BOUND)] * len(groups)
+    boxes, results = [[] for _ in groups], [None] * len(groups)
+    pending = list(range(len(groups)))
     for _ in range(3):
-        runs = groupby(sorted(pending, key=box.get), key=box.get)
+        runs = groupby(sorted(pending, key=box.__getitem__), key=box.__getitem__)
         pending = []
         for (xi_hi, alpha_hi), members in ((b, list(m)) for b, m in runs):
             spec = SearchSpec(bounds=((0.0, xi_hi), (0.0, 2.0 * math.pi),
-                                      (0.0, alpha_hi)),
-                              grid_density=grid_density, n_starts=n_starts)
+                                      (0.0, alpha_hi)))
             res = maximize(None, spec, batch_objective=batch_objective,
-                           extra_seeds=extra_seeds, groups=members)
-            for g, part in zip(members, res.groups):
-                boxes[g].append([xi_hi, alpha_hi])
+                           groups=[groups[i] for i in members])
+            for i, part in zip(members, res.groups):
+                boxes[i].append([xi_hi, alpha_hi])
                 on_xi = part.argmax[0] > xi_hi - 1e-3
                 on_alpha = part.argmax[2] > alpha_hi - 1e-3
-                part.trace["magnitude_bounds"] = boxes[g]
+                part.trace["magnitude_bounds"] = boxes[i]
                 part.trace["at_cap"] = bool(on_xi or on_alpha)
-                results[g] = part
+                results[i] = part
                 grow_xi = on_xi and xi_hi < XI_CAP
                 grow_alpha = on_alpha and alpha_hi < ALPHA_CAP
                 if grow_xi or grow_alpha:
-                    box[g] = (min(2.0 * xi_hi, XI_CAP) if grow_xi else xi_hi,
+                    box[i] = (min(2.0 * xi_hi, XI_CAP) if grow_xi else xi_hi,
                               min(2.0 * alpha_hi, ALPHA_CAP) if grow_alpha else alpha_hi)
-                    pending.append(g)
+                    pending.append(i)
         if not pending:
             break
-    return [results[g] for g in groups]
-
-
-def _params_from(x: np.ndarray) -> GaussianParams:
-    return GaussianParams(xi_mag=float(x[0]), xi_phase=float(x[1]),
-                          alpha_mag=float(x[2]), alpha_phase=0.0)
+    return results
 
 
 def _recheck_truncation(result: ThresholdResult,
                         dim: int = fock.DEFAULT_TRUNC) -> None:
     """Re-evaluate the optimum through the truncated-matrix route at ``dim``
-    and ``2 dim``; all three values must agree to 1e-6."""
+    and ``2 dim``; all three values must agree to 1e-6.
+
+    Each truncation exponentiates at its full ``d + DEFAULT_PAD`` levels but
+    keeps only the block that holds rows ``m, n`` and the input columns."""
     k = result.fock_index if result.fock_index is not None else 0
     c = result.core_state.coeffs if result.core_state is not None else np.eye(k + 1)[k]
+    block = max(result.pair.n + 1, len(c))
+    crops = (build_gaussian_matrix(result.argmax, block, pad=d + fock.DEFAULT_PAD - block)
+             for d in (dim, 2 * dim))
     vals = [2.0 * abs(psi[result.pair.m] * np.conj(psi[result.pair.n]))
-            for psi in (build_gaussian_matrix(result.argmax, d)[:, : len(c)] @ c
-                        for d in (dim, 2 * dim))]
+            for psi in (crop[:, : len(c)] @ c for crop in crops)]
     spread = max(abs(vals[0] - vals[1]), abs(vals[1] - result.value))
     if spread > 1e-6:
         raise TruncationRiskError(
@@ -305,53 +300,80 @@ def _constraint_seeds(pair: FockPair) -> list[np.ndarray]:
     return seeds
 
 
+def _cap_error(kind: ThresholdKind, pair: FockPair, max_fock: int) -> str | None:
+    """Why ``kind`` is not validated at ``pair`` and ``max_fock``, or None."""
+    if kind == ThresholdKind.GAUSSIAN_INTRINSIC:
+        return (f"max_fock above validated cap {INTRINSIC_FOCK_CAP}"
+                if max_fock > INTRINSIC_FOCK_CAP else None)
+    cap = GAUSSIAN_MIN_INDEX_CAP if kind == ThresholdKind.GAUSSIAN_MIN else GENUINE_INDEX_CAP
+    return f"validated for max(m,n) <= {cap}" if pair.n > cap else None
+
+
+def _search_pair(pair: FockPair, max_fock: int) -> dict:
+    """Search every Gaussian kind whose cap admits ``pair`` in one lockstep
+    run over the pair's table, then check each optimum.
+
+    gaussian-min searches row 0 with constraint seeds, intrinsic the rows of
+    the input Fock levels up to ``max_fock`` on a coarser grid with fewer
+    starts, genuine the closed-form row.  Returns the result of each of those
+    kinds; a failure of any search or check fails every kind of the pair.
+    """
+    intrinsic = ThresholdKind.GAUSSIAN_INTRINSIC
+    kinds = [k for k in ORDERED_KINDS[1:] if _cap_error(k, pair, max_fock) is None]
+    inputs = range(max_fock + 1) if intrinsic in kinds else ()
+    n_inputs = max(len(inputs), pair.n)
+    groups = {ThresholdKind.GAUSSIAN_MIN: [Group(0, seeds=_constraint_seeds(pair))],
+              intrinsic: [Group(k, grid_density=9, n_starts=8) for k in inputs],
+              ThresholdKind.GENUINE_N: [Group(n_inputs)]}
+    runs = iter(_search_gaussian(_pair_objective(pair, n_inputs),
+                                 [g for kind in kinds for g in groups[kind]]))
+    results = {}
+    for kind in kinds:
+        found = [next(runs) for _ in groups[kind]]
+        k = max(range(len(found)), key=lambda j: found[j].value)
+        best = found[k]
+        result = ThresholdResult(kind, pair, best.value,
+                                 GaussianParams(*map(float, best.argmax), 0.0),
+                                 fock_index=k, diagnostics=dict(best.trace))
+        if kind == intrinsic:
+            result.diagnostics["per_fock_values"] = {j: r.value for j, r in enumerate(found)}
+            result.diagnostics["per_fock_at_cap"] = {j: r.trace["at_cap"]
+                                                     for j, r in enumerate(found)}
+        elif kind == ThresholdKind.GENUINE_N:
+            # the top eigenpair of the dense phase-optimized coherence matrix
+            # must match the rank-2 closed form; its eigenvector is the core state
+            u, v = sdf_amplitude_raw((pair.m, pair.n), range(pair.n), *best.argmax, 0.0)
+            theta = -float(np.angle(np.vdot(u, v))) if pair.n > 1 else 0.0
+            evals, evecs = np.linalg.eigh(genuine_coherence_matrix(u, v, theta))
+            lam = float(evals[-1])
+            if abs(lam - best.value) > 1e-9:
+                raise RuntimeError(
+                    f"rank-2 closed form and dense eigensolver disagree by "
+                    f"{abs(lam - best.value):.3e} at the optimum of {pair}")
+            result.fock_index, result.core_state = None, CoreState(evecs[:, -1])
+            result.diagnostics.update(eigensolver_value=lam, interference_phase=theta)
+        _recheck_truncation(result)
+        results[kind] = result
+    return results
+
+
 def gaussian_min_threshold(pair: FockPair) -> ThresholdResult:
     """Largest C_{m,n} over pure Gaussian states S(xi)D(alpha)|0>.
 
     Constraint-seeded two-parameter slice plus an unconstrained three-
     parameter polish from multiple starts.
     """
-    if pair.n > GAUSSIAN_MIN_INDEX_CAP:
-        raise ValueError(f"validated for max(m,n) <= {GAUSSIAN_MIN_INDEX_CAP}")
-
-    def compute() -> ThresholdResult:
-        res, = _search_gaussian(_pair_amp_objective(pair, 0),
-                                extra_seeds=_constraint_seeds(pair))
-        result = ThresholdResult(ThresholdKind.GAUSSIAN_MIN, pair, res.value,
-                                 _params_from(res.argmax), fock_index=0,
-                                 diagnostics=res.trace)
-        _recheck_truncation(result)
-        return result
-
-    return _memoized((ThresholdKind.GAUSSIAN_MIN, pair.m, pair.n, None), compute)
+    return threshold(ThresholdKind.GAUSSIAN_MIN, pair)
 
 
 def intrinsic_threshold(pair: FockPair,
                         max_fock: int = DEFAULT_MAX_FOCK) -> ThresholdResult:
     """Largest C_{m,n} over Gaussian operations on any single Fock state.
 
-    Searches every input Fock level up to ``max_fock`` in one lockstep run,
-    each level with its own seeds and boxes, and records which level attains
-    the maximum.
+    Searches every input Fock level up to ``max_fock``, each level with its
+    own seeds and boxes, and records which level attains the maximum.
     """
-    if max_fock > INTRINSIC_FOCK_CAP:
-        raise ValueError(f"max_fock above validated cap {INTRINSIC_FOCK_CAP}")
-
-    def compute() -> ThresholdResult:
-        ks = range(max_fock + 1)
-        runs = _search_gaussian(_pair_amp_objective(pair, ks), grid_density=9,
-                                n_starts=8, groups=ks)
-        k = max(ks, key=lambda j: runs[j].value)
-        best = ThresholdResult(ThresholdKind.GAUSSIAN_INTRINSIC, pair,
-                               runs[k].value, _params_from(runs[k].argmax),
-                               fock_index=k, diagnostics=dict(runs[k].trace))
-        best.diagnostics["per_fock_values"] = {j: runs[j].value for j in ks}
-        best.diagnostics["per_fock_at_cap"] = {j: runs[j].trace["at_cap"] for j in ks}
-        _recheck_truncation(best)
-        return best
-
-    return _memoized((ThresholdKind.GAUSSIAN_INTRINSIC, pair.m, pair.n, max_fock),
-                     compute)
+    return threshold(ThresholdKind.GAUSSIAN_INTRINSIC, pair, max_fock=max_fock)
 
 
 def genuine_threshold(pair: FockPair) -> ThresholdResult:
@@ -364,44 +386,24 @@ def genuine_threshold(pair: FockPair) -> ThresholdResult:
     eigensolver at the reported optimum to 1e-9 and the top eigenvector is
     returned as the optimal core state.
     """
-    if pair.n > GENUINE_INDEX_CAP:
-        raise ValueError(f"validated for max(m,n) <= {GENUINE_INDEX_CAP}")
-
-    def compute() -> ThresholdResult:
-        res, = _search_gaussian(_genuine_objective(pair))
-        u, v = sdf_amplitude_raw((pair.m, pair.n), range(pair.n), *res.argmax, 0.0)
-        theta = -float(np.angle(np.vdot(u, v))) if pair.n > 1 else 0.0
-        gmat = genuine_coherence_matrix(u, v, theta)
-        evals, evecs = np.linalg.eigh(gmat)
-        lam, top = float(evals[-1]), evecs[:, -1]
-        if abs(lam - res.value) > 1e-9:
-            raise RuntimeError(
-                f"rank-2 closed form and dense eigensolver disagree by "
-                f"{abs(lam - res.value):.3e} at the optimum of {pair}")
-        result = ThresholdResult(ThresholdKind.GENUINE_N, pair, res.value,
-                                 _params_from(res.argmax),
-                                 core_state=CoreState(top),
-                                 diagnostics=res.trace)
-        result.diagnostics["eigensolver_value"] = lam
-        result.diagnostics["interference_phase"] = theta
-        _recheck_truncation(result)
-        return result
-
-    return _memoized((ThresholdKind.GENUINE_N, pair.m, pair.n, None), compute)
+    return threshold(ThresholdKind.GENUINE_N, pair)
 
 
 def threshold(kind: ThresholdKind, pair: FockPair,
               max_fock: int = DEFAULT_MAX_FOCK) -> ThresholdResult:
-    """Dispatch a threshold computation by kind (memoized)."""
+    """Dispatch a threshold computation by kind (memoized).
+
+    The Gaussian kinds share one memoized search per pair and ``max_fock``
+    (``_search_pair``), run by the first request for any of them.
+    """
     if kind == ThresholdKind.CLASSICAL:
         return classical_threshold(pair)
-    if kind == ThresholdKind.GAUSSIAN_MIN:
-        return gaussian_min_threshold(pair)
-    if kind == ThresholdKind.GAUSSIAN_INTRINSIC:
-        return intrinsic_threshold(pair, max_fock=max_fock)
-    if kind == ThresholdKind.GENUINE_N:
-        return genuine_threshold(pair)
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in ORDERED_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    problem = _cap_error(kind, pair, max_fock)
+    if problem is not None:
+        raise ValueError(problem)
+    return _memoized((pair.m, pair.n, max_fock), lambda: _search_pair(pair, max_fock))[kind]
 
 
 def depth_value(measured: float, threshold_value: float, delta: int) -> float:

@@ -12,7 +12,8 @@ from click.testing import CliRunner
 import qngcoh.mc
 from qngcoh.cli import main
 from qngcoh.thresholds import ThresholdResult, ThresholdKind
-from qngcoh.fock import FockPair, GaussianParams
+from qngcoh.fock import FockPair, GaussianParams, TruncationRiskError
+from qngcoh.optimize import NonConvergenceError
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = SRC_DIR / "qngcoh" / "schemas"
@@ -234,6 +235,21 @@ class TestMcVerifyCommand:
                                       "--pair", "0,1", "--samples", "10",
                                       "--out", str(tmp_path / "mc.json")])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("error", [
+        TruncationRiskError("threshold optimum unstable under truncation doubling"),
+        NonConvergenceError("no refinement start reached the grid seed value", {})])
+    def test_threshold_failure_exit_code(self, runner, tmp_path, monkeypatch, error):
+        def failing_threshold(kind, pair, max_fock=10):
+            raise error
+
+        monkeypatch.setattr(qngcoh.mc, "threshold", failing_threshold)
+        result = runner.invoke(main, ["mc-verify", "--kind", "genuine", "--pair", "0,3",
+                                      "--samples", "1000",
+                                      "--out", str(tmp_path / "mc.json")])
+        assert result.exit_code == 2
+        assert f"threshold failure: {error}" in result.output
+        assert isinstance(result.exception, SystemExit)
 
 
 def test_cli_import_leaves_scipy_optimize_out():

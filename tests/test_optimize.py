@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from qngcoh.optimize import (MAXFEV, MaximizeResult, SearchSpec, maximize,
+from qngcoh.optimize import (MAXFEV, Group, MaximizeResult, SearchSpec, maximize,
                              nelder_mead)
 
 
@@ -63,7 +63,7 @@ def test_extra_seeds_are_clipped_and_used():
     spec = SearchSpec(bounds=((0.0, 1.0),), grid_density=2, n_starts=8)
     # coarse grid {0, 1} would miss the needle at 0.437 without the seed
     f = lambda x: math.exp(-((x[0] - 0.437) / 0.003) ** 2)
-    res = maximize(f, spec, extra_seeds=[np.array([0.437]), np.array([5.0])])
+    res = maximize(f, spec, groups=[Group(seeds=[np.array([0.437]), np.array([5.0])])])
     assert res.value > 0.999
 
 
@@ -162,3 +162,30 @@ def test_scalar_objective_equals_its_batch_form():
     scalar, batch = maximize(f, spec), maximize(None, spec, batch_objective=fb)
     assert batch.trace == scalar.trace
     assert np.array_equal(batch.argmax, scalar.argmax)
+
+
+def _two_rows(pts):
+    x, y, z = pts.T
+    bowl = -((x - 0.7) ** 2 + 3.0 * (y + 0.2) ** 2 + (z - 3.5) ** 2 + 0.3 * x * y
+             + 0.1 * np.sin(5.0 * x))
+    ripple = np.sin(3.0 * x) * np.cos(2.0 * y) - 0.1 * (z - 1.0) ** 2
+    return np.stack([bowl, ripple])
+
+
+def test_groups_match_their_lone_runs():
+    # groups differ in grid density, start count and seeds; two share row 0
+    spec = SearchSpec(bounds=BOX3, grid_density=4, n_starts=8)
+    groups = [Group(0), Group(1, grid_density=5, n_starts=9),
+              Group(0, grid_density=3, n_starts=10,
+                    seeds=[np.array([0.7, -0.2, 2.9]), np.array([5.0, 0.0, 0.0])])]
+    joint = maximize(None, spec, batch_objective=_two_rows, groups=groups)
+    assert [len(part.trace["starts"]) for part in joint.groups] == [8, 9, 10]
+    assert [part.trace["grid_points"] for part in joint.groups] == [64, 125, 29]
+    for group, part in zip(groups, joint.groups):
+        alone, = maximize(None, spec, batch_objective=_two_rows, groups=[group]).groups
+        assert np.array_equal(part.argmax, alone.argmax)
+        assert part.value == alone.value
+        assert part.trace == alone.trace
+    top = max(joint.groups, key=lambda part: part.value)
+    assert joint.value == top.value
+    assert len(joint.trace["starts"]) == 27

@@ -8,8 +8,10 @@ import pytest
 from qngcoh.fock import (FockPair, GaussianParams,
                          bogoliubov_displacement, build_gaussian_matrix,
                          coherence_quantifier, sdf_amplitude_raw)
+from qngcoh import thresholds as thresholds_module
+from qngcoh.optimize import Group, maximize
 from qngcoh.thresholds import (ALPHA_BOUND, ALPHA_CAP, ORDERED_KINDS, XI_BOUND,
-                               XI_CAP, ThresholdKind, _search_gaussian,
+                               XI_CAP, ThresholdKind, _constraint_seeds, _search_gaussian,
                                certify, classical_threshold, clear_threshold_cache,
                                gaussian_min_threshold, genuine_coherence_matrix,
                                genuine_threshold, intrinsic_threshold,
@@ -244,6 +246,80 @@ class TestSearchReproducibility:
         assert not any(intrinsic.diagnostics["per_fock_at_cap"].values())
 
 
+class TestJointSearch:
+    def test_certify_keeps_per_kind_diagnostics(self, monkeypatch):
+        runs = []
+
+        def recording_maximize(*args, **kwargs):
+            runs.append(maximize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(thresholds_module, "maximize", recording_maximize)
+        clear_threshold_cache()
+        pair = FockPair(0, 3)
+        certify(pair, 0.9, 0.0)
+        # one lockstep run: gaussian-min, the 11 intrinsic Fock levels, genuine
+        assert len(runs) == 1
+        assert [len(part.trace["starts"]) for part in runs[0].groups] == [16] + [8] * 11 + [16]
+        gmin, intrinsic, genuine = (threshold(kind, pair).diagnostics
+                                    for kind in ORDERED_KINDS[1:])
+        assert len(gmin["starts"]) == 16
+        assert gmin["grid_points"] == 12 ** 3 + len(_constraint_seeds(pair))
+        assert len(intrinsic["starts"]) == 8      # the best Fock level's starts
+        assert intrinsic["grid_points"] == 9 ** 3
+        assert sorted(intrinsic["per_fock_values"]) == list(range(11))
+        assert len(genuine["starts"]) == 16
+        assert genuine["grid_points"] == 12 ** 3
+        for trace in (gmin, intrinsic, genuine):
+            assert trace["magnitude_bounds"] == [[XI_BOUND, ALPHA_BOUND]]
+
+    def test_lone_request_equals_certify(self, monkeypatch):
+        pair = FockPair(0, 4)
+        clear_threshold_cache()
+        certify(pair, 0.9, 0.0)
+        reported = {kind: threshold(kind, pair) for kind in ORDERED_KINDS[1:]}
+        clear_threshold_cache()
+        lone = threshold(ThresholdKind.GENUINE_N, pair)
+        assert lone.value == reported[ThresholdKind.GENUINE_N].value
+        assert lone.diagnostics == reported[ThresholdKind.GENUINE_N].diagnostics
+        # the lone request filled the memo for the other searched kinds too
+        monkeypatch.setattr(thresholds_module, "_search_pair", None)
+        for kind in (ThresholdKind.GAUSSIAN_MIN, ThresholdKind.GAUSSIAN_INTRINSIC):
+            assert threshold(kind, pair).diagnostics == reported[kind].diagnostics
+
+    def test_smaller_fock_scan_leaves_other_kinds_unchanged(self):
+        # each group's search is independent of the others in the run
+        pair = FockPair(1, 3)
+        wide = thresholds_module._search_pair(pair, 10)
+        narrow = thresholds_module._search_pair(pair, 6)
+        for kind in (ThresholdKind.GAUSSIAN_MIN, ThresholdKind.GENUINE_N):
+            assert narrow[kind].value == wide[kind].value
+            assert narrow[kind].diagnostics == wide[kind].diagnostics
+        intrinsic = ThresholdKind.GAUSSIAN_INTRINSIC
+        wide_values = wide[intrinsic].diagnostics["per_fock_values"]
+        assert narrow[intrinsic].diagnostics["per_fock_values"] == {
+            k: wide_values[k] for k in range(7)}
+
+    def test_capped_kinds_stay_out_of_the_run(self):
+        pair = FockPair(0, 11)
+        entries = thresholds_module._search_pair(pair, 1)
+        assert list(entries) == [ThresholdKind.GAUSSIAN_INTRINSIC]
+        with pytest.raises(ValueError, match="validated for max"):
+            threshold(ThresholdKind.GENUINE_N, pair, max_fock=1)
+
+    def test_truncation_recheck_matches_full_crops(self):
+        for kind in ORDERED_KINDS:
+            res = threshold(kind, FockPair(0, 3))
+            k = res.fock_index or 0
+            c = res.core_state.coeffs if res.core_state is not None else np.eye(k + 1)[k]
+            recheck = res.diagnostics["truncation_recheck"]
+            assert recheck["dims"] == [128, 256]
+            for dim, value in zip(recheck["dims"], recheck["values"]):
+                psi = build_gaussian_matrix(res.argmax, dim)[:, : len(c)] @ c
+                assert value == pytest.approx(2.0 * abs(psi[0] * np.conj(psi[3])),
+                                              rel=0, abs=1e-15)
+
+
 class TestBoundDoubling:
     def test_interior_optimum_keeps_first_box(self):
         trace = genuine_threshold(FockPair(0, 2)).diagnostics
@@ -253,7 +329,7 @@ class TestBoundDoubling:
     def test_optimum_left_at_cap_is_flagged(self):
         # increasing in |xi| and |alpha|: both bounds double up to their caps
         res, = _search_gaussian(lambda pts: pts[:, 0] + pts[:, 2],
-                                grid_density=4, n_starts=8)
+                                [Group(grid_density=4, n_starts=8)])
         assert res.trace["magnitude_bounds"] == [[XI_BOUND, ALPHA_BOUND],
                                                  [XI_CAP, ALPHA_CAP]]
         assert res.trace["at_cap"] is True
