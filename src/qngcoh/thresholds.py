@@ -240,12 +240,21 @@ def clear_threshold_cache() -> None:
 
 
 def _memoized(key: tuple, compute):
+    """The memo entry at ``key``.  On a miss ``compute()`` returns a dict of
+    entries, ``key`` among them; each is inserted unless already present."""
     with _MEMO_LOCK:
         if key in _MEMO:
             return _MEMO[key]
-    result = compute()
+    entries = compute()
     with _MEMO_LOCK:
-        return _MEMO.setdefault(key, result)
+        for k, result in entries.items():
+            _MEMO.setdefault(k, result)
+        return _MEMO[key]
+
+
+def _memo_key(kind: ThresholdKind, pair: FockPair, max_fock: int) -> tuple:
+    return (kind, pair.m, pair.n,
+            max_fock if kind == ThresholdKind.GAUSSIAN_INTRINSIC else None)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +285,8 @@ def classical_threshold(pair: FockPair) -> ThresholdResult:
         _recheck_truncation(result)
         return result
 
-    return _memoized((ThresholdKind.CLASSICAL, m, n, None), compute)
+    key = (ThresholdKind.CLASSICAL, m, n, None)
+    return _memoized(key, lambda: {key: compute()})
 
 
 def _constraint_seeds(pair: FockPair) -> list[np.ndarray]:
@@ -315,7 +325,7 @@ def _search_pair(pair: FockPair, max_fock: int) -> dict:
 
     gaussian-min searches row 0 with constraint seeds, intrinsic the rows of
     the input Fock levels up to ``max_fock`` on a coarser grid with fewer
-    starts, genuine the closed-form row.  Returns the result of each of those
+    starts, genuine the closed-form row.  Returns the memo entries of those
     kinds; a failure of any search or check fails every kind of the pair.
     """
     intrinsic = ThresholdKind.GAUSSIAN_INTRINSIC
@@ -353,7 +363,7 @@ def _search_pair(pair: FockPair, max_fock: int) -> dict:
             result.fock_index, result.core_state = None, CoreState(evecs[:, -1])
             result.diagnostics.update(eigensolver_value=lam, interference_phase=theta)
         _recheck_truncation(result)
-        results[kind] = result
+        results[_memo_key(kind, pair, max_fock)] = result
     return results
 
 
@@ -393,8 +403,8 @@ def threshold(kind: ThresholdKind, pair: FockPair,
               max_fock: int = DEFAULT_MAX_FOCK) -> ThresholdResult:
     """Dispatch a threshold computation by kind (memoized).
 
-    The Gaussian kinds share one memoized search per pair and ``max_fock``
-    (``_search_pair``), run by the first request for any of them.
+    The Gaussian kinds of a pair share one search (``_search_pair``), which
+    fills the memo for all of them; only intrinsic depends on ``max_fock``.
     """
     if kind == ThresholdKind.CLASSICAL:
         return classical_threshold(pair)
@@ -403,7 +413,7 @@ def threshold(kind: ThresholdKind, pair: FockPair,
     problem = _cap_error(kind, pair, max_fock)
     if problem is not None:
         raise ValueError(problem)
-    return _memoized((pair.m, pair.n, max_fock), lambda: _search_pair(pair, max_fock))[kind]
+    return _memoized(_memo_key(kind, pair, max_fock), lambda: _search_pair(pair, max_fock))
 
 
 def depth_value(measured: float, threshold_value: float, delta: int) -> float:

@@ -282,10 +282,12 @@ class TestJointSearch:
         lone = threshold(ThresholdKind.GENUINE_N, pair)
         assert lone.value == reported[ThresholdKind.GENUINE_N].value
         assert lone.diagnostics == reported[ThresholdKind.GENUINE_N].diagnostics
-        # the lone request filled the memo for the other searched kinds too
+        # the lone request filled the memo for the other searched kinds too,
+        # and gaussian-min and genuine serve any max_fock
         monkeypatch.setattr(thresholds_module, "_search_pair", None)
         for kind in (ThresholdKind.GAUSSIAN_MIN, ThresholdKind.GAUSSIAN_INTRINSIC):
             assert threshold(kind, pair).diagnostics == reported[kind].diagnostics
+        assert threshold(ThresholdKind.GENUINE_N, pair, max_fock=6) is lone
 
     def test_smaller_fock_scan_leaves_other_kinds_unchanged(self):
         # each group's search is independent of the others in the run
@@ -293,17 +295,18 @@ class TestJointSearch:
         wide = thresholds_module._search_pair(pair, 10)
         narrow = thresholds_module._search_pair(pair, 6)
         for kind in (ThresholdKind.GAUSSIAN_MIN, ThresholdKind.GENUINE_N):
-            assert narrow[kind].value == wide[kind].value
-            assert narrow[kind].diagnostics == wide[kind].diagnostics
+            key = (kind, 1, 3, None)
+            assert narrow[key].value == wide[key].value
+            assert narrow[key].diagnostics == wide[key].diagnostics
         intrinsic = ThresholdKind.GAUSSIAN_INTRINSIC
-        wide_values = wide[intrinsic].diagnostics["per_fock_values"]
-        assert narrow[intrinsic].diagnostics["per_fock_values"] == {
+        wide_values = wide[(intrinsic, 1, 3, 10)].diagnostics["per_fock_values"]
+        assert narrow[(intrinsic, 1, 3, 6)].diagnostics["per_fock_values"] == {
             k: wide_values[k] for k in range(7)}
 
     def test_capped_kinds_stay_out_of_the_run(self):
         pair = FockPair(0, 11)
         entries = thresholds_module._search_pair(pair, 1)
-        assert list(entries) == [ThresholdKind.GAUSSIAN_INTRINSIC]
+        assert list(entries) == [(ThresholdKind.GAUSSIAN_INTRINSIC, 0, 11, 1)]
         with pytest.raises(ValueError, match="validated for max"):
             threshold(ThresholdKind.GENUINE_N, pair, max_fock=1)
 
