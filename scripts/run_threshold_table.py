@@ -6,7 +6,7 @@ Computes all four thresholds for n = 1..4, 6, the ideal dephasing depths
 coherences, then prints the table and writes JSON/CSV next to it.
 
 Usage:
-    python scripts/run_threshold_table.py [--out-dir OUT] [--max-fock K]
+    python scripts/run_threshold_table.py [--out-dir OUT] [--ns N ...]
 """
 
 import argparse
@@ -26,7 +26,6 @@ MEASURED = {1: 0.95, 2: 0.917, 3: 0.81, 4: 0.84, 6: 0.80}
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", type=Path, default=Path("table_out"))
-    parser.add_argument("--max-fock", type=int, default=10)
     parser.add_argument("--ns", type=int, nargs="+", default=[1, 2, 3, 4, 6])
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -37,15 +36,13 @@ def main() -> None:
         pair = FockPair(0, n)
         entry = {}
         for kind in ORDERED_KINDS:
-            res = threshold(kind, pair, max_fock=args.max_fock)
+            res = threshold(kind, pair)
             entry[KIND_NAMES[kind]] = res.value
-        entry["depth_ideal"] = depth(1.0, pair, ThresholdKind.GENUINE_N,
-                                     max_fock=args.max_fock).depth
+        entry["depth_ideal"] = depth(1.0, pair, ThresholdKind.GENUINE_N).depth
         if n in MEASURED:
             entry["measured"] = MEASURED[n]
             entry["depth_measured"] = depth(MEASURED[n], pair,
-                                            ThresholdKind.GENUINE_N,
-                                            max_fock=args.max_fock).depth
+                                            ThresholdKind.GENUINE_N).depth
         rows[n] = entry
         print(f"(0,{n}) done after {time.monotonic() - t0:.1f}s")
 

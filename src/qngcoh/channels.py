@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .fock import DensityMatrix, FockPair, ideal_superposition
-from .thresholds import DEFAULT_MAX_FOCK, ThresholdKind, depth_value, threshold
+from .thresholds import ThresholdKind, depth_value, threshold
 
 #: population allowed in the top truncation levels after heating
 HEAT_TAIL_TOL = 1e-6
@@ -186,8 +186,7 @@ def mean_phonons(rho: DensityMatrix | np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def depth(measured: float, pair: FockPair, kind: ThresholdKind,
-          max_fock: int = DEFAULT_MAX_FOCK) -> DepthResult:
+def depth(measured: float, pair: FockPair, kind: ThresholdKind) -> DepthResult:
     """Dephasing depth of a measured coherence above a threshold kind.
 
     Negative values mean the coherence already sits below the threshold and
@@ -195,29 +194,28 @@ def depth(measured: float, pair: FockPair, kind: ThresholdKind,
     """
     if not 0.0 < measured <= 1.0:
         raise ValueError(f"measured coherence must lie in (0, 1], got {measured}")
-    thr = threshold(kind, pair, max_fock=max_fock).value
+    thr = threshold(kind, pair).value
     return DepthResult(pair=pair, kind=kind,
                        depth=depth_value(measured, thr, pair.delta),
                        threshold=thr, measured=measured)
 
 
-def thermal_depth_limit(pair: FockPair, h_rate: float, times, kind: ThresholdKind,
-                        dim: int | None = None,
-                        max_fock: int = DEFAULT_MAX_FOCK) -> list[tuple[float, float]]:
+def thermal_depth_limit(pair: FockPair, h_rate: float, times,
+                        kind: ThresholdKind) -> list[tuple[float, float]]:
     """Depth reachable without any dephasing, limited by heating alone.
 
     Thermalizes the ideal balanced superposition for each requested time and
     converts the surviving coherence to a depth; an upper envelope for any
-    experiment at the same heating rate.  Raises ``TruncationError`` under
-    the same tail guard as :func:`thermalize`.
+    experiment at the same heating rate, at ``n + 16`` levels plus 4 per
+    phonon heated in.  Raises ``TruncationError`` under the tail guard of
+    :func:`thermalize`.
     """
     times = list(times)
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
-    if dim is None:
-        dim = pair.n + 16 + int(math.ceil(4.0 * h_rate * (times[-1] if times else 0.0)))
+    dim = pair.n + 16 + int(math.ceil(4.0 * h_rate * (times[-1] if times else 0.0)))
     rho = ideal_superposition(pair, dim).density_matrix()
-    thr = threshold(kind, pair, max_fock=max_fock).value
+    thr = threshold(kind, pair).value
     out = []
     prev_t = 0.0
     mat = rho.matrix

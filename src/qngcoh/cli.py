@@ -9,7 +9,7 @@ part of the contract so CI can gate on them:
   non-convergence partial results are still written, with per-entry status);
 * ``certify``: 0 some verdict true, 3 all false, 1 domain error,
   2 threshold failure;
-* ``simulate``: 0 ok, 2 simulation error (failing delay identified);
+* ``simulate``: 0 ok, 1 config error, 2 simulation error (failing delay identified);
 * ``mc-verify``: 0 sound, 1 usage error, 2 threshold failure, 4 violations (release blocker).
 """
 
@@ -88,10 +88,8 @@ def main() -> None:
 @click.option("--kind", "kinds", multiple=True,
               type=click.Choice(sorted(KIND_NAMES.values())),
               help="Threshold kind (repeatable; default: all four).")
-@click.option("--max-fock", default=10, show_default=True,
-              help="Fock scan cap for the intrinsic threshold.")
 @click.option("--out", type=click.Path(path_type=Path), required=True)
-def cmd_thresholds(pairs, kinds, max_fock, out: Path) -> int:
+def cmd_thresholds(pairs, kinds, out: Path) -> int:
     """Compute thresholds for the given pairs and write a JSON table."""
     t0 = time.monotonic()
     if not pairs:
@@ -110,7 +108,7 @@ def cmd_thresholds(pairs, kinds, max_fock, out: Path) -> int:
         row: dict = {}
         for kind in kind_objs:
             try:
-                res = threshold(kind, pair, max_fock=max_fock).as_dict()
+                res = threshold(kind, pair).as_dict()
                 entry = {"status": "ok", **{k: v for k, v in res.items() if v is not None}}
             except NonConvergenceError as exc:
                 failed = True
@@ -127,8 +125,8 @@ def cmd_thresholds(pairs, kinds, max_fock, out: Path) -> int:
     payload = {"schema": "qngcoh/threshold-table/v1", "results": results,
                "manifest": _manifest("thresholds",
                                      {"pairs": [str(p) for p in pair_objs],
-                                      "kinds": [KIND_NAMES[k] for k in kind_objs],
-                                      "max_fock": max_fock}, t0)}
+                                      "kinds": [KIND_NAMES[k] for k in kind_objs]},
+                                     t0)}
     _write_json(out, payload)
     sys.exit(2 if failed else 0)
 
@@ -137,14 +135,13 @@ def cmd_thresholds(pairs, kinds, max_fock, out: Path) -> int:
 @click.option("--pair", required=True, help="Fock pair 'm,n'.")
 @click.option("--measured", type=float, required=True)
 @click.option("--uncertainty", type=float, default=0.0, show_default=True)
-@click.option("--max-fock", default=10, show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), required=True)
-def cmd_certify(pair, measured, uncertainty, max_fock, out: Path) -> int:
+def cmd_certify(pair, measured, uncertainty, out: Path) -> int:
     """Certify a measured coherence against the full hierarchy."""
     t0 = time.monotonic()
     try:
         pair_obj = _parse_pair(pair)
-        report = certify(pair_obj, measured, uncertainty, max_fock=max_fock)
+        report = certify(pair_obj, measured, uncertainty)
     except (NonConvergenceError, TruncationRiskError) as exc:
         click.echo(f"threshold failure: {exc}", err=True)
         sys.exit(2)
@@ -167,8 +164,7 @@ def cmd_certify(pair, measured, uncertainty, max_fock, out: Path) -> int:
             } for k in ORDERED_KINDS},
         "manifest": _manifest("certify",
                               {"pair": str(pair_obj), "measured": measured,
-                               "uncertainty": uncertainty,
-                               "max_fock": max_fock}, t0),
+                               "uncertainty": uncertainty}, t0),
     }
     _write_json(out, payload)
     sys.exit(0 if any(report.verdicts.values()) else 3)
@@ -205,8 +201,9 @@ def cmd_simulate(config_path: Path, out_dir: Path, trunc_dim) -> int:
         noise_block = blob.get("noise", {})
         noise = _noise_from_config(noise_block)
         n_phases = int(blob.get("phases", 16))
-        shots = blob.get("shots")
-        shots = int(shots) if shots else None
+        shots = None if blob.get("shots") is None else int(blob["shots"])
+        if shots is not None and shots < 1:
+            raise ValueError(f"shots must be positive (null for exact readout), got {shots}")
         seed = int(blob.get("seed", 0))
         kind = parse_kind(blob.get("kind", "genuine"))
     except (KeyError, ValueError, TypeError, yaml.YAMLError) as exc:

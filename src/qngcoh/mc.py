@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockPair, sdf_amplitude_raw
-from .thresholds import (ALPHA_BOUND, DEFAULT_MAX_FOCK, XI_BOUND,
-                         ThresholdKind, threshold)
+from .thresholds import ALPHA_BOUND, MAX_FOCK, XI_BOUND, ThresholdKind, threshold
 
 #: samples counting as violations must exceed threshold by this slack
 VIOLATION_SLACK = 1e-3
@@ -76,7 +75,7 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
         th = rng.uniform(0.0, 2.0 * math.pi, size=samples)
         amag = rng.uniform(0.0, ALPHA_BOUND, size=samples)
         if kind == ThresholdKind.GAUSSIAN_INTRINSIC:
-            ks = rng.integers(0, DEFAULT_MAX_FOCK + 1, size=samples)
+            ks = rng.integers(0, MAX_FOCK + 1, size=samples)
         elif kind == ThresholdKind.GENUINE_N:
             # Haar-random core states on the complex d-sphere, drawn as real
             # and imaginary parts and normalized per chunk
@@ -106,7 +105,7 @@ def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int,
 
     Deterministic in ``(kind, pair, samples, seed)``: the same call returns a
     bit-identical report.  The intrinsic sampler and threshold both range
-    over Fock inputs up to ``DEFAULT_MAX_FOCK``.
+    over Fock inputs up to ``MAX_FOCK``.
     """
     if samples < 1000:
         raise ValueError("need at least 1e3 samples for a meaningful report")

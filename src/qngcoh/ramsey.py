@@ -25,7 +25,7 @@ import numpy as np
 from . import channels
 from .channels import TruncationError, dephasing_factors, thermalize_matrix
 from .fock import DensityMatrix, FockPair
-from .thresholds import DEFAULT_MAX_FOCK, ThresholdKind
+from .thresholds import ThresholdKind
 
 ROW_G, ROW_E, ROW_SHELF = 0, 1, 2
 
@@ -240,7 +240,7 @@ def _climb(level_from: int, level_to: int, row: int) -> tuple[list[PulseSpec], i
     return pulses, row
 
 
-def build_sequence_0n(n: int, phase_offset: float = 0.0) -> RamseySequence:
+def build_sequence_0n(n: int) -> RamseySequence:
     """Composite effective pi/2 between |0> and |n>, and its analysis mirror.
 
     A blue-sideband pi/2 splits |g,0> into the spin-motional superposition;
@@ -252,8 +252,8 @@ def build_sequence_0n(n: int, phase_offset: float = 0.0) -> RamseySequence:
     whole ground and shelf rows, so the arms end at |g,0> and |shelf,n>; the
     delay channels act the same on every spin block, so the fringes do not
     depend on which row the |n> arm rests in.  The analysis half is the
-    exact pulse-by-pulse inverse, with the scanned offset carried by the
-    closing blue-sideband pi/2.
+    exact pulse-by-pulse inverse; its last pulse, the closing blue-sideband
+    pi/2, carries the scanned phase (``scan_index``).
     """
     if not 1 <= n <= 8:
         raise ValueError(f"supported superposition range is 1 <= n <= 8, got {n}")
@@ -269,48 +269,44 @@ def build_sequence_0n(n: int, phase_offset: float = 0.0) -> RamseySequence:
         prep.append(PulseSpec(PulseKind.UNSHELVE, math.pi))
 
     analysis = [p.inverse() for p in reversed(prep)]
-    scan_index = len(analysis) - 1
-    p = analysis[scan_index]
-    analysis[scan_index] = replace(p, phase=p.phase + phase_offset)
     return RamseySequence(pair=FockPair(0, n), prep=prep, analysis=analysis,
-                          scan_index=scan_index,
+                          scan_index=len(analysis) - 1,
                           meta={"top_level": n, "shelved": shelved,
                                 "prep_pulses": len(prep)})
 
 
-def find_mapping_pulse(m: int, n: int, j_max: int = MAPPING_J_MAX,
-                       tol: float = MAPPING_TOL) -> dict:
+def find_mapping_pulse(m: int, n: int) -> dict:
     """Smallest red-sideband mapping pulse transferring |e,n-1> -> |g,n>
     while returning the |g,m> spectator to itself.
 
     The moving rung (coupling sqrt(n)) must see an odd number ``2j+1`` of
     half cycles; the spectator rung (coupling sqrt(m)) then sees
     ``l = (2j+1) sqrt(m/n) / 2`` full cycles, which must land near an integer
-    within ``tol``.  The two rungs are incommensurate in general, so j is
-    scanned upward and the first admissible value kept.
+    within ``MAPPING_TOL``.  The rungs are incommensurate in general, so j is
+    scanned upward below ``MAPPING_J_MAX`` and the first admissible one kept.
     """
     if m == 0:
         return {"j": 0, "l": 0.0, "area": math.pi / math.sqrt(n),
                 "return_cycle_error": 0.0}
-    for j in range(j_max):
+    for j in range(MAPPING_J_MAX):
         l = (2 * j + 1) * math.sqrt(m / n) / 2.0
         err = abs(l - round(l))
-        if err <= tol:
+        if err <= MAPPING_TOL:
             return {"j": j, "l": l, "area": (2 * j + 1) * math.pi / math.sqrt(n),
                     "return_cycle_error": err}
     raise MappingConditionError(
-        f"no admissible mapping pulse for pair ({m},{n}) below j = {j_max} "
-        f"at tolerance {tol}")
+        f"no admissible mapping pulse for pair ({m},{n}) below j = {MAPPING_J_MAX} "
+        f"at tolerance {MAPPING_TOL}")
 
 
-def build_sequence_mn(m: int, n: int, phase_offset: float = 0.0) -> RamseySequence:
+def build_sequence_mn(m: int, n: int) -> RamseySequence:
     """Ramsey sequence for a superposition of |m> and |n>, m >= 1.
 
     Sideband pi pulses prepare |g,m>; a carrier (|n-m| = 1) or blue-sideband
     (|n-m| = 2) pi/2 opens the interferometer; a red-sideband pulse
     satisfying the near-commensurate mapping condition transfers the excited
     branch to |g,n>, closing the preparation with a purely motional
-    superposition.  The scanned offset rides on the analysis pi/2.
+    superposition.  The scanned phase rides on the analysis pi/2.
     """
     pair = FockPair(m, n)
     m, n = pair.m, pair.n
@@ -337,11 +333,7 @@ def build_sequence_mn(m: int, n: int, phase_offset: float = 0.0) -> RamseySequen
     # the bright/dark ports, since those pi pulses are exact only on their
     # original rungs.
     analysis = [p.inverse() for p in reversed(prep[-2:])]
-    scan_index = 1
-    p = analysis[scan_index]
-    analysis[scan_index] = replace(p, phase=p.phase + phase_offset)
-    return RamseySequence(pair=pair, prep=prep, analysis=analysis,
-                          scan_index=scan_index,
+    return RamseySequence(pair=pair, prep=prep, analysis=analysis, scan_index=1,
                           meta={"top_level": n, "variant": variant,
                                 "mapping": mapping, "prep_pulses": len(prep)})
 
@@ -584,8 +576,7 @@ def fit_populations(signal, carrier_rabi: float, eta: float, gamma0: float,
 
 def decay_scan(pair: FockPair, delays, noise: NoiseConfig, kind: ThresholdKind,
                n_phases: int = 16, shots: int | None = None, seed: int = 0,
-               dim: int | None = None, max_fock: int = DEFAULT_MAX_FOCK,
-               fringe_sink=None) -> list[tuple[float, float, float]]:
+               dim: int | None = None, fringe_sink=None) -> list[tuple[float, float, float]]:
     """Contrast and threshold depth versus Ramsey delay.
 
     Balanced |0>,|n> superpositions use the composite-ladder sequence, mixed
@@ -615,7 +606,7 @@ def decay_scan(pair: FockPair, delays, noise: NoiseConfig, kind: ThresholdKind,
             fringe_sink(float(delay), fringe)
         c = fringe.contrast
         if c > 0.0:
-            d = channels.depth(c, pair, kind, max_fock=max_fock).depth
+            d = channels.depth(c, pair, kind).depth
         else:
             d = float("-inf")
         out.append((float(delay), c, d))

@@ -5,7 +5,8 @@ below the quantum non-Gaussian regime:
 
 * ``CLASSICAL``       - mixtures of coherent states (closed form),
 * ``GAUSSIAN_MIN``    - mixtures of pure Gaussian states S(xi)D(alpha)|0>,
-* ``GAUSSIAN_INTRINSIC`` - Gaussian operations applied to any single Fock state,
+* ``GAUSSIAN_INTRINSIC`` - Gaussian operations applied to any single Fock state
+  |k>, k <= MAX_FOCK,
 * ``GENUINE_N``       - Gaussian operations applied to any superposition of
   Fock states below max(m,n) (the core state).
 
@@ -43,8 +44,7 @@ ALPHA_CAP = fock.SDF_ALPHA_MAX
 
 GAUSSIAN_MIN_INDEX_CAP = 10
 GENUINE_INDEX_CAP = 10
-INTRINSIC_FOCK_CAP = 12
-DEFAULT_MAX_FOCK = 10
+MAX_FOCK = 10
 
 
 class ThresholdKind(enum.IntEnum):
@@ -203,13 +203,13 @@ def _search_gaussian(batch_objective, groups=(Group(),)):
     return results
 
 
-def _recheck_truncation(result: ThresholdResult,
-                        dim: int = fock.DEFAULT_TRUNC) -> None:
-    """Re-evaluate the optimum through the truncated-matrix route at ``dim``
-    and ``2 dim``; all three values must agree to 1e-6.
+def _recheck_truncation(result: ThresholdResult) -> None:
+    """Re-evaluate the optimum through the truncated-matrix route at
+    ``dim = DEFAULT_TRUNC`` and ``2 dim``; all three values must agree to 1e-6.
 
     Each truncation exponentiates at its full ``d + DEFAULT_PAD`` levels but
     keeps only the block that holds rows ``m, n`` and the input columns."""
+    dim = fock.DEFAULT_TRUNC
     k = result.fock_index if result.fock_index is not None else 0
     c = result.core_state.coeffs if result.core_state is not None else np.eye(k + 1)[k]
     block = max(result.pair.n + 1, len(c))
@@ -252,11 +252,6 @@ def _memoized(key: tuple, compute):
         return _MEMO[key]
 
 
-def _memo_key(kind: ThresholdKind, pair: FockPair, max_fock: int) -> tuple:
-    return (kind, pair.m, pair.n,
-            max_fock if kind == ThresholdKind.GAUSSIAN_INTRINSIC else None)
-
-
 # ---------------------------------------------------------------------------
 # threshold operations
 # ---------------------------------------------------------------------------
@@ -285,7 +280,7 @@ def classical_threshold(pair: FockPair) -> ThresholdResult:
         _recheck_truncation(result)
         return result
 
-    key = (ThresholdKind.CLASSICAL, m, n, None)
+    key = (ThresholdKind.CLASSICAL, m, n)
     return _memoized(key, lambda: {key: compute()})
 
 
@@ -310,27 +305,25 @@ def _constraint_seeds(pair: FockPair) -> list[np.ndarray]:
     return seeds
 
 
-def _cap_error(kind: ThresholdKind, pair: FockPair, max_fock: int) -> str | None:
-    """Why ``kind`` is not validated at ``pair`` and ``max_fock``, or None."""
-    if kind == ThresholdKind.GAUSSIAN_INTRINSIC:
-        return (f"max_fock above validated cap {INTRINSIC_FOCK_CAP}"
-                if max_fock > INTRINSIC_FOCK_CAP else None)
-    cap = GAUSSIAN_MIN_INDEX_CAP if kind == ThresholdKind.GAUSSIAN_MIN else GENUINE_INDEX_CAP
-    return f"validated for max(m,n) <= {cap}" if pair.n > cap else None
+def _cap_error(kind: ThresholdKind, pair: FockPair) -> str | None:
+    """Why ``kind`` is not validated at ``pair``, or None; intrinsic has no cap."""
+    cap = {ThresholdKind.GAUSSIAN_MIN: GAUSSIAN_MIN_INDEX_CAP,
+           ThresholdKind.GENUINE_N: GENUINE_INDEX_CAP}.get(kind)
+    return f"validated for max(m,n) <= {cap}" if cap is not None and pair.n > cap else None
 
 
-def _search_pair(pair: FockPair, max_fock: int) -> dict:
+def _search_pair(pair: FockPair) -> dict:
     """Search every Gaussian kind whose cap admits ``pair`` in one lockstep
     run over the pair's table, then check each optimum.
 
     gaussian-min searches row 0 with constraint seeds, intrinsic the rows of
-    the input Fock levels up to ``max_fock`` on a coarser grid with fewer
+    the input Fock levels up to ``MAX_FOCK`` on a coarser grid with fewer
     starts, genuine the closed-form row.  Returns the memo entries of those
     kinds; a failure of any search or check fails every kind of the pair.
     """
     intrinsic = ThresholdKind.GAUSSIAN_INTRINSIC
-    kinds = [k for k in ORDERED_KINDS[1:] if _cap_error(k, pair, max_fock) is None]
-    inputs = range(max_fock + 1) if intrinsic in kinds else ()
+    kinds = [k for k in ORDERED_KINDS[1:] if _cap_error(k, pair) is None]
+    inputs = range(MAX_FOCK + 1) if intrinsic in kinds else ()
     n_inputs = max(len(inputs), pair.n)
     groups = {ThresholdKind.GAUSSIAN_MIN: [Group(0, seeds=_constraint_seeds(pair))],
               intrinsic: [Group(k, grid_density=9, n_starts=8) for k in inputs],
@@ -363,7 +356,7 @@ def _search_pair(pair: FockPair, max_fock: int) -> dict:
             result.fock_index, result.core_state = None, CoreState(evecs[:, -1])
             result.diagnostics.update(eigensolver_value=lam, interference_phase=theta)
         _recheck_truncation(result)
-        results[_memo_key(kind, pair, max_fock)] = result
+        results[(kind, pair.m, pair.n)] = result
     return results
 
 
@@ -376,14 +369,13 @@ def gaussian_min_threshold(pair: FockPair) -> ThresholdResult:
     return threshold(ThresholdKind.GAUSSIAN_MIN, pair)
 
 
-def intrinsic_threshold(pair: FockPair,
-                        max_fock: int = DEFAULT_MAX_FOCK) -> ThresholdResult:
+def intrinsic_threshold(pair: FockPair) -> ThresholdResult:
     """Largest C_{m,n} over Gaussian operations on any single Fock state.
 
-    Searches every input Fock level up to ``max_fock``, each level with its
+    Searches every input Fock level up to ``MAX_FOCK``, each level with its
     own seeds and boxes, and records which level attains the maximum.
     """
-    return threshold(ThresholdKind.GAUSSIAN_INTRINSIC, pair, max_fock=max_fock)
+    return threshold(ThresholdKind.GAUSSIAN_INTRINSIC, pair)
 
 
 def genuine_threshold(pair: FockPair) -> ThresholdResult:
@@ -399,21 +391,20 @@ def genuine_threshold(pair: FockPair) -> ThresholdResult:
     return threshold(ThresholdKind.GENUINE_N, pair)
 
 
-def threshold(kind: ThresholdKind, pair: FockPair,
-              max_fock: int = DEFAULT_MAX_FOCK) -> ThresholdResult:
+def threshold(kind: ThresholdKind, pair: FockPair) -> ThresholdResult:
     """Dispatch a threshold computation by kind (memoized).
 
     The Gaussian kinds of a pair share one search (``_search_pair``), which
-    fills the memo for all of them; only intrinsic depends on ``max_fock``.
+    fills the memo for all of them.
     """
     if kind == ThresholdKind.CLASSICAL:
         return classical_threshold(pair)
     if kind not in ORDERED_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    problem = _cap_error(kind, pair, max_fock)
+    problem = _cap_error(kind, pair)
     if problem is not None:
         raise ValueError(problem)
-    return _memoized(_memo_key(kind, pair, max_fock), lambda: _search_pair(pair, max_fock))
+    return _memoized((kind, pair.m, pair.n), lambda: _search_pair(pair))
 
 
 def depth_value(measured: float, threshold_value: float, delta: int) -> float:
@@ -422,8 +413,8 @@ def depth_value(measured: float, threshold_value: float, delta: int) -> float:
     return (2.0 / delta ** 2) * math.log(measured / threshold_value)
 
 
-def certify(pair: FockPair, measured: float, uncertainty: float,
-            max_fock: int = DEFAULT_MAX_FOCK) -> CertificationReport:
+def certify(pair: FockPair, measured: float,
+            uncertainty: float) -> CertificationReport:
     """Compare a measured coherence against all four thresholds.
 
     A verdict is ``True`` when the measured value exceeds the threshold; it
@@ -438,7 +429,7 @@ def certify(pair: FockPair, measured: float, uncertainty: float,
 
     thresholds, margins, verdicts, marginal, depths = {}, {}, {}, {}, {}
     for kind in ORDERED_KINDS:
-        thr = threshold(kind, pair, max_fock=max_fock).value
+        thr = threshold(kind, pair).value
         thresholds[kind] = thr
         margins[kind] = measured - thr
         verdicts[kind] = margins[kind] > 0.0

@@ -143,14 +143,14 @@ class TestThermalize:
 
 class TestDepth:
     def test_ideal_02_value(self):
-        res = depth(1.0, FockPair(0, 2), ThresholdKind.GENUINE_N, max_fock=6)
+        res = depth(1.0, FockPair(0, 2), ThresholdKind.GENUINE_N)
         assert res.depth == pytest.approx(0.5 * math.log(1 / res.threshold),
                                           abs=1e-12)
         assert res.depth == pytest.approx(0.08, abs=0.01)
         assert res.certified
 
     def test_exp_04_value(self):
-        res = depth(0.84, FockPair(0, 4), ThresholdKind.GENUINE_N, max_fock=6)
+        res = depth(0.84, FockPair(0, 4), ThresholdKind.GENUINE_N)
         assert res.depth == pytest.approx(0.01, abs=0.01)
 
     def test_zero_at_threshold(self):
@@ -167,12 +167,12 @@ class TestDepth:
     def test_gauge_property(self):
         # dephasing an ideal state by Gamma shifts its depth by -Gamma
         pair = FockPair(0, 3)
-        ideal = depth(1.0, pair, ThresholdKind.GENUINE_N, max_fock=6).depth
+        ideal = depth(1.0, pair, ThresholdKind.GENUINE_N).depth
         for gamma in np.linspace(0.0, ideal * 0.95, 7):
             rho = ideal_superposition(pair, 8).density_matrix()
             decayed = dephase(rho, DephasingParams(gamma))
             c = coherence_quantifier(decayed, pair)
-            d = depth(c, pair, ThresholdKind.GENUINE_N, max_fock=6).depth
+            d = depth(c, pair, ThresholdKind.GENUINE_N).depth
             assert d == pytest.approx(ideal - gamma, abs=1e-9)
 
     def test_domain(self):
@@ -184,22 +184,21 @@ class TestThermalDepthLimit:
     def test_zero_rate_is_constant(self):
         pair = FockPair(0, 1)
         curve = thermal_depth_limit(pair, 0.0, [0.0, 0.01, 0.02],
-                                    ThresholdKind.GENUINE_N, max_fock=6)
-        ideal = depth(1.0, pair, ThresholdKind.GENUINE_N, max_fock=6).depth
+                                    ThresholdKind.GENUINE_N)
+        ideal = depth(1.0, pair, ThresholdKind.GENUINE_N).depth
         for _, d in curve:
             assert d == pytest.approx(ideal, abs=1e-9)
 
     def test_time_zero_matches_ideal_depth(self):
         pair = FockPair(0, 2)
-        curve = thermal_depth_limit(pair, 3.2, [0.0], ThresholdKind.GENUINE_N,
-                                    max_fock=6)
+        curve = thermal_depth_limit(pair, 3.2, [0.0], ThresholdKind.GENUINE_N)
         assert curve[0][1] == pytest.approx(0.0754, abs=0.005)
 
     def test_04_starts_about_twice_06(self):
         d4 = thermal_depth_limit(FockPair(0, 4), 3.2, [0.0],
-                                 ThresholdKind.GENUINE_N, max_fock=6)[0][1]
+                                 ThresholdKind.GENUINE_N)[0][1]
         d6 = thermal_depth_limit(FockPair(0, 6), 3.2, [0.0],
-                                 ThresholdKind.GENUINE_N, max_fock=6)[0][1]
+                                 ThresholdKind.GENUINE_N)[0][1]
         assert d4 / d6 == pytest.approx(2.0, abs=0.6)
 
     def test_unsorted_times_rejected(self):

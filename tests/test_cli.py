@@ -79,7 +79,6 @@ class TestCertifyCommand:
         result = runner.invoke(main, ["certify", "--pair", "0,4",
                                       "--measured", "0.84",
                                       "--uncertainty", "0.04",
-                                      "--max-fock", "6",
                                       "--out", str(out)])
         assert result.exit_code == 0
         payload = json.loads(out.read_text())
@@ -93,7 +92,6 @@ class TestCertifyCommand:
         result = runner.invoke(main, ["certify", "--pair", "0,6",
                                       "--measured", "0.80",
                                       "--uncertainty", "0.05",
-                                      "--max-fock", "6",
                                       "--out", str(out)])
         payload = json.loads(out.read_text())
         assert payload["kinds"]["genuine"]["marginal"] is True
@@ -105,14 +103,6 @@ class TestCertifyCommand:
                                       "--out", str(tmp_path / "c.json")])
         assert result.exit_code == 1
         assert "domain error" in result.output
-
-    def test_out_of_range_max_fock_domain_error(self, runner, tmp_path):
-        result = runner.invoke(main, ["certify", "--pair", "0,2",
-                                      "--measured", "0.9", "--max-fock", "13",
-                                      "--out", str(tmp_path / "c.json")])
-        assert result.exit_code == 1
-        assert "domain error: max_fock above validated cap 12" in result.output
-        assert isinstance(result.exception, SystemExit)
 
     def test_all_false_exit_code(self, runner, tmp_path):
         out = tmp_path / "cert.json"
@@ -203,6 +193,19 @@ class TestSimulateCommand:
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_non_positive_shots_config_error(self, runner, tmp_path, shots):
+        # null is exact readout; zero or negative shots is a bad config, not
+        # exact readout and not a simulation error
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"pair": [0, 1], "delays": [0.0],
+                                       "shots": shots}))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "config error: shots must be positive" in result.output
+        assert not (tmp_path / "o").exists()
+
 
 class TestMcVerifyCommand:
     def test_sound_threshold(self, runner, tmp_path):
@@ -217,7 +220,7 @@ class TestMcVerifyCommand:
 
     def test_violations_exit_code(self, runner, tmp_path, monkeypatch):
         # force an artificially low threshold to exercise the blocker path
-        def fake_threshold(kind, pair, max_fock=10):
+        def fake_threshold(kind, pair):
             return ThresholdResult(kind=ThresholdKind.CLASSICAL,
                                    pair=FockPair(0, 1), value=0.5,
                                    argmax=GaussianParams())
@@ -240,7 +243,7 @@ class TestMcVerifyCommand:
         TruncationRiskError("threshold optimum unstable under truncation doubling"),
         NonConvergenceError("no refinement start reached the grid seed value", {})])
     def test_threshold_failure_exit_code(self, runner, tmp_path, monkeypatch, error):
-        def failing_threshold(kind, pair, max_fock=10):
+        def failing_threshold(kind, pair):
             raise error
 
         monkeypatch.setattr(qngcoh.mc, "threshold", failing_threshold)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qngcoh import ramsey as ramsey_module
 from qngcoh.channels import TruncationError
 from qngcoh.fock import FockPair
 from qngcoh.ramsey import (ConditioningError, FitError, MappingConditionError,
@@ -129,10 +130,11 @@ class TestSequences:
         assert PulseKind.SHELVE not in [p.kind for p in seq2.prep]
 
     def test_0n_analysis_mirrors_prep(self):
-        seq = build_sequence_0n(3, phase_offset=0.4)
+        seq = build_sequence_0n(3)
         assert len(seq.analysis) == len(seq.prep)
+        assert seq.scan_index == len(seq.analysis) - 1
         assert seq.analysis[-1].kind == PulseKind.BSB
-        assert seq.analysis[-1].phase == pytest.approx(math.pi + 0.4)
+        assert seq.analysis[-1].phase == pytest.approx(math.pi)
 
     def test_0n_range(self):
         with pytest.raises(ValueError):
@@ -159,9 +161,11 @@ class TestSequences:
             assert found["j"] == expected
             assert abs(found["l"] - round(found["l"])) <= 0.02
 
-    def test_mapping_condition_error(self):
+    def test_mapping_condition_error(self, monkeypatch):
+        monkeypatch.setattr(ramsey_module, "MAPPING_J_MAX", 2)
+        monkeypatch.setattr(ramsey_module, "MAPPING_TOL", 1e-4)
         with pytest.raises(MappingConditionError):
-            find_mapping_pulse(2, 3, j_max=2, tol=1e-4)
+            find_mapping_pulse(2, 3)
 
 
 class TestRunRamsey:
@@ -357,8 +361,7 @@ class TestFitPopulations:
 class TestDecayScan:
     def test_zero_noise_gives_ideal_depth(self):
         pair = FockPair(0, 1)
-        scan = decay_scan(pair, [0.0], NoiseConfig(), ThresholdKind.GENUINE_N,
-                          max_fock=6)
+        scan = decay_scan(pair, [0.0], NoiseConfig(), ThresholdKind.GENUINE_N)
         thr = threshold(ThresholdKind.GENUINE_N, pair).value
         _, contrast, depth_val = scan[0]
         assert contrast >= 1 - 1e-6
@@ -372,7 +375,7 @@ class TestDecayScan:
         pair = FockPair(0, 2)
         delays = [0.0, 0.001, 0.002, 0.003]
         scan = decay_scan(pair, delays, NoiseConfig(heating_rate=3.2),
-                          ThresholdKind.GENUINE_N, max_fock=6)
+                          ThresholdKind.GENUINE_N)
         for delay, contrast, _ in scan:
             mat = ideal_superposition(pair, 24).density_matrix().matrix
             c_channel = coherence_quantifier(
@@ -384,9 +387,9 @@ class TestDecayScan:
         noise = NoiseConfig(heating_rate=3.2, dephasing_rate=1.0)
         delays = [0.0, 0.004, 0.008, 0.012, 0.016, 0.020]
         scan_02 = decay_scan(FockPair(0, 2), delays, noise,
-                             ThresholdKind.GENUINE_N, max_fock=6)
+                             ThresholdKind.GENUINE_N)
         scan_12 = decay_scan(FockPair(1, 2), delays, noise,
-                             ThresholdKind.GENUINE_N, max_fock=6)
+                             ThresholdKind.GENUINE_N)
         d02 = [d for _, _, d in scan_02]
         d12 = [d for _, _, d in scan_12]
         assert d12[0] > d02[0] > 0

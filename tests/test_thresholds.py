@@ -10,8 +10,9 @@ from qngcoh.fock import (FockPair, GaussianParams,
                          coherence_quantifier, sdf_amplitude_raw)
 from qngcoh import thresholds as thresholds_module
 from qngcoh.optimize import Group, maximize
-from qngcoh.thresholds import (ALPHA_BOUND, ALPHA_CAP, ORDERED_KINDS, XI_BOUND,
-                               XI_CAP, ThresholdKind, _constraint_seeds, _search_gaussian,
+from qngcoh.thresholds import (ALPHA_BOUND, ALPHA_CAP, MAX_FOCK, ORDERED_KINDS, XI_BOUND,
+                               XI_CAP, ThresholdKind, _constraint_seeds,
+                               _pair_objective, _search_gaussian,
                                certify, classical_threshold, clear_threshold_cache,
                                gaussian_min_threshold, genuine_coherence_matrix,
                                genuine_threshold, intrinsic_threshold,
@@ -86,18 +87,14 @@ class TestGaussianMin:
 
 class TestIntrinsic:
     def test_02_anchor_and_optimal_fock(self):
-        res = intrinsic_threshold(FockPair(0, 2), max_fock=6)
+        res = intrinsic_threshold(FockPair(0, 2))
         assert res.value == pytest.approx(0.70, abs=0.01)
         assert res.fock_index == 0
 
     def test_03_optimal_fock_is_one(self):
-        res = intrinsic_threshold(FockPair(0, 3), max_fock=6)
+        res = intrinsic_threshold(FockPair(0, 3))
         assert res.value == pytest.approx(0.63, abs=0.01)
         assert res.fock_index == 1
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            intrinsic_threshold(FockPair(0, 2), max_fock=13)
 
 
 class TestGenuine:
@@ -139,45 +136,45 @@ class TestSelfConsistency:
     @pytest.mark.parametrize("kind", list(ORDERED_KINDS))
     def test_value_matches_argmax_state(self, kind):
         pair = FockPair(0, 2)
-        res = threshold(kind, pair, max_fock=6)
+        res = threshold(kind, pair)
         rho = res.argmax_state(dim=128).density_matrix()
         assert coherence_quantifier(rho, pair) == pytest.approx(res.value,
                                                                 abs=1e-6)
 
     def test_hierarchy_ordering_quick(self):
         for pair in (FockPair(0, 1), FockPair(0, 2), FockPair(1, 2)):
-            vals = [threshold(k, pair, max_fock=6).value for k in ORDERED_KINDS]
+            vals = [threshold(k, pair).value for k in ORDERED_KINDS]
             assert all(v1 <= v2 + 1e-9 for v1, v2 in zip(vals, vals[1:]))
 
     def test_middle_kinds_coincide_at_01(self):
         # the optimal input Fock state at (0,1) is the vacuum, so the
         # Gaussian-minimum and intrinsic thresholds are one number there
         gm = gaussian_min_threshold(FockPair(0, 1)).value
-        gi = intrinsic_threshold(FockPair(0, 1), max_fock=6).value
+        gi = intrinsic_threshold(FockPair(0, 1)).value
         assert gi == pytest.approx(gm, abs=1e-6)
 
 
 class TestCertify:
     def test_published_row_02(self):
-        report = certify(FockPair(0, 2), 0.917, 0.004, max_fock=6)
+        report = certify(FockPair(0, 2), 0.917, 0.004)
         assert all(report.verdicts.values())
         assert report.margins[ThresholdKind.GENUINE_N] == pytest.approx(
             0.057, abs=0.005)
         assert not report.marginal[ThresholdKind.GENUINE_N]
 
     def test_marginal_row_03(self):
-        report = certify(FockPair(0, 3), 0.81, 0.03, max_fock=6)
+        report = certify(FockPair(0, 3), 0.81, 0.03)
         assert report.marginal[ThresholdKind.GENUINE_N]
         assert abs(report.margins[ThresholdKind.GENUINE_N]) < 0.03
 
     def test_zero_coherence(self):
-        report = certify(FockPair(0, 1), 0.0, 0.0, max_fock=6)
+        report = certify(FockPair(0, 1), 0.0, 0.0)
         assert not any(report.verdicts.values())
         assert all(m < 0 for m in report.margins.values())
         assert all(d == float("-inf") for d in report.depths.values())
 
     def test_verdicts_monotone_along_hierarchy(self):
-        report = certify(FockPair(0, 2), 0.60, 0.0, max_fock=6)
+        report = certify(FockPair(0, 2), 0.60, 0.0)
         flags = [report.verdicts[k] for k in ORDERED_KINDS]
         assert flags == sorted(flags, reverse=True)
 
@@ -217,13 +214,13 @@ class TestCaching:
         monkeypatch.setenv("QNG_CACHE_DIR", str(tmp_path))
         clear_threshold_cache()
         pair = FockPair(0, 2)
-        report = certify(pair, 0.6, 0.0, max_fock=6)
+        report = certify(pair, 0.6, 0.0)
         genuine = ThresholdKind.GENUINE_N
         assert report.thresholds[genuine] == pytest.approx(0.8583496, abs=1e-6)
         assert report.verdicts[genuine] is False
         assert [p.name for p in tmp_path.iterdir()] == ["genuine_n_0_2.json"]
         for kind in ORDERED_KINDS:
-            assert "truncation_recheck" in threshold(kind, pair, max_fock=6).diagnostics
+            assert "truncation_recheck" in threshold(kind, pair).diagnostics
 
 
 class TestSearchReproducibility:
@@ -267,7 +264,7 @@ class TestJointSearch:
         assert gmin["grid_points"] == 12 ** 3 + len(_constraint_seeds(pair))
         assert len(intrinsic["starts"]) == 8      # the best Fock level's starts
         assert intrinsic["grid_points"] == 9 ** 3
-        assert sorted(intrinsic["per_fock_values"]) == list(range(11))
+        assert sorted(intrinsic["per_fock_values"]) == list(range(MAX_FOCK + 1))
         assert len(genuine["starts"]) == 16
         assert genuine["grid_points"] == 12 ** 3
         for trace in (gmin, intrinsic, genuine):
@@ -282,33 +279,31 @@ class TestJointSearch:
         lone = threshold(ThresholdKind.GENUINE_N, pair)
         assert lone.value == reported[ThresholdKind.GENUINE_N].value
         assert lone.diagnostics == reported[ThresholdKind.GENUINE_N].diagnostics
-        # the lone request filled the memo for the other searched kinds too,
-        # and gaussian-min and genuine serve any max_fock
+        # the lone request filled the memo for the other searched kinds too
         monkeypatch.setattr(thresholds_module, "_search_pair", None)
         for kind in (ThresholdKind.GAUSSIAN_MIN, ThresholdKind.GAUSSIAN_INTRINSIC):
             assert threshold(kind, pair).diagnostics == reported[kind].diagnostics
-        assert threshold(ThresholdKind.GENUINE_N, pair, max_fock=6) is lone
+        assert threshold(ThresholdKind.GENUINE_N, pair) is lone
 
-    def test_smaller_fock_scan_leaves_other_kinds_unchanged(self):
-        # each group's search is independent of the others in the run
+    def test_intrinsic_row_is_independent_of_the_joint_run(self):
+        # the best intrinsic row of the joint run searches alone to the same
+        # value and start trace: no group's search sees the others
         pair = FockPair(1, 3)
-        wide = thresholds_module._search_pair(pair, 10)
-        narrow = thresholds_module._search_pair(pair, 6)
-        for kind in (ThresholdKind.GAUSSIAN_MIN, ThresholdKind.GENUINE_N):
-            key = (kind, 1, 3, None)
-            assert narrow[key].value == wide[key].value
-            assert narrow[key].diagnostics == wide[key].diagnostics
-        intrinsic = ThresholdKind.GAUSSIAN_INTRINSIC
-        wide_values = wide[(intrinsic, 1, 3, 10)].diagnostics["per_fock_values"]
-        assert narrow[(intrinsic, 1, 3, 6)].diagnostics["per_fock_values"] == {
-            k: wide_values[k] for k in range(7)}
+        joint = thresholds_module._search_pair(pair)[(ThresholdKind.GAUSSIAN_INTRINSIC, 1, 3)]
+        k = joint.fock_index
+        (lone,) = _search_gaussian(_pair_objective(pair, MAX_FOCK + 1),
+                                   [Group(k, grid_density=9, n_starts=8)])
+        assert lone.value == joint.value == joint.diagnostics["per_fock_values"][k]
+        assert lone.trace["starts"] == joint.diagnostics["starts"]
 
     def test_capped_kinds_stay_out_of_the_run(self):
         pair = FockPair(0, 11)
-        entries = thresholds_module._search_pair(pair, 1)
-        assert list(entries) == [(ThresholdKind.GAUSSIAN_INTRINSIC, 0, 11, 1)]
+        entries = thresholds_module._search_pair(pair)
+        key = (ThresholdKind.GAUSSIAN_INTRINSIC, 0, 11)
+        assert list(entries) == [key]
+        assert sorted(entries[key].diagnostics["per_fock_values"]) == list(range(MAX_FOCK + 1))
         with pytest.raises(ValueError, match="validated for max"):
-            threshold(ThresholdKind.GENUINE_N, pair, max_fock=1)
+            threshold(ThresholdKind.GENUINE_N, pair)
 
     def test_truncation_recheck_matches_full_crops(self):
         for kind in ORDERED_KINDS:
