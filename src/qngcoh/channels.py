@@ -17,15 +17,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .fock import DensityMatrix, FockPair, ideal_superposition
+from .fock import DEFAULT_TRUNC, DensityMatrix, FockPair, ideal_superposition
 from .thresholds import ThresholdKind, depth_value, threshold
 
 #: population allowed in the top truncation levels after heating
 HEAT_TAIL_TOL = 1e-6
+#: bound on the population at the truncation edge that :func:`_tail_dim` allows
+EDGE_TAIL_TOL = 1e-12
 
 
 class TruncationError(RuntimeError):
-    """Heating pushed population into the truncation guard band."""
+    """Population reaches the truncation edge, or would need more levels."""
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,27 @@ def _heat(mat: np.ndarray, rate: float, duration: float) -> np.ndarray:
     return out
 
 
+def _tail_dim(top: int, nbar: float, heat: float, reach: int) -> int:
+    """Oscillator dimension ``top + k + 1`` for a run that fills Fock levels
+    up to ``top`` from a thermal start of mean ``nbar``, heats by
+    ``heat = rate * t`` phonons, then lifts by at most ``reach`` levels.
+    ``k >= max(1, reach)`` is the first offset whose bounded population on or
+    above the edge level ``top + k`` is under ``EDGE_TAIL_TOL`` (the bound
+    falls with ``k`` from there on); ``TruncationError`` above ``DEFAULT_TRUNC``.
+
+    Thermal rung ``j`` (weight ``(1-x) x^j``, ``x = nbar/(1+nbar)``) starts
+    at most at ``top + j``.  A pure-birth process with the same raising rates
+    dominates the equal-rate reservoir: heating adds ``k`` or more phonons to
+    Fock ``L`` with probability at most ``C(L+k, k) q^k``, ``q = 1 - e^-heat``."""
+    x, q = nbar / (1.0 + nbar), -math.expm1(-heat)
+    for k in range(max(1, reach), DEFAULT_TRUNC - top):
+        if x ** k + sum((1.0 - x) * x ** j * math.comb(top + k, k - j) * q ** (k - j)
+                        for j in range(k)) <= EDGE_TAIL_TOL:
+            return top + k + 1
+    raise TruncationError(f"heating tail above Fock {top} (nbar {nbar}, rate*t "
+                          f"{heat}) needs more than {DEFAULT_TRUNC} levels")
+
+
 def thermalize(rho: DensityMatrix, h: HeatingParams) -> DensityMatrix:
     """Heating channel with mean-phonon growth ``d<n>/dt`` equal to ``h.rate``,
     propagated exactly over ``h.duration`` (see :func:`thermalize_matrix`).
@@ -206,22 +229,19 @@ def thermal_depth_limit(pair: FockPair, h_rate: float, times,
 
     Thermalizes the ideal balanced superposition for each requested time and
     converts the surviving coherence to a depth; an upper envelope for any
-    experiment at the same heating rate, at ``n + 16`` levels plus 4 per
-    phonon heated in.  Raises ``TruncationError`` under the tail guard of
-    :func:`thermalize`.
+    experiment at the same heating rate, at the :func:`_tail_dim` truncation
+    for the last time.  Raises ``TruncationError`` when that needs more than
+    ``DEFAULT_TRUNC`` levels or under the tail guard of :func:`thermalize`.
     """
     times = list(times)
     if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be sorted ascending")
-    dim = pair.n + 16 + int(math.ceil(4.0 * h_rate * (times[-1] if times else 0.0)))
-    rho = ideal_superposition(pair, dim).density_matrix()
+    dim = _tail_dim(pair.n, 0.0, h_rate * (times[-1] if times else 0.0), 0)
+    mat = ideal_superposition(pair, dim).density_matrix().matrix
     thr = threshold(kind, pair).value
     out = []
-    prev_t = 0.0
-    mat = rho.matrix
-    for t in times:
+    for prev_t, t in zip([0.0] + times, times):
         mat = _heat(mat, h_rate, t - prev_t)
-        prev_t = t
         c = 2.0 * float(np.abs(mat[pair.m, pair.n]))
         d = depth_value(c, thr, pair.delta) if c > 0 else float("-inf")
         out.append((float(t), d))

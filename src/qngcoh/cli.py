@@ -181,9 +181,7 @@ def _noise_from_config(blob: dict) -> NoiseConfig:
 @click.option("--config", "config_path", type=click.Path(path_type=Path),
               required=True, help="YAML/JSON scenario file.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True)
-@click.option("--trunc-dim", type=int, default=None,
-              help="Override the oscillator truncation for the simulator.")
-def cmd_simulate(config_path: Path, out_dir: Path, trunc_dim) -> int:
+def cmd_simulate(config_path: Path, out_dir: Path) -> int:
     """Run Ramsey decay scans from a scenario config.
 
     Config keys: ``pairs`` (list of [m, n]) or ``pair``, ``delays`` (seconds),
@@ -198,9 +196,13 @@ def cmd_simulate(config_path: Path, out_dir: Path, trunc_dim) -> int:
             raise ValueError("config needs 'pair' or 'pairs'")
         pairs = [FockPair(int(p[0]), int(p[1])) for p in raw_pairs]
         delays = [float(t) for t in blob["delays"]]
+        if delays != sorted(delays):
+            raise ValueError(f"delays must be sorted ascending, got {delays}")
         noise_block = blob.get("noise", {})
         noise = _noise_from_config(noise_block)
         n_phases = int(blob.get("phases", 16))
+        if n_phases < 3:
+            raise ValueError(f"phases must be at least 3 for a fringe fit, got {n_phases}")
         shots = None if blob.get("shots") is None else int(blob["shots"])
         if shots is not None and shots < 1:
             raise ValueError(f"shots must be positive (null for exact readout), got {shots}")
@@ -221,8 +223,7 @@ def cmd_simulate(config_path: Path, out_dir: Path, trunc_dim) -> int:
 
         try:
             scan = decay_scan(pair, delays, noise, kind, n_phases=n_phases,
-                              shots=shots, seed=seed, dim=trunc_dim,
-                              fringe_sink=sink)
+                              shots=shots, seed=seed, fringe_sink=sink)
         except Exception as exc:  # noqa: BLE001 - identify the failing delay
             done = len(fringes)
             failing = delays[done] if done < len(delays) else delays[-1]

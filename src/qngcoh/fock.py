@@ -170,10 +170,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
         self.validate()
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def validate(self) -> None:
         mat = self.matrix
         herm_defect = float(np.max(np.abs(mat - mat.conj().T)))

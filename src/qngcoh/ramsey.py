@@ -119,10 +119,6 @@ class SpinOscState:
             raise ValueError(f"expected shape (3, dim), got {amps.shape}")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[1]
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -153,10 +149,6 @@ class RamseySequence:
     analysis: list[PulseSpec]
     scan_index: int
     meta: dict = field(default_factory=dict)
-
-    @property
-    def top_level(self) -> int:
-        return self.meta.get("top_level", self.pair.n)
 
     def shelve_pairs(self) -> int:
         kinds = [p.kind for p in self.prep + self.analysis]
@@ -270,9 +262,7 @@ def build_sequence_0n(n: int) -> RamseySequence:
 
     analysis = [p.inverse() for p in reversed(prep)]
     return RamseySequence(pair=FockPair(0, n), prep=prep, analysis=analysis,
-                          scan_index=len(analysis) - 1,
-                          meta={"top_level": n, "shelved": shelved,
-                                "prep_pulses": len(prep)})
+                          scan_index=len(analysis) - 1)
 
 
 def find_mapping_pulse(m: int, n: int) -> dict:
@@ -334,8 +324,7 @@ def build_sequence_mn(m: int, n: int) -> RamseySequence:
     # original rungs.
     analysis = [p.inverse() for p in reversed(prep[-2:])]
     return RamseySequence(pair=pair, prep=prep, analysis=analysis, scan_index=1,
-                          meta={"top_level": n, "variant": variant,
-                                "mapping": mapping, "prep_pulses": len(prep)})
+                          meta={"variant": variant, "mapping": mapping})
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +429,16 @@ def fit_fringe(phases: np.ndarray, pe: np.ndarray,
 
 
 def simulation_dim(seq: RamseySequence, noise: NoiseConfig, delay: float) -> int:
-    """Default truncation: top level, 12 guard levels, 8 per expected phonon."""
-    return seq.top_level + 12 + math.ceil(8.0 * noise.heating_rate * delay)
+    """Oscillator truncation of a fringe: the heated-tail bound of
+    ``channels._tail_dim``, with the analysis half's sideband pulses (one
+    phonon each at most) as its reach."""
+    reach = sum(p.kind in (PulseKind.BSB, PulseKind.RSB) for p in seq.analysis)
+    return channels._tail_dim(seq.pair.n, noise.initial_thermal_nbar,
+                              noise.heating_rate * delay, reach)
 
 
 def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
-               phases, shots: int | None = None, seed: int = 0,
-               dim: int | None = None) -> RamseyFringe:
+               phases, shots: int | None = None, seed: int = 0) -> RamseyFringe:
     """Simulate one full Ramsey fringe at a fixed delay.
 
     Thermal initialization, jittered preparation pulses, free-precession
@@ -455,15 +447,14 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
     a cosine fringe.  ``shots=None`` reads P_e exactly, otherwise binomial
     projection noise is added.  With a thermal start the fitted contrast
     includes the in-phase fringes of the occupied spectator rungs, so it is
-    not the prepared state's coherence.
+    not the prepared state's coherence.  Runs at :func:`simulation_dim` levels.
     """
     phases = np.asarray(list(phases), dtype=float)
     if phases.size == 0:
         raise ValueError("need a non-empty phase scan")
     if shots is not None and shots < 1:
         raise ValueError("shots must be positive (or None for exact readout)")
-    if dim is None:
-        dim = simulation_dim(seq, noise, delay)
+    dim = simulation_dim(seq, noise, delay)
 
     children = np.random.SeedSequence((seed, 0x52414D)).spawn(phases.size + 1)
     pulses = seq.prep + seq.analysis
@@ -500,11 +491,9 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
                         contrast_err=err, fit_phase_offset=offset, dim=dim)
 
 
-def prepared_state(seq: RamseySequence, noise: NoiseConfig,
-                   dim: int | None = None) -> np.ndarray:
+def prepared_state(seq: RamseySequence, noise: NoiseConfig) -> np.ndarray:
     """Density matrix right after the preparation half (no delay, no jitter)."""
-    if dim is None:
-        dim = simulation_dim(seq, noise, 0.0)
+    dim = simulation_dim(seq, noise, 0.0)
     rho0 = thermal_spin_osc(noise.initial_thermal_nbar, dim)[..., None]
     return _apply_unitaries(rho0, seq.prep, dim)[..., 0]
 
@@ -576,7 +565,7 @@ def fit_populations(signal, carrier_rabi: float, eta: float, gamma0: float,
 
 def decay_scan(pair: FockPair, delays, noise: NoiseConfig, kind: ThresholdKind,
                n_phases: int = 16, shots: int | None = None, seed: int = 0,
-               dim: int | None = None, fringe_sink=None) -> list[tuple[float, float, float]]:
+               fringe_sink=None) -> list[tuple[float, float, float]]:
     """Contrast and threshold depth versus Ramsey delay.
 
     Balanced |0>,|n> superpositions use the composite-ladder sequence, mixed
@@ -592,22 +581,15 @@ def decay_scan(pair: FockPair, delays, noise: NoiseConfig, kind: ThresholdKind,
     delays = list(delays)
     if any(t2 < t1 for t1, t2 in zip(delays, delays[1:])):
         raise ValueError("delays must be sorted ascending")
-    if pair.m == 0:
-        seq = build_sequence_0n(pair.n)
-    else:
-        seq = build_sequence_mn(pair.m, pair.n)
+    seq = build_sequence_0n(pair.n) if pair.m == 0 else build_sequence_mn(pair.m, pair.n)
     phases = np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)
     out = []
     for i, delay in enumerate(delays):
         sub_seed = int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
-        fringe = run_ramsey(seq, delay, noise, phases, shots=shots,
-                            seed=sub_seed, dim=dim)
+        fringe = run_ramsey(seq, delay, noise, phases, shots=shots, seed=sub_seed)
         if fringe_sink is not None:
             fringe_sink(float(delay), fringe)
         c = fringe.contrast
-        if c > 0.0:
-            d = channels.depth(c, pair, kind).depth
-        else:
-            d = float("-inf")
+        d = channels.depth(c, pair, kind).depth if c > 0.0 else float("-inf")
         out.append((float(delay), c, d))
     return out

@@ -261,8 +261,8 @@ def test_criterion_10_simulator_ideality_and_thermal_match():
     for n in (1, 2):
         seq = build_sequence_0n(n)
         contrast = run_ramsey(seq, 0.0, noise, PHASES).contrast
-        dim = seq.top_level + 12
-        rho = prepared_state(seq, noise, dim)
+        rho = prepared_state(seq, noise)
+        dim = rho.shape[0] // 3
         row_b, level_b = arm_b[n]
         b = row_b * dim + level_b
         coherence = 2.0 * abs(rho[0, b])

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qngcoh.channels import (DephasingParams, HeatingParams, TruncationError,
-                             dephase, dephase_matrix, depth, depth_value,
+from qngcoh.channels import (EDGE_TAIL_TOL, DephasingParams, HeatingParams,
+                             TruncationError, _tail_dim, dephase, dephase_matrix, depth, depth_value,
                              mean_phonons, thermal_depth_limit, thermalize,
                              thermalize_matrix)
 from qngcoh.fock import (DensityMatrix, FockPair, coherence_quantifier,
@@ -207,11 +207,31 @@ class TestThermalDepthLimit:
                                 ThresholdKind.CLASSICAL)
 
     def test_tail_guard(self):
-        # the default truncation for (0,1) at 400 phonons/s and 50 ms is 97
-        # levels, and heating leaves 0.8% of the population in the top 8
+        # 20 phonons of heating need more levels than the cap
         with pytest.raises(TruncationError):
             thermal_depth_limit(FockPair(0, 1), 400.0, [0.05],
                                 ThresholdKind.CLASSICAL)
+
+
+class TestTailDim:
+    @pytest.mark.parametrize("top, nbar", [(4, 0.0), (2, 0.07), (0, 0.5)])
+    def test_bound_holds_on_a_wide_space(self, top, nbar):
+        # a thermal distribution lifted by top levels, heated 0.077 phonon on
+        # 64 levels, leaves at most the tolerance on or above the chosen edge
+        dim = _tail_dim(top, nbar, 3.2 * 0.024, 0)
+        mat = np.zeros((64, 64), dtype=complex)
+        mat[top:, top:] = DensityMatrix.thermal(nbar, 64 - top).matrix
+        heated = np.real(np.diagonal(thermalize_matrix(mat, 3.2, 0.024)))
+        assert dim < 40 and heated[dim - 1:].sum() <= EDGE_TAIL_TOL
+
+    def test_reach_sets_the_floor(self):
+        assert _tail_dim(2, 0.0, 0.0, 0) == 4
+        assert _tail_dim(2, 0.0, 0.0, 5) == 8
+
+    @pytest.mark.parametrize("top, heat, reach", [(1, 20.0, 0), (0, 0.0, 200)])
+    def test_raises_above_cap(self, top, heat, reach):
+        with pytest.raises(TruncationError, match="more than 128 levels"):
+            _tail_dim(top, 0.0, heat, reach)
 
 
 def test_depth_value_formula():

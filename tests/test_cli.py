@@ -135,8 +135,8 @@ class TestSimulateCommand:
         assert depths[0] == "delay_s,contrast,depth"
 
     def test_manifest_reports_truncation_used(self, runner, tmp_path):
-        # the README scenario cut to two delays; run_ramsey picks
-        # top_level + 12 + ceil(8 rate delay) levels: 14/15 for (0,2), 16/17 for (0,4)
+        # the README scenario cut to two delays; the tail bound picks 14/14
+        # levels for (0,2) and 16/17 for (0,4)
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({
             "pairs": [[0, 2], [0, 4]], "delays": [0.0, 0.004],
@@ -174,16 +174,29 @@ class TestSimulateCommand:
         assert "config error" in result.output
 
     def test_failing_delay_identified(self, runner, tmp_path):
-        # undersized truncation with strong heating trips the tail guard
+        # 20 phonons of heating at 0.05 s need more levels than the cap
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({
             "pair": [0, 1], "delays": [0.0, 0.05],
             "noise": {"heating_rate": 400.0}, "phases": 8, "seed": 1}))
         result = runner.invoke(main, ["simulate", "--config", str(cfg),
-                                      "--out", str(tmp_path / "o"),
-                                      "--trunc-dim", "8"])
+                                      "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "0.05" in result.output
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("phases", 2, "phases must be at least 3"),
+        ("delays", [0.004, 0.0], "delays must be sorted ascending")])
+    def test_scan_shape_config_error(self, runner, tmp_path, key, value, message):
+        # a scan no fringe can be fitted from is a bad config, found before
+        # any delay is simulated
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({"pair": [0, 1], "delays": [0.0, 0.004],
+                                       "phases": 8, key: value}))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "config error" in result.output and message in result.output
 
     def test_unknown_noise_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"

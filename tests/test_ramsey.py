@@ -404,10 +404,37 @@ class TestDecayScan:
                        ThresholdKind.CLASSICAL)
 
 
+#: the two scans the repository ships: the README scenario and the defaults
+#: of scripts/run_decay_curves.py
+SHIPPED_SCANS = {
+    "readme": ([(0, 2), (0, 4)], [0.0, 0.004, 0.008, 0.012],
+               NoiseConfig(initial_thermal_nbar=0.07, heating_rate=3.2,
+                           dephasing_rate=1.0)),
+    "decay-curves": ([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)],
+                     list(np.linspace(0.0, 0.024, 9)),
+                     NoiseConfig(heating_rate=3.2, dephasing_rate=1.0)),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(SHIPPED_SCANS))
+def test_tail_bound_truncation_matches_wide_run(scan, monkeypatch):
+    # every exact-readout fringe of a shipped scan runs at the tail-bound
+    # truncation and agrees with the same fringe run at 48 levels
+    pairs, delays, noise = SHIPPED_SCANS[scan]
+    runs = [(build_sequence_0n(n) if m == 0 else build_sequence_mn(m, n), delay)
+            for m, n in pairs for delay in delays]
+    chosen = [run_ramsey(seq, delay, noise, PHASES) for seq, delay in runs]
+    monkeypatch.setattr(ramsey_module, "simulation_dim", lambda *args: 48)
+    for (seq, delay), fringe in zip(runs, chosen):
+        wide = run_ramsey(seq, delay, noise, PHASES)
+        assert fringe.dim < wide.dim == 48
+        assert fringe.contrast == pytest.approx(wide.contrast, abs=1e-10)
+
+
 def test_prepared_state_populations_norm():
     seq = build_sequence_0n(2)
     rho = prepared_state(seq, NoiseConfig(initial_thermal_nbar=0.07))
-    pops = motional_populations(rho, seq.top_level + 12)
+    pops = motional_populations(rho, rho.shape[0] // 3)
     assert pops.sum() == pytest.approx(1.0, abs=1e-9)
     assert pops[0] == pytest.approx(0.467, abs=0.02)
 

@@ -55,9 +55,6 @@ def test_decay_curves_short_scan(tmp_path):
     check_decay_curves(tmp_path, 3)
 
 
-@pytest.mark.xfail(raises=TruncationError, strict=True,
-                   reason="ROADMAP item 3: the default scan crashes at the "
-                          "fixed simulator truncation")
 def test_decay_curves_defaults(tmp_path):
     run_script("run_decay_curves.py", tmp_path)
     check_decay_curves(tmp_path, 9)
