@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qngcoh.channels import (EDGE_TAIL_TOL, DephasingParams, HeatingParams,
-                             TruncationError, _tail_dim, dephase, dephase_matrix, depth, depth_value,
-                             mean_phonons, thermal_depth_limit, thermalize,
-                             thermalize_matrix)
+                             TruncationError, _tail_dim, dephase,
+                             dephase_matrix, depth, depth_value, mean_phonons,
+                             thermal_depth_limit, thermalize, thermalize_matrix)
 from qngcoh.fock import (DensityMatrix, FockPair, coherence_quantifier,
                          ideal_superposition)
 from qngcoh.thresholds import ThresholdKind, threshold
