@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .fock import DEFAULT_TRUNC, DensityMatrix, FockPair, ideal_superposition
+from .fock import (DEFAULT_TRUNC, DensityMatrix, FockPair, _tridiagonal_eigh,
+                   ideal_superposition)
 from .thresholds import ThresholdKind, depth_value, threshold
 
 #: population allowed in the top truncation levels after heating
@@ -102,8 +102,7 @@ def _offset_eigensystem(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
     - (2i + q + 1) x_i``.  Built from the truncated ladder operators, so the
     top level has no upward loss channel and the map preserves trace exactly
     (the tail guard in :func:`thermalize` polices the physical validity).
-    The generator is real, symmetric and tridiagonal.  The cached arrays are
-    shared by every caller and therefore read-only.
+    The generator is real, symmetric and tridiagonal.
     """
     i = np.arange(dim - offset, dtype=float)
     j = i + offset
@@ -112,10 +111,7 @@ def _offset_eigensystem(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
     up[-1] = 0.0
     diag = -0.5 * (j + i) - 0.5 * (up[offset:] + up[:dim - offset])
     off = np.sqrt((j[:-1] + 1.0) * (i[:-1] + 1.0))
-    lam, vec = eigh_tridiagonal(diag, off)
-    lam.flags.writeable = False
-    vec.flags.writeable = False
-    return lam, vec
+    return _tridiagonal_eigh(diag, off)
 
 
 def _apply(prop: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -234,8 +230,8 @@ def thermal_depth_limit(pair: FockPair, h_rate: float, times,
     ``DEFAULT_TRUNC`` levels or under the tail guard of :func:`thermalize`.
     """
     times = list(times)
-    if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("times must be sorted ascending")
+    if not all(0.0 <= t1 <= t2 < math.inf for t1, t2 in zip([0.0] + times, times)):
+        raise ValueError(f"times must be sorted ascending, >= 0 and finite: {times}")
     dim = _tail_dim(pair.n, 0.0, h_rate * (times[-1] if times else 0.0), 0)
     mat = ideal_superposition(pair, dim).density_matrix().matrix
     thr = threshold(kind, pair).value

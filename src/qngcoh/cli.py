@@ -191,13 +191,15 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
     t0 = time.monotonic()
     try:
         blob = yaml.safe_load(config_path.read_text())
+        if not isinstance(blob, dict):
+            raise ValueError(f"config must be a mapping, got {type(blob).__name__}")
         raw_pairs = blob.get("pairs") or ([blob["pair"]] if "pair" in blob else None)
         if not raw_pairs:
             raise ValueError("config needs 'pair' or 'pairs'")
-        pairs = [FockPair(int(p[0]), int(p[1])) for p in raw_pairs]
+        pairs = [FockPair(int(m), int(n)) for m, n in raw_pairs]
         delays = [float(t) for t in blob["delays"]]
-        if delays != sorted(delays):
-            raise ValueError(f"delays must be sorted ascending, got {delays}")
+        if not all(0.0 <= t1 <= t2 < math.inf for t1, t2 in zip([0.0] + delays, delays)):
+            raise ValueError(f"delays must be sorted ascending, >= 0 and finite: {delays}")
         noise_block = blob.get("noise", {})
         noise = _noise_from_config(noise_block)
         n_phases = int(blob.get("phases", 16))
@@ -208,7 +210,7 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
             raise ValueError(f"shots must be positive (null for exact readout), got {shots}")
         seed = int(blob.get("seed", 0))
         kind = parse_kind(blob.get("kind", "genuine"))
-    except (KeyError, ValueError, TypeError, yaml.YAMLError) as exc:
+    except (KeyError, ValueError, TypeError, OSError, yaml.YAMLError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
 

@@ -27,7 +27,6 @@ from itertools import product
 from math import lgamma
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 TWO_PI = 2.0 * math.pi
 
@@ -342,6 +341,14 @@ def bogoliubov_displacement(alpha: complex, xi: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(lam, V)`` of the real symmetric tridiagonal matrix with diagonal ``diag``
+    and off-diagonal ``off``; callers form only ``V f(lam) V^T``, blind to the signs of V."""
+    lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, -1), UPLO="L")
+    lam.flags.writeable = vec.flags.writeable = False
+    return lam, vec
+
+
 @lru_cache(maxsize=8)
 def _generator_eigensystems(total: int) -> tuple:
     """Read-only eigensystems ``((lam, V), ((mu_0, W_0), (mu_1, W_1)))`` of
@@ -349,11 +356,9 @@ def _generator_eigensystems(total: int) -> tuple:
     of ``Y_s`` with off-diagonal ``sqrt((k+1)(k+2))/2``: with ``T = diag(i^p)``
     over the position ``p`` in the chain, ``a^+ - a = -i T X T^-1`` and
     ``(a^2 - a^+^2)/2 = i T Y_s T^-1``."""
-    pos = eigh_tridiagonal(np.zeros(total), np.sqrt(np.arange(1.0, total)))
-    sectors = tuple(eigh_tridiagonal(np.zeros(len(k) + 1), 0.5 * np.sqrt((k + 1) * (k + 2)))
+    pos = _tridiagonal_eigh(np.zeros(total), np.sqrt(np.arange(1.0, total)))
+    sectors = tuple(_tridiagonal_eigh(np.zeros(len(k) + 1), np.sqrt((k + 1) * (k + 2)) / 2)
                     for k in (np.arange(s, total - 2, 2.0) for s in (0, 1)))
-    for arr in (*pos, *sectors[0], *sectors[1]):
-        arr.flags.writeable = False
     return pos, sectors
 
 

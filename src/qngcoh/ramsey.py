@@ -452,6 +452,8 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
     phases = np.asarray(list(phases), dtype=float)
     if phases.size == 0:
         raise ValueError("need a non-empty phase scan")
+    if not 0.0 <= delay < math.inf:
+        raise ValueError(f"delay must be finite and non-negative, got {delay}")
     if shots is not None and shots < 1:
         raise ValueError("shots must be positive (or None for exact readout)")
     dim = simulation_dim(seq, noise, delay)
@@ -517,6 +519,28 @@ class PopulationFit:
     degenerate: bool
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lawson-Hanson ``argmin ||a x - b||`` over ``x >= 0``, and its residual norm."""
+    x, passive = np.zeros(a.shape[1]), np.zeros(a.shape[1], dtype=bool)
+    tol = 10.0 * max(a.shape) * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(b)
+    for _ in range(3 * x.size):
+        s = np.zeros_like(x)
+        s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        neg = np.flatnonzero(passive & (s <= 0.0))
+        if neg.size:  # step back to the feasible boundary; the blocking index leaves
+            ratio = x[neg] / (x[neg] - s[neg])
+            x += ratio.min() * (s - x)
+            passive[neg[np.argmin(ratio)]] = False
+            passive &= x > 0.0
+            continue
+        x = s
+        w = np.where(passive, -np.inf, a.T @ (b - a @ x))
+        if w.max() <= tol:
+            return x, float(np.linalg.norm(a @ x - b))
+        passive[np.argmax(w)] = True
+    raise RuntimeError("nnls did not converge")
+
+
 def fit_populations(signal, carrier_rabi: float, eta: float, gamma0: float,
                     x_exp: float, n_max: int) -> PopulationFit:
     """Phonon distribution from ground-state Rabi oscillations.
@@ -527,8 +551,6 @@ def fit_populations(signal, carrier_rabi: float, eta: float, gamma0: float,
     renormalized to unit sum; a near-zero recovered weight marks the fit
     degenerate (no oscillation information in the signal).
     """
-    from scipy.optimize import nnls  # here: scipy.optimize costs ~0.2 s to import
-
     data = np.asarray(signal, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("signal must be an (npts, 2) array of (time, P_g)")
@@ -550,7 +572,7 @@ def fit_populations(signal, carrier_rabi: float, eta: float, gamma0: float,
         raise ConditioningError(
             f"design matrix condition number {cond:.2e}; record a longer trace")
 
-    coeffs, resid = nnls(design, pg - 0.5)
+    coeffs, resid = _nnls(design, pg - 0.5)
     total = float(coeffs.sum())
     degenerate = total < 0.05
     pops = coeffs / total if not degenerate else coeffs

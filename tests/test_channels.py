@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from qngcoh.channels import (EDGE_TAIL_TOL, DephasingParams, HeatingParams,
-                             TruncationError, _tail_dim, dephase,
+                             TruncationError, _offset_eigensystem, _tail_dim, dephase,
                              dephase_matrix, depth, depth_value, mean_phonons,
                              thermal_depth_limit, thermalize, thermalize_matrix)
 from qngcoh.fock import (DensityMatrix, FockPair, coherence_quantifier,
@@ -107,6 +107,20 @@ class TestThermalize:
         oracle = (prop @ mat.reshape(-1)).reshape(dim, dim)
         assert np.max(np.abs(ours - oracle)) < 1e-9
 
+    def test_offset_propagators_match_eigh_tridiagonal(self):
+        # each offset's generator, read off the superoperator oracle, through
+        # scipy's tridiagonal eigensolver
+        dim = 14
+        sup = lindblad_superop_oracle(dim, 1.0).real
+        for offset in (0, 3, dim - 2, dim - 1):
+            idx = [(i + offset) * dim + i for i in range(dim - offset)]
+            gen = sup[np.ix_(idx, idx)]
+            systems = (_offset_eigensystem(dim, offset),
+                       eigh_tridiagonal(np.diag(gen), np.diag(gen, 1)))
+            for t in (0.004, 0.05, 1.0):
+                ours, ref = ((vec * np.exp(lam * t)) @ vec.T for lam, vec in systems)
+                assert np.max(np.abs(ours - ref)) < 1e-12
+
     def test_propagator_composition(self, rng):
         mat = random_density_matrix(rng, 12)
         twice = thermalize_matrix(thermalize_matrix(mat, 3.2, 0.005), 3.2, 0.008)
@@ -205,6 +219,11 @@ class TestThermalDepthLimit:
         with pytest.raises(ValueError):
             thermal_depth_limit(FockPair(0, 1), 3.2, [0.01, 0.0],
                                 ThresholdKind.CLASSICAL)
+
+    @pytest.mark.parametrize("times", [[-0.05, 0.0], [0.0, math.nan], [0.0, math.inf]])
+    def test_negative_or_non_finite_times_rejected(self, times):
+        with pytest.raises(ValueError, match="times must be"):
+            thermal_depth_limit(FockPair(0, 2), 3.2, times, ThresholdKind.GENUINE_N)
 
     def test_tail_guard(self):
         # 20 phonons of heating need more levels than the cap

@@ -186,7 +186,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("key, value, message", [
         ("phases", 2, "phases must be at least 3"),
-        ("delays", [0.004, 0.0], "delays must be sorted ascending")])
+        ("delays", [0.004, 0.0], "delays must be sorted ascending"),
+        ("delays", [-0.01, 0.0], ">= 0 and finite")])
     def test_scan_shape_config_error(self, runner, tmp_path, key, value, message):
         # a scan no fringe can be fitted from is a bad config, found before
         # any delay is simulated
@@ -197,6 +198,18 @@ class TestSimulateCommand:
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
         assert "config error" in result.output and message in result.output
+
+    @pytest.mark.parametrize("text", [None, "- 0.0\n- 0.004\n", "pairs: [[0]]\ndelays: [0.0]\n"],
+                             ids=["missing-file", "top-level-list", "one-index-pair"])
+    def test_unreadable_config_error(self, runner, tmp_path, text):
+        cfg = tmp_path / "cfg.yaml"
+        if text is not None:
+            cfg.write_text(text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "config error" in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_noise_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -268,11 +281,34 @@ class TestMcVerifyCommand:
         assert isinstance(result.exception, SystemExit)
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # scipy.optimize serves only ramsey.fit_populations and takes ~0.2 s to import
+RUNTIME_WITHOUT_SCIPY = """
+import json, math, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import numpy as np
+import qngcoh.cli
+from qngcoh import (FockPair, NoiseConfig, ThresholdKind, build_sequence_0n, certify,
+                    fit_populations, run_ramsey)
+report = certify(FockPair(0, 2), 0.9, 0.0)
+fringe = run_ramsey(build_sequence_0n(2), 0.004, NoiseConfig(heating_rate=3.2),
+                    np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False))
+rabi, eta, gamma0 = 2.0 * math.pi * 34.8e3, 0.063, 2.0 * math.pi * 42.0
+t = np.linspace(0.0, 2.0e-3, 160)
+ground = 0.5 + 0.5 * np.cos(rabi * eta * t) * np.exp(-gamma0 * t)
+fit = fit_populations(np.column_stack([t, ground]), rabi, eta, gamma0, 0.7, 8)
+print(json.dumps({"scipy": sorted(name for name in sys.modules if name.startswith("scipy.")),
+                  "genuine": report.thresholds[ThresholdKind.GENUINE_N],
+                  "contrast": fringe.contrast, "p0": float(fit.populations[0])}))
+"""
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test oracle only: the threshold oracle's and the heating
+    # channel's eigensystems and the population fit's NNLS run without it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, qngcoh.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", RUNTIME_WITHOUT_SCIPY], env=env,
+                          check=True, capture_output=True, text=True)
+    out = json.loads(done.stdout)
+    assert out["scipy"] == []
+    assert out["genuine"] == pytest.approx(0.8583496, abs=1e-6)
+    assert 0.5 < out["contrast"] < 1.0 and out["p0"] > 0.99

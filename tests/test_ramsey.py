@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from qngcoh import ramsey as ramsey_module
 from qngcoh.channels import TruncationError
 from qngcoh.fock import FockPair
 from qngcoh.ramsey import (ConditioningError, FitError, MappingConditionError,
                            NoiseConfig, PulseKind, PulseSpec,
-                           SpinOscState, _apply_unitaries, _delay_channels,
+                           SpinOscState, _apply_unitaries, _delay_channels, _nnls,
                            apply_pulse, build_sequence_0n, build_sequence_mn,
                            decay_scan, find_mapping_pulse, fit_fringe,
                            fit_populations, motional_populations,
@@ -27,13 +28,17 @@ GAMMA0 = 2 * math.pi * 0.042e3
 X_EXP = 0.7
 
 
-def rabi_signal(populations, times, n_max):
-    """Ground-state Rabi trace generated from the same decay model."""
+def rabi_components(times, n_max):
+    """Decaying carrier oscillation of each phonon number, one column each."""
     ns = np.arange(n_max + 1)
     omega = CARRIER_RABI * ETA * np.sqrt(ns + 1.0)
     gamma = GAMMA0 * (ns + 1.0) ** X_EXP
-    comps = np.cos(np.outer(times, omega)) * np.exp(-np.outer(times, gamma))
-    pg = 0.5 * (1.0 + comps @ np.asarray(populations))
+    return np.cos(np.outer(times, omega)) * np.exp(-np.outer(times, gamma))
+
+
+def rabi_signal(populations, times, n_max):
+    """Ground-state Rabi trace generated from the same decay model."""
+    pg = 0.5 * (1.0 + rabi_components(times, n_max) @ np.asarray(populations))
     return np.column_stack([times, pg])
 
 
@@ -249,6 +254,12 @@ class TestRunRamsey:
         assert elec.contrast == pytest.approx(
             base * math.exp(-n_pulses * 20e-6 / 8e-3), abs=1e-9)
 
+    @pytest.mark.parametrize("delay", [-0.01, math.nan, math.inf])
+    def test_negative_or_non_finite_delay_rejected(self, delay):
+        # a negative delay would amplify the coherence through exp(+Gamma (j-k)^2 / 2)
+        with pytest.raises(ValueError, match="delay must be"):
+            run_ramsey(build_sequence_0n(2), delay, NoiseConfig(dephasing_rate=1.0), PHASES)
+
     def test_degenerate_scan_raises(self):
         with pytest.raises(FitError):
             run_ramsey(build_sequence_0n(1), 0.0, NoiseConfig(), [0.0, 0.0])
@@ -356,6 +367,36 @@ class TestFitPopulations:
         with pytest.raises(ConditioningError):
             fit_populations(rabi_signal(pops, np.linspace(0, 2e-3, 10), 6),
                             CARRIER_RABI, ETA, GAMMA0, X_EXP, 6)
+
+
+class TestNnls:
+    """``ramsey._nnls`` against ``scipy.optimize.nnls`` as the oracle."""
+
+    def test_random_full_rank_problems(self):
+        rng = np.random.default_rng(17)
+        bound_active = 0
+        for _ in range(400):
+            m = int(rng.integers(2, 30))
+            a = rng.standard_normal((m, int(rng.integers(1, m + 1))))
+            b = rng.standard_normal(m)
+            (x, res), (x_ref, res_ref) = _nnls(a, b), nnls(a, b)
+            assert np.max(np.abs(x - x_ref)) < 1e-10 and abs(res - res_ref) < 1e-10
+            bound_active += bool(np.any(x_ref == 0.0))
+        assert bound_active > 100
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_population_fit_designs_with_zero_entries(self, seed):
+        rng = np.random.default_rng(seed)
+        n_max = int(rng.integers(3, 9))
+        times = np.linspace(0.0, 2.5e-3, 4 * n_max + 60)
+        pops = rng.random(n_max + 1) * (rng.random(n_max + 1) < 0.5)
+        pops[0] = 1.0
+        pops /= pops.sum()
+        design = 0.5 * rabi_components(times, n_max)
+        y = design @ pops + rng.normal(0.0, 0.01, times.size)
+        (x, res), (x_ref, res_ref) = _nnls(design, y), nnls(design, y)
+        assert np.any(x_ref == 0.0)
+        assert np.max(np.abs(x - x_ref)) < 1e-10 and abs(res - res_ref) < 1e-10
 
 
 class TestDecayScan:
