@@ -199,8 +199,9 @@ class TestSimulateCommand:
         assert result.exit_code == 1
         assert "config error" in result.output and message in result.output
 
-    @pytest.mark.parametrize("text", [None, "- 0.0\n- 0.004\n", "pairs: [[0]]\ndelays: [0.0]\n"],
-                             ids=["missing-file", "top-level-list", "one-index-pair"])
+    @pytest.mark.parametrize("text", [
+        None, "- 0.0\n- 0.004\n", "pairs: [[0]]\ndelays: [0.0]\n"],
+        ids=["missing-file", "top-level-list", "one-index-pair"])
     def test_unreadable_config_error(self, runner, tmp_path, text):
         cfg = tmp_path / "cfg.yaml"
         if text is not None:
