@@ -6,16 +6,13 @@ from .fock import (CoreState, DensityMatrix, FockPair, GaussianParams,
                    PureState, build_gaussian_matrix, coherence_quantifier,
                    coherent_amplitude, ideal_superposition, sdf_amplitude)
 from .thresholds import (CertificationReport, ThresholdKind, ThresholdResult,
-                         certify, classical_threshold, gaussian_min_threshold,
-                         genuine_threshold, intrinsic_threshold, threshold)
-from .channels import (DephasingParams, DepthResult, HeatingParams, dephase,
-                       depth, thermal_depth_limit, thermalize)
+                         certify, classical_threshold, threshold)
+from .channels import DepthResult, depth, thermal_depth_limit, thermalize
 from .optimize import MaximizeResult, SearchSpec, maximize
 from .mc import McReport, mc_verify
 from .ramsey import (NoiseConfig, PulseKind, PulseSpec, RamseyFringe,
-                     RamseySequence, SpinOscState, apply_pulse,
-                     build_sequence_0n, build_sequence_mn, decay_scan,
-                     fit_populations, run_ramsey)
+                     RamseySequence, build_sequence_0n, build_sequence_mn,
+                     decay_scan, fit_populations, run_ramsey)
 
 __all__ = [
     "__version__",
@@ -23,13 +20,11 @@ __all__ = [
     "build_gaussian_matrix", "coherence_quantifier", "coherent_amplitude",
     "ideal_superposition", "sdf_amplitude",
     "CertificationReport", "ThresholdKind", "ThresholdResult", "certify",
-    "classical_threshold", "gaussian_min_threshold", "genuine_threshold",
-    "intrinsic_threshold", "threshold",
-    "DephasingParams", "DepthResult", "HeatingParams", "dephase", "depth",
-    "thermal_depth_limit", "thermalize",
+    "classical_threshold", "threshold",
+    "DepthResult", "depth", "thermal_depth_limit", "thermalize",
     "MaximizeResult", "SearchSpec", "maximize",
     "McReport", "mc_verify",
     "NoiseConfig", "PulseKind", "PulseSpec", "RamseyFringe", "RamseySequence",
-    "SpinOscState", "apply_pulse", "build_sequence_0n", "build_sequence_mn",
-    "decay_scan", "fit_populations", "run_ramsey",
+    "build_sequence_0n", "build_sequence_mn", "decay_scan", "fit_populations",
+    "run_ramsey",
 ]

@@ -16,8 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import (DEFAULT_TRUNC, DensityMatrix, FockPair, _tridiagonal_eigh,
-                   ideal_superposition)
+from .fock import DEFAULT_TRUNC, FockPair, _tridiagonal_eigh, ideal_superposition
 from .thresholds import ThresholdKind, depth_value, threshold
 
 #: population allowed in the top truncation levels after heating
@@ -28,27 +27,6 @@ EDGE_TAIL_TOL = 1e-12
 
 class TruncationError(RuntimeError):
     """Population reaches the truncation edge, or would need more levels."""
-
-
-@dataclass(frozen=True)
-class DephasingParams:
-    """Accumulated phase variance Gamma = <phi^2> of the diffusion."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValueError("phase variance must be non-negative")
-
-
-@dataclass(frozen=True)
-class HeatingParams:
-    rate: float      # phonons per second
-    duration: float  # seconds
-
-    def __post_init__(self) -> None:
-        if self.rate < 0 or self.duration < 0:
-            raise ValueError("heating rate and duration must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -70,20 +48,14 @@ class DepthResult:
 
 
 def dephasing_factors(dim: int, gamma: float) -> np.ndarray:
-    """Element-wise damping matrix ``exp(-Gamma (j-k)^2 / 2)``."""
+    """Element-wise damping matrix ``exp(-Gamma (j-k)^2 / 2)`` of the
+    phase-diffusion channel: ``mat * dephasing_factors(dim, gamma)`` leaves the
+    diagonal untouched and damps the coherences."""
+    if gamma < 0:
+        raise ValueError("phase variance must be non-negative")
     k = np.arange(dim)
     offsets = k[:, None] - k[None, :]
     return np.exp(-0.5 * gamma * offsets.astype(float) ** 2)
-
-
-def dephase_matrix(mat: np.ndarray, gamma: float) -> np.ndarray:
-    return mat * dephasing_factors(mat.shape[0], gamma)
-
-
-def dephase(rho: DensityMatrix, p: DephasingParams) -> DensityMatrix:
-    """Phase-diffusion channel; diagonal untouched, coherences damped by
-    ``exp(-Gamma (j-k)^2 / 2)``."""
-    return DensityMatrix(dephase_matrix(rho.matrix, p.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +120,15 @@ def thermalize_matrix(mat: np.ndarray, rate: float, duration: float) -> np.ndarr
     return out
 
 
-def _heat(mat: np.ndarray, rate: float, duration: float) -> np.ndarray:
-    """:func:`thermalize_matrix` of one density matrix, raising
-    ``TruncationError`` when heating leaves more than ``HEAT_TAIL_TOL`` of the
-    population in the top ``min(8, max(2, dim // 8))`` levels."""
+def thermalize(mat: np.ndarray, rate: float, duration: float) -> np.ndarray:
+    """Heating channel of one density matrix: mean-phonon growth ``d<n>/dt``
+    equal to ``rate``, propagated exactly over ``duration`` (see
+    :func:`thermalize_matrix`).
+
+    Raises ``TruncationError`` when heating leaves more than ``HEAT_TAIL_TOL``
+    of the population in the top ``min(8, max(2, dim // 8))`` levels."""
+    if rate < 0 or duration < 0:
+        raise ValueError("heating rate and duration must be non-negative")
     out = thermalize_matrix(mat, rate, duration)
     if rate * duration > 0.0:
         dim = out.shape[0]
@@ -185,18 +162,7 @@ def _tail_dim(top: int, nbar: float, heat: float, reach: int) -> int:
                           f"{heat}) needs more than {DEFAULT_TRUNC} levels")
 
 
-def thermalize(rho: DensityMatrix, h: HeatingParams) -> DensityMatrix:
-    """Heating channel with mean-phonon growth ``d<n>/dt`` equal to ``h.rate``,
-    propagated exactly over ``h.duration`` (see :func:`thermalize_matrix`).
-
-    Raises ``TruncationError`` when the evolved population in the top
-    truncation levels exceeds ``HEAT_TAIL_TOL``.
-    """
-    return DensityMatrix(_heat(rho.matrix, h.rate, h.duration))
-
-
-def mean_phonons(rho: DensityMatrix | np.ndarray) -> float:
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else rho
+def mean_phonons(mat: np.ndarray) -> float:
     return float(np.real(np.sum(np.arange(mat.shape[0]) * np.diagonal(mat))))
 
 
@@ -237,8 +203,7 @@ def thermal_depth_limit(pair: FockPair, h_rate: float, times,
     thr = threshold(kind, pair).value
     out = []
     for prev_t, t in zip([0.0] + times, times):
-        mat = _heat(mat, h_rate, t - prev_t)
+        mat = thermalize(mat, h_rate, t - prev_t)
         c = 2.0 * float(np.abs(mat[pair.m, pair.n]))
-        d = depth_value(c, thr, pair.delta) if c > 0 else float("-inf")
-        out.append((float(t), d))
+        out.append((float(t), depth_value(c, thr, pair.delta)))
     return out

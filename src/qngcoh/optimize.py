@@ -11,7 +11,7 @@ specs give identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,11 +35,9 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Box bounds and effort knobs for one maximization run."""
+    """Box bounds and convergence tolerance for one maximization run."""
 
     bounds: tuple[tuple[float, float], ...]
-    grid_density: int = 12
-    n_starts: int = 16
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -48,12 +46,8 @@ class SearchSpec:
         for lo, hi in bounds:
             if not lo < hi:
                 raise ValueError(f"invalid interval ({lo}, {hi})")
-        if self.n_starts < 8:
-            raise ValueError("need at least 8 refinement starts")
         if self.tol > 1e-6:
             raise ValueError("convergence tolerance must be <= 1e-6")
-        if self.grid_density < 2:
-            raise ValueError("grid density must be >= 2")
 
 
 @dataclass
@@ -69,8 +63,8 @@ class MaximizeResult:
         return bool(self.trace.get("converged", False))
 
 
-def _grid_points(spec: SearchSpec) -> np.ndarray:
-    axes = [np.linspace(lo, hi, spec.grid_density) for lo, hi in spec.bounds]
+def _grid_points(spec: SearchSpec, density: int) -> np.ndarray:
+    axes = [np.linspace(lo, hi, density) for lo, hi in spec.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -182,17 +176,22 @@ def nelder_mead(fun: Callable[..., np.ndarray], x0: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Group:
-    """One objective row searched in a ``maximize`` run, with its own seeding.
-
-    ``grid_density`` and ``n_starts`` replace the spec's when given;
-    ``seeds`` are appended to the group's grid before start selection (e.g.
-    analytically motivated points) after clipping into the box.
+    """One objective row searched in a ``maximize`` run, with its own seeding:
+    a grid of ``grid_density`` points per axis, plus ``seeds`` (e.g.
+    analytically motivated points, clipped into the box), from whose best
+    ``n_starts`` points the refinement starts.
     """
 
     row: int = 0
-    grid_density: int | None = None
-    n_starts: int | None = None
+    grid_density: int = 12
+    n_starts: int = 16
     seeds: Sequence[np.ndarray] = ()
+
+    def __post_init__(self) -> None:
+        if self.n_starts < 8:
+            raise ValueError("need at least 8 refinement starts")
+        if self.grid_density < 2:
+            raise ValueError("grid density must be >= 2")
 
 
 def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
@@ -223,17 +222,14 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
         return np.atleast_2d(np.asarray(batch_objective(pts), dtype=float))
 
     lo, hi = np.array(spec.bounds).T
-    specs = [replace(spec, **{name: value for name, value in
-                              (("grid_density", g.grid_density), ("n_starts", g.n_starts))
-                              if value is not None}) for g in groups]
     # each group reads its row off its grid's table (one evaluation per grid
     # density) and off the table of its own clipped seeds
     grids, own = {}, []
-    for g, gspec in zip(groups, specs):
-        if gspec.grid_density not in grids:
-            pts = _grid_points(gspec)
-            grids[gspec.grid_density] = pts, table(pts)
-        pts, vals = grids[gspec.grid_density]
+    for g in groups:
+        if g.grid_density not in grids:
+            pts = _grid_points(spec, g.grid_density)
+            grids[g.grid_density] = pts, table(pts)
+        pts, vals = grids[g.grid_density]
         if len(g.seeds) > 0:
             extras = np.clip(np.atleast_2d(np.asarray(g.seeds, dtype=float)), lo, hi)
             pts, vals = np.vstack([pts, extras]), np.hstack([vals, table(extras)])
@@ -241,7 +237,7 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
     if not all(np.all(np.isfinite(vals)) for _, vals in own):
         raise ValueError("objective not finite on the search box")
 
-    counts = [gspec.n_starts for gspec in specs]
+    counts = [g.n_starts for g in groups]
     seeds = np.concatenate([pts[np.argsort(vals)[::-1][:n]]
                             for (pts, vals), n in zip(own, counts)])
     rows = np.repeat([g.row for g in groups], counts)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import channels
 from .channels import TruncationError, dephasing_factors, thermalize_matrix
 from .fock import DensityMatrix, FockPair
-from .thresholds import ThresholdKind
+from .thresholds import ThresholdKind, depth_value, threshold
 
 ROW_G, ROW_E, ROW_SHELF = 0, 1, 2
 
@@ -100,33 +100,13 @@ class NoiseConfig:
     delay_detuning: float = 0.0        # rad/s during the delay
 
     def __post_init__(self) -> None:
-        for name in ("initial_thermal_nbar", "heating_rate", "dephasing_rate",
-                     "pulse_error", "electronic_coherence_time",
-                     "pulse_duration", "shelving_contrast_loss"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-
-@dataclass(frozen=True)
-class SpinOscState:
-    """Pure state on {g, e, shelf} x Fock, stored as a (3, dim) array."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 2 or amps.shape[0] != 3:
-            raise ValueError(f"expected shape (3, dim), got {amps.shape}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @classmethod
-    def ground(cls, dim: int) -> "SpinOscState":
-        amps = np.zeros((3, dim), dtype=complex)
-        amps[ROW_G, 0] = 1.0
-        return cls(amps)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "delay_detuning" and value < 0:
+                raise ValueError(f"{f.name} must be non-negative")
+            if not (math.isfinite(value)
+                    or (f.name == "electronic_coherence_time" and value == math.inf)):
+                raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass
@@ -142,12 +122,12 @@ class RamseyFringe:
 
 @dataclass
 class RamseySequence:
-    """Preparation pulses, their analysis mirror, and scan-pulse bookkeeping."""
+    """Preparation pulses and their analysis mirror; the last analysis pulse
+    carries the scanned phase."""
 
     pair: FockPair
     prep: list[PulseSpec]
     analysis: list[PulseSpec]
-    scan_index: int
     meta: dict = field(default_factory=dict)
 
     def shelve_pairs(self) -> int:
@@ -193,26 +173,6 @@ def _rotate(amps: np.ndarray, kind: PulseKind, area, phase) -> np.ndarray:
     return amps
 
 
-def apply_pulse(state: SpinOscState, pulse: PulseSpec) -> SpinOscState:
-    """Apply one pulse to a pure state; norm is preserved exactly.
-
-    Raises ``TruncationError`` when a sideband would push population past the
-    truncation edge (blue sideband with the top ground level occupied, red
-    sideband with the top excited level occupied).
-    """
-    amps = state.amplitudes
-    edge = None
-    if pulse.kind == PulseKind.BSB:
-        edge = abs(amps[ROW_G, -1]) ** 2
-    elif pulse.kind == PulseKind.RSB:
-        edge = abs(amps[ROW_E, -1]) ** 2
-    if edge is not None and edge > 1e-12:
-        raise TruncationError(
-            f"{pulse.kind.value} pulse with population {edge:.2e} at the "
-            "truncation edge; increase the dimension")
-    return SpinOscState(_rotate(amps.copy(), pulse.kind, pulse.area, pulse.phase))
-
-
 # ---------------------------------------------------------------------------
 # sequence construction
 # ---------------------------------------------------------------------------
@@ -245,7 +205,7 @@ def build_sequence_0n(n: int) -> RamseySequence:
     delay channels act the same on every spin block, so the fringes do not
     depend on which row the |n> arm rests in.  The analysis half is the
     exact pulse-by-pulse inverse; its last pulse, the closing blue-sideband
-    pi/2, carries the scanned phase (``scan_index``).
+    pi/2, carries the scanned phase.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"supported superposition range is 1 <= n <= 8, got {n}")
@@ -261,8 +221,7 @@ def build_sequence_0n(n: int) -> RamseySequence:
         prep.append(PulseSpec(PulseKind.UNSHELVE, math.pi))
 
     analysis = [p.inverse() for p in reversed(prep)]
-    return RamseySequence(pair=FockPair(0, n), prep=prep, analysis=analysis,
-                          scan_index=len(analysis) - 1)
+    return RamseySequence(pair=FockPair(0, n), prep=prep, analysis=analysis)
 
 
 def find_mapping_pulse(m: int, n: int) -> dict:
@@ -323,7 +282,7 @@ def build_sequence_mn(m: int, n: int) -> RamseySequence:
     # the bright/dark ports, since those pi pulses are exact only on their
     # original rungs.
     analysis = [p.inverse() for p in reversed(prep[-2:])]
-    return RamseySequence(pair=pair, prep=prep, analysis=analysis, scan_index=1,
+    return RamseySequence(pair=pair, prep=prep, analysis=analysis,
                           meta={"variant": variant, "mapping": mapping})
 
 
@@ -469,7 +428,7 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
              for c in children[:-1]])
         areas = [a * np.maximum(0.0, 1.0 + j) for a, j in zip(areas, jit.T)]
     offsets = [p.phase for p in pulses]
-    offsets[n_prep + seq.scan_index] += phases
+    offsets[-1] += phases  # the last analysis pulse carries the scanned phase
 
     rho = thermal_spin_osc(noise.initial_thermal_nbar, dim)[..., None]
     rho = _apply_unitaries(rho, seq.prep, dim, areas[:n_prep], offsets[:n_prep])
@@ -605,6 +564,7 @@ def decay_scan(pair: FockPair, delays, noise: NoiseConfig, kind: ThresholdKind,
         raise ValueError("delays must be sorted ascending")
     seq = build_sequence_0n(pair.n) if pair.m == 0 else build_sequence_mn(pair.m, pair.n)
     phases = np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)
+    thr = threshold(kind, pair).value
     out = []
     for i, delay in enumerate(delays):
         sub_seed = int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
@@ -612,6 +572,5 @@ def decay_scan(pair: FockPair, delays, noise: NoiseConfig, kind: ThresholdKind,
         if fringe_sink is not None:
             fringe_sink(float(delay), fringe)
         c = fringe.contrast
-        d = channels.depth(c, pair, kind).depth if c > 0.0 else float("-inf")
-        out.append((float(delay), c, d))
+        out.append((float(delay), c, depth_value(c, thr, pair.delta)))
     return out

@@ -360,37 +360,6 @@ def _search_pair(pair: FockPair) -> dict:
     return results
 
 
-def gaussian_min_threshold(pair: FockPair) -> ThresholdResult:
-    """Largest C_{m,n} over pure Gaussian states S(xi)D(alpha)|0>.
-
-    Constraint-seeded two-parameter slice plus an unconstrained three-
-    parameter polish from multiple starts.
-    """
-    return threshold(ThresholdKind.GAUSSIAN_MIN, pair)
-
-
-def intrinsic_threshold(pair: FockPair) -> ThresholdResult:
-    """Largest C_{m,n} over Gaussian operations on any single Fock state.
-
-    Searches every input Fock level up to ``MAX_FOCK``, each level with its
-    own seeds and boxes, and records which level attains the maximum.
-    """
-    return threshold(ThresholdKind.GAUSSIAN_INTRINSIC, pair)
-
-
-def genuine_threshold(pair: FockPair) -> ThresholdResult:
-    """Largest C_{m,n} over Gaussian operations on any core superposition.
-
-    The core state (Fock support below max(m,n)) is optimized analytically:
-    for fixed Gaussian parameters the best coherence is the top eigenvalue
-    of a rank-2 Hermitian matrix, available in closed form as
-    ``||u|| ||v|| + |<u, v>|``.  The closed form is verified against a dense
-    eigensolver at the reported optimum to 1e-9 and the top eigenvector is
-    returned as the optimal core state.
-    """
-    return threshold(ThresholdKind.GENUINE_N, pair)
-
-
 def threshold(kind: ThresholdKind, pair: FockPair) -> ThresholdResult:
     """Dispatch a threshold computation by kind (memoized).
 
@@ -409,7 +378,9 @@ def threshold(kind: ThresholdKind, pair: FockPair) -> ThresholdResult:
 
 def depth_value(measured: float, threshold_value: float, delta: int) -> float:
     """Phase variance that dephases ``measured`` down to the threshold:
-    ``(2 / delta^2) ln(measured / threshold)``."""
+    ``(2 / delta^2) ln(measured / threshold)``, ``-inf`` for zero coherence."""
+    if measured == 0.0:
+        return float("-inf")
     return (2.0 / delta ** 2) * math.log(measured / threshold_value)
 
 
@@ -434,10 +405,7 @@ def certify(pair: FockPair, measured: float,
         margins[kind] = measured - thr
         verdicts[kind] = margins[kind] > 0.0
         marginal[kind] = abs(margins[kind]) < uncertainty
-        if measured == 0.0:
-            depths[kind] = float("-inf")
-        else:
-            depths[kind] = depth_value(measured, thr, pair.delta)
+        depths[kind] = depth_value(measured, thr, pair.delta)
     return CertificationReport(pair=pair, measured=measured,
                                uncertainty=uncertainty, thresholds=thresholds,
                                margins=margins, verdicts=verdicts,

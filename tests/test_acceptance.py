@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qngcoh.channels import (DephasingParams, HeatingParams, dephase,
-                             dephase_matrix, depth, mean_phonons, thermalize)
+from qngcoh.channels import dephasing_factors, depth, mean_phonons, thermalize
 from qngcoh.cli import main as cli_main
 from qngcoh.fock import (DensityMatrix, FockPair, GaussianParams,
                          build_gaussian_matrix, coherence_quantifier,
                          ideal_superposition, oracle_dim_for, sdf_amplitude)
 from qngcoh.mc import mc_verify
-from qngcoh.optimize import SearchSpec, maximize
+from qngcoh.optimize import Group, SearchSpec, maximize
 from qngcoh.ramsey import (ROW_E, ROW_G, NoiseConfig, build_sequence_0n,
                            fit_populations, motional_populations,
                            prepared_state, run_ramsey)
@@ -82,7 +81,7 @@ def test_criterion_02_intrinsic_thresholds():
 def test_criterion_03_classical_vs_optimizer():
     worst = 0.0
     count = 0
-    spec = SearchSpec(bounds=((0.0, 6.0),), grid_density=12, n_starts=8)
+    spec, groups = SearchSpec(bounds=((0.0, 6.0),)), [Group(n_starts=8)]
     for s in range(1, 13):
         for m in range(0, (s + 1) // 2):
             n = s - m
@@ -92,7 +91,7 @@ def test_criterion_03_classical_vs_optimizer():
             weight = 2.0 / math.sqrt(factorial(m) * factorial(n))
             res = maximize(
                 lambda x, mm=m, nn=n, w=weight:
-                    w * x[0] ** (mm + nn) * math.exp(-x[0] ** 2), spec)
+                    w * x[0] ** (mm + nn) * math.exp(-x[0] ** 2), spec, groups=groups)
             closed = classical_threshold(FockPair(m, n)).value
             worst = max(worst, abs(res.value - closed))
     ok = worst < 1e-6
@@ -207,8 +206,8 @@ def test_criterion_08_gauge_and_composition(rng):
     ideal = depth(1.0, pair, ThresholdKind.GENUINE_N).depth
     worst_gauge = 0.0
     for gamma in np.linspace(0.0, ideal * 0.98, 9):
-        rho = ideal_superposition(pair, 8).density_matrix()
-        c = coherence_quantifier(dephase(rho, DephasingParams(gamma)), pair)
+        mat = ideal_superposition(pair, 8).density_matrix().matrix
+        c = coherence_quantifier(mat * dephasing_factors(8, gamma), pair)
         d = depth(c, pair, ThresholdKind.GENUINE_N).depth
         worst_gauge = max(worst_gauge, abs(d - (ideal - gamma)))
 
@@ -216,8 +215,8 @@ def test_criterion_08_gauge_and_composition(rng):
     for _ in range(50):
         mat = random_density_matrix(rng, 8)
         g1, g2 = rng.uniform(0, 3, 2)
-        two = dephase_matrix(dephase_matrix(mat, g1), g2)
-        one = dephase_matrix(mat, g1 + g2)
+        two = mat * dephasing_factors(8, g1) * dephasing_factors(8, g2)
+        one = mat * dephasing_factors(8, g1 + g2)
         worst_comp = max(worst_comp, float(np.max(np.abs(two - one))))
 
     ok = worst_gauge < 1e-9 and worst_comp < 1e-12
@@ -229,8 +228,7 @@ def test_criterion_08_gauge_and_composition(rng):
 
 
 def test_criterion_09_heating_calibration():
-    rho = DensityMatrix.fock(0, 32)
-    out = thermalize(rho, HeatingParams(3.2, 0.020))
+    out = thermalize(DensityMatrix.fock(0, 32).matrix, 3.2, 0.020)
     slope = mean_phonons(out) / 0.020
     ok = abs(slope - 3.2) / 3.2 <= 0.01
     detail = (f"<n> growth from |0> over 20 ms: slope {slope:.4f} phonons/s "

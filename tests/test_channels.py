@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
-from qngcoh.channels import (EDGE_TAIL_TOL, DephasingParams, HeatingParams,
-                             TruncationError, _offset_eigensystem, _tail_dim, dephase,
-                             dephase_matrix, depth, depth_value, mean_phonons,
-                             thermal_depth_limit, thermalize, thermalize_matrix)
+from qngcoh.channels import (EDGE_TAIL_TOL, TruncationError, _offset_eigensystem,
+                             _tail_dim, dephasing_factors, depth, depth_value,
+                             mean_phonons, thermal_depth_limit, thermalize,
+                             thermalize_matrix)
 from qngcoh.fock import (DensityMatrix, FockPair, coherence_quantifier,
                          ideal_superposition)
 from qngcoh.thresholds import ThresholdKind, threshold
@@ -28,76 +28,76 @@ def lindblad_superop_oracle(dim: int, rate: float) -> np.ndarray:
     return sup
 
 
+def dephase(mat: np.ndarray, gamma: float) -> np.ndarray:
+    """The phase-diffusion channel of a density matrix."""
+    return mat * dephasing_factors(mat.shape[0], gamma)
+
+
 class TestDephase:
     def test_identity_at_zero(self, rng):
-        rho = DensityMatrix(random_density_matrix(rng, 6))
-        out = dephase(rho, DephasingParams(0.0))
-        assert np.array_equal(out.matrix, rho.matrix)
+        mat = random_density_matrix(rng, 6)
+        assert np.array_equal(dephase(mat, 0.0), mat)
 
     def test_scalar_reduction(self):
         rho = ideal_superposition(FockPair(0, 2), 6).density_matrix()
         mat = rho.matrix.copy()
         mat[0, 2] = 0.45
         mat[2, 0] = 0.45
-        out = dephase(DensityMatrix(mat), DephasingParams(0.1))
-        assert out.matrix[0, 2].real == pytest.approx(0.45 * math.exp(-0.2),
+        out = dephase(mat, 0.1)
+        assert out[0, 2].real == pytest.approx(0.45 * math.exp(-0.2),
                                                       abs=1e-12)
 
     def test_full_decoherence_limit(self):
         pair = FockPair(0, 3)
-        rho = ideal_superposition(pair, 6).density_matrix()
-        out = dephase(rho, DephasingParams(1e6))
-        off = out.matrix - np.diag(np.diag(out.matrix))
+        out = dephase(ideal_superposition(pair, 6).density_matrix().matrix, 1e6)
+        off = out - np.diag(np.diag(out))
         assert np.max(np.abs(off)) < 1e-300
-        assert out.matrix[0, 0].real == pytest.approx(0.5)
-        assert out.matrix[3, 3].real == pytest.approx(0.5)
+        assert out[0, 0].real == pytest.approx(0.5)
+        assert out[3, 3].real == pytest.approx(0.5)
 
     @given(g1=st.floats(0, 5), g2=st.floats(0, 5), seed=st.integers(0, 2**31))
     def test_composition_law(self, g1, g2, seed):
         mat = random_density_matrix(np.random.default_rng(seed), 6)
-        twice = dephase_matrix(dephase_matrix(mat, g1), g2)
-        once = dephase_matrix(mat, g1 + g2)
+        twice = dephase(dephase(mat, g1), g2)
+        once = dephase(mat, g1 + g2)
         assert np.max(np.abs(twice - once)) < 1e-12
 
     def test_preserves_density_matrix(self, rng):
         for _ in range(20):
-            rho = DensityMatrix(random_density_matrix(rng, 8))
-            out = dephase(rho, DephasingParams(rng.uniform(0, 3)))
-            out.validate()  # trace, hermiticity, positivity
+            out = dephase(random_density_matrix(rng, 8), rng.uniform(0, 3))
+            DensityMatrix(out).validate()  # trace, hermiticity, positivity
 
     def test_linearity(self, rng):
         m1 = random_density_matrix(rng, 5)
         m2 = random_density_matrix(rng, 5)
-        lhs = dephase_matrix(0.3 * m1 + 0.7 * m2, 0.4)
-        rhs = 0.3 * dephase_matrix(m1, 0.4) + 0.7 * dephase_matrix(m2, 0.4)
+        lhs = dephase(0.3 * m1 + 0.7 * m2, 0.4)
+        rhs = 0.3 * dephase(m1, 0.4) + 0.7 * dephase(m2, 0.4)
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
 class TestThermalize:
     def test_zero_duration(self, rng):
-        rho = DensityMatrix(random_density_matrix(rng, 6))
-        out = thermalize(rho, HeatingParams(3.2, 0.0))
-        assert np.array_equal(out.matrix, rho.matrix)
+        mat = random_density_matrix(rng, 6)
+        assert np.array_equal(thermalize(mat, 3.2, 0.0), mat)
 
     def test_phonon_growth_from_ground(self):
-        rho = DensityMatrix.fock(0, 32)
-        out = thermalize(rho, HeatingParams(3.2, 0.010))
+        out = thermalize(DensityMatrix.fock(0, 32).matrix, 3.2, 0.010)
         assert mean_phonons(out) == pytest.approx(0.032, rel=0.01)
 
     def test_slope_affine_to_50ms(self):
-        rho = DensityMatrix.thermal(0.07, 48)
-        n0 = mean_phonons(rho)
+        mat = DensityMatrix.thermal(0.07, 48).matrix
+        n0 = mean_phonons(mat)
         for t in (0.010, 0.030, 0.050):
-            out = thermalize(rho, HeatingParams(3.2, t))
+            out = thermalize(mat, 3.2, t)
             assert mean_phonons(out) - n0 == pytest.approx(3.2 * t, rel=0.01)
 
     def test_trace_and_hermiticity(self, rng):
         # low-occupied state embedded well below the truncation edge
         mat = np.zeros((24, 24), dtype=complex)
         mat[:8, :8] = random_density_matrix(rng, 8)
-        out = thermalize(DensityMatrix(mat), HeatingParams(5.0, 0.02))
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-8
-        assert np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-12
+        out = thermalize(mat, 5.0, 0.02)
+        assert abs(np.trace(out) - 1.0) < 1e-8
+        assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_against_superoperator_oracle(self, rng):
         dim, rate, t = 10, 4.0, 0.015
@@ -150,9 +150,8 @@ class TestThermalize:
             last_c, last_p22 = c, out[2, 2].real
 
     def test_tail_guard(self):
-        rho = DensityMatrix.fock(0, 4)
         with pytest.raises(TruncationError):
-            thermalize(rho, HeatingParams(100.0, 0.05))
+            thermalize(DensityMatrix.fock(0, 4).matrix, 100.0, 0.05)
 
 
 class TestDepth:
@@ -183,8 +182,7 @@ class TestDepth:
         pair = FockPair(0, 3)
         ideal = depth(1.0, pair, ThresholdKind.GENUINE_N).depth
         for gamma in np.linspace(0.0, ideal * 0.95, 7):
-            rho = ideal_superposition(pair, 8).density_matrix()
-            decayed = dephase(rho, DephasingParams(gamma))
+            decayed = dephase(ideal_superposition(pair, 8).density_matrix().matrix, gamma)
             c = coherence_quantifier(decayed, pair)
             d = depth(c, pair, ThresholdKind.GENUINE_N).depth
             assert d == pytest.approx(ideal - gamma, abs=1e-9)
@@ -256,10 +254,13 @@ class TestTailDim:
 def test_depth_value_formula():
     assert depth_value(1.0, 0.86, 2) == pytest.approx(0.0754, abs=1e-3)
     assert depth_value(0.84, 0.80, 4) == pytest.approx(0.0061, abs=1e-3)
+    assert depth_value(0.0, 0.86, 2) == float("-inf")
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        DephasingParams(-0.1)
+        dephasing_factors(4, -0.1)
     with pytest.raises(ValueError):
-        HeatingParams(-1.0, 0.1)
+        thermalize(np.eye(4) / 4, -1.0, 0.1)
+    with pytest.raises(ValueError):
+        thermalize(np.eye(4) / 4, 1.0, -0.1)

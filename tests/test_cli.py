@@ -212,6 +212,17 @@ class TestSimulateCommand:
         assert "config error" in result.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["dephasing_rate", "delay_detuning"])
+    def test_nan_noise_config_error(self, runner, tmp_path, key):
+        # a NaN rate used to run and report contrast 0.0 at a nonzero delay
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"pair: [0, 1]\ndelays: [0.0, 0.004]\nnoise: {{{key}: .nan}}\n")
+        result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert f"config error: {key} must be finite" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_noise_key_rejected(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({

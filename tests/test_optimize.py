@@ -10,8 +10,8 @@ from qngcoh.optimize import (MAXFEV, Group, MaximizeResult, SearchSpec, maximize
 
 
 def test_quadratic_peak():
-    spec = SearchSpec(bounds=((0.0, 1.0),), grid_density=12, n_starts=8)
-    res = maximize(lambda x: -(x[0] - 0.3) ** 2, spec)
+    res = maximize(lambda x: -(x[0] - 0.3) ** 2, SearchSpec(bounds=((0.0, 1.0),)),
+                   groups=[Group(n_starts=8)])
     assert res.argmax[0] == pytest.approx(0.3, abs=1e-6)
     assert res.value == pytest.approx(0.0, abs=1e-10)
     assert res.converged
@@ -19,14 +19,14 @@ def test_quadratic_peak():
 
 def test_coherent_objective_stationary_point():
     # 2 a e^(-a^2) peaks at |alpha|^2 = 1/2
-    spec = SearchSpec(bounds=((0.0, 6.0),), grid_density=12, n_starts=8)
-    res = maximize(lambda x: 2.0 * x[0] * math.exp(-x[0] ** 2), spec)
+    res = maximize(lambda x: 2.0 * x[0] * math.exp(-x[0] ** 2),
+                   SearchSpec(bounds=((0.0, 6.0),)), groups=[Group(n_starts=8)])
     assert res.argmax[0] ** 2 == pytest.approx(0.5, abs=1e-5)
 
 
 def test_symmetric_tie_accepts_either_maximum():
-    spec = SearchSpec(bounds=((0.0, 1.0),), grid_density=12, n_starts=8)
-    res = maximize(lambda x: math.cos(2 * math.pi * x[0]), spec)
+    res = maximize(lambda x: math.cos(2 * math.pi * x[0]), SearchSpec(bounds=((0.0, 1.0),)),
+                   groups=[Group(n_starts=8)])
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert min(abs(res.argmax[0]), abs(res.argmax[0] - 1.0)) < 1e-6
 
@@ -38,9 +38,8 @@ def test_stays_inside_box_and_value_matches():
         seen.append(np.array(x))
         return -((x[0] - 2.0) ** 2) - (x[1] + 1.0) ** 2  # peak outside the box
 
-    spec = SearchSpec(bounds=((0.0, 1.0), (0.0, 1.0)), grid_density=6,
-                      n_starts=8)
-    res = maximize(f, spec)
+    res = maximize(f, SearchSpec(bounds=((0.0, 1.0), (0.0, 1.0))),
+                   groups=[Group(grid_density=6, n_starts=8)])
     for x in seen:
         assert np.all(x >= -1e-12) and np.all(x <= 1.0 + 1e-12)
     assert np.all(res.argmax >= 0.0) and np.all(res.argmax <= 1.0)
@@ -50,26 +49,26 @@ def test_stays_inside_box_and_value_matches():
 
 
 def test_batch_objective_agrees():
-    spec = SearchSpec(bounds=((0.0, 2.0), (0.0, 2.0)), grid_density=8,
-                      n_starts=8)
+    spec = SearchSpec(bounds=((0.0, 2.0), (0.0, 2.0)))
     f = lambda x: float(np.sin(x[0]) * np.cos(0.5 * x[1]))
     fb = lambda pts: np.sin(pts[:, 0]) * np.cos(0.5 * pts[:, 1])
-    res = maximize(f, spec, batch_objective=fb)
+    res = maximize(f, spec, batch_objective=fb, groups=[Group(grid_density=8, n_starts=8)])
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.argmax == pytest.approx([math.pi / 2, 0.0], abs=1e-6)
 
 
 def test_extra_seeds_are_clipped_and_used():
-    spec = SearchSpec(bounds=((0.0, 1.0),), grid_density=2, n_starts=8)
+    spec = SearchSpec(bounds=((0.0, 1.0),))
     # coarse grid {0, 1} would miss the needle at 0.437 without the seed
     f = lambda x: math.exp(-((x[0] - 0.437) / 0.003) ** 2)
-    res = maximize(f, spec, groups=[Group(seeds=[np.array([0.437]), np.array([5.0])])])
+    seeds = [np.array([0.437]), np.array([5.0])]
+    res = maximize(f, spec, groups=[Group(grid_density=2, n_starts=8, seeds=seeds)])
     assert res.value > 0.999
 
 
 def test_trace_records_starts():
-    spec = SearchSpec(bounds=((0.0, 1.0),), grid_density=12, n_starts=8)
-    res = maximize(lambda x: -(x[0] - 0.5) ** 2, spec)
+    res = maximize(lambda x: -(x[0] - 0.5) ** 2, SearchSpec(bounds=((0.0, 1.0),)),
+                   groups=[Group(n_starts=8)])
     assert isinstance(res, MaximizeResult)
     assert len(res.trace["starts"]) == 8
     assert all("value" in s and "nfev" in s for s in res.trace["starts"])
@@ -77,20 +76,20 @@ def test_trace_records_starts():
 
 
 def test_nonfinite_objective_rejected():
-    spec = SearchSpec(bounds=((0.0, 1.0),), grid_density=4, n_starts=8)
     with pytest.raises(ValueError):
-        maximize(lambda x: float("nan"), spec)
+        maximize(lambda x: float("nan"), SearchSpec(bounds=((0.0, 1.0),)),
+                 groups=[Group(grid_density=4, n_starts=8)])
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec(bounds=((1.0, 0.0),))
     with pytest.raises(ValueError):
-        SearchSpec(bounds=((0.0, 1.0),), n_starts=4)
+        Group(n_starts=4)
     with pytest.raises(ValueError):
         SearchSpec(bounds=((0.0, 1.0),), tol=1e-3)
     with pytest.raises(ValueError):
-        SearchSpec(bounds=((0.0, 1.0),), grid_density=1)
+        Group(grid_density=1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +144,8 @@ def test_lockstep_matches_scipy_out_of_evaluations():
 
 
 def test_maximize_starts_match_scipy():
-    spec = SearchSpec(bounds=BOX3, grid_density=4, n_starts=8)
-    res = maximize(lambda x: -_tilted_bowl(x), spec)
+    res = maximize(lambda x: -_tilted_bowl(x), SearchSpec(bounds=BOX3),
+                   groups=[Group(grid_density=4, n_starts=8)])
     for start in res.trace["starts"]:
         ref = minimize(_tilted_bowl, start["x0"], method="Nelder-Mead",
                        bounds=BOX3, options=SCIPY_OPTIONS)
@@ -156,10 +155,11 @@ def test_maximize_starts_match_scipy():
 
 
 def test_scalar_objective_equals_its_batch_form():
-    spec = SearchSpec(bounds=BOX3, grid_density=4, n_starts=8)
+    spec, groups = SearchSpec(bounds=BOX3), [Group(grid_density=4, n_starts=8)]
     f = lambda x: -_tilted_bowl(x)
     fb = lambda pts: np.array([f(p) for p in pts])
-    scalar, batch = maximize(f, spec), maximize(None, spec, batch_objective=fb)
+    scalar = maximize(f, spec, groups=groups)
+    batch = maximize(None, spec, batch_objective=fb, groups=groups)
     assert batch.trace == scalar.trace
     assert np.array_equal(batch.argmax, scalar.argmax)
 
@@ -174,8 +174,8 @@ def _two_rows(pts):
 
 def test_groups_match_their_lone_runs():
     # groups differ in grid density, start count and seeds; two share row 0
-    spec = SearchSpec(bounds=BOX3, grid_density=4, n_starts=8)
-    groups = [Group(0), Group(1, grid_density=5, n_starts=9),
+    spec = SearchSpec(bounds=BOX3)
+    groups = [Group(0, grid_density=4, n_starts=8), Group(1, grid_density=5, n_starts=9),
               Group(0, grid_density=3, n_starts=10,
                     seeds=[np.array([0.7, -0.2, 2.9]), np.array([5.0, 0.0, 0.0])])]
     joint = maximize(None, spec, batch_objective=_two_rows, groups=groups)

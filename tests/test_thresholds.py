@@ -14,9 +14,7 @@ from qngcoh.thresholds import (ALPHA_BOUND, ALPHA_CAP, MAX_FOCK, ORDERED_KINDS, 
                                XI_CAP, ThresholdKind, _constraint_seeds,
                                _pair_objective, _search_gaussian,
                                certify, classical_threshold, clear_threshold_cache,
-                               gaussian_min_threshold, genuine_coherence_matrix,
-                               genuine_threshold, intrinsic_threshold,
-                               parse_kind, threshold)
+                               genuine_coherence_matrix, parse_kind, threshold)
 
 
 def coherent_scan_oracle(m: int, n: int, step: float = 1e-4) -> float:
@@ -56,14 +54,14 @@ class TestClassical:
 
 class TestGaussianMin:
     def test_01_anchor(self):
-        res = gaussian_min_threshold(FockPair(0, 1))
+        res = threshold(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 1))
         assert res.value == pytest.approx(0.93, abs=0.01)
         assert res.diagnostics["converged"]
 
     def test_02_sandwich(self):
-        val = gaussian_min_threshold(FockPair(0, 2)).value
+        val = threshold(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 2)).value
         assert classical_threshold(FockPair(0, 2)).value < val
-        assert val < genuine_threshold(FockPair(0, 2)).value
+        assert val < threshold(ThresholdKind.GENUINE_N, FockPair(0, 2)).value
         # the optimum is the squeezed vacuum, C = 1/sqrt(2)
         assert val == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
@@ -77,34 +75,34 @@ class TestGaussianMin:
         c03 = coherence_quantifier(rho, FockPair(0, 3))
         c02 = coherence_quantifier(rho, FockPair(0, 2))
         assert c03 == pytest.approx(0.6293, abs=1e-3)
-        assert c03 > gaussian_min_threshold(FockPair(0, 3)).value
-        assert c02 < gaussian_min_threshold(FockPair(0, 2)).value
+        assert c03 > threshold(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 3)).value
+        assert c02 < threshold(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 2)).value
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            gaussian_min_threshold(FockPair(0, 11))
+            threshold(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 11))
 
 
 class TestIntrinsic:
     def test_02_anchor_and_optimal_fock(self):
-        res = intrinsic_threshold(FockPair(0, 2))
+        res = threshold(ThresholdKind.GAUSSIAN_INTRINSIC, FockPair(0, 2))
         assert res.value == pytest.approx(0.70, abs=0.01)
         assert res.fock_index == 0
 
     def test_03_optimal_fock_is_one(self):
-        res = intrinsic_threshold(FockPair(0, 3))
+        res = threshold(ThresholdKind.GAUSSIAN_INTRINSIC, FockPair(0, 3))
         assert res.value == pytest.approx(0.63, abs=0.01)
         assert res.fock_index == 1
 
 
 class TestGenuine:
     def test_01_collapses_to_gaussian_min(self):
-        g1 = genuine_threshold(FockPair(0, 1)).value
-        m1 = gaussian_min_threshold(FockPair(0, 1)).value
+        g1 = threshold(ThresholdKind.GENUINE_N, FockPair(0, 1)).value
+        m1 = threshold(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 1)).value
         assert g1 == pytest.approx(m1, abs=1e-6)
 
     def test_02_anchor(self):
-        res = genuine_threshold(FockPair(0, 2))
+        res = threshold(ThresholdKind.GENUINE_N, FockPair(0, 2))
         assert res.value == pytest.approx(0.86, abs=0.01)
         assert res.core_state is not None and res.core_state.dim == 2
 
@@ -129,7 +127,7 @@ class TestGenuine:
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            genuine_threshold(FockPair(0, 11))
+            threshold(ThresholdKind.GENUINE_N, FockPair(0, 11))
 
 
 class TestSelfConsistency:
@@ -149,8 +147,8 @@ class TestSelfConsistency:
     def test_middle_kinds_coincide_at_01(self):
         # the optimal input Fock state at (0,1) is the vacuum, so the
         # Gaussian-minimum and intrinsic thresholds are one number there
-        gm = gaussian_min_threshold(FockPair(0, 1)).value
-        gi = intrinsic_threshold(FockPair(0, 1)).value
+        gm = threshold(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 1)).value
+        gi = threshold(ThresholdKind.GAUSSIAN_INTRINSIC, FockPair(0, 1)).value
         assert gi == pytest.approx(gm, abs=1e-6)
 
 
@@ -195,7 +193,7 @@ class TestCaching:
         results = []
 
         def worker():
-            results.append(gaussian_min_threshold(FockPair(0, 1)))
+            results.append(threshold(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 1)))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -228,7 +226,7 @@ class TestSearchReproducibility:
         runs = []
         for _ in range(2):
             clear_threshold_cache()
-            runs.append(genuine_threshold(FockPair(0, 3)))
+            runs.append(threshold(ThresholdKind.GENUINE_N, FockPair(0, 3)))
         first, second = runs
         assert first is not second
         assert first.value == second.value
@@ -236,9 +234,9 @@ class TestSearchReproducibility:
         assert first.diagnostics == second.diagnostics
 
     def test_published_values_pinned(self):
-        assert genuine_threshold(FockPair(0, 2)).value == pytest.approx(
-            0.8583496255859265, abs=1e-6)
-        intrinsic = intrinsic_threshold(FockPair(1, 3))
+        genuine = threshold(ThresholdKind.GENUINE_N, FockPair(0, 2))
+        assert genuine.value == pytest.approx(0.8583496255859265, abs=1e-6)
+        intrinsic = threshold(ThresholdKind.GAUSSIAN_INTRINSIC, FockPair(1, 3))
         assert intrinsic.value == pytest.approx(0.7954951288348672, abs=1e-6)
         assert not any(intrinsic.diagnostics["per_fock_at_cap"].values())
 
@@ -320,7 +318,7 @@ class TestJointSearch:
 
 class TestBoundDoubling:
     def test_interior_optimum_keeps_first_box(self):
-        trace = genuine_threshold(FockPair(0, 2)).diagnostics
+        trace = threshold(ThresholdKind.GENUINE_N, FockPair(0, 2)).diagnostics
         assert trace["magnitude_bounds"] == [[XI_BOUND, ALPHA_BOUND]]
         assert trace["at_cap"] is False
 
