@@ -13,8 +13,7 @@ from qngcoh.fock import FockPair
 from qngcoh.ramsey import (ROW_G, ConditioningError, FitError, MappingConditionError,
                            NoiseConfig, PulseKind, PulseSpec, _apply_unitaries,
                            _delay_channels, _nnls, _rotate, build_sequence_0n,
-                           build_sequence_mn,
-                           decay_scan, find_mapping_pulse, fit_fringe,
+                           build_sequence_mn, decay_scan, find_mapping_pulse, fit_fringe,
                            fit_populations, motional_populations,
                            prepared_state, run_ramsey, simulation_dim,
                            thermal_spin_osc)
