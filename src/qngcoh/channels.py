@@ -51,8 +51,8 @@ def dephasing_factors(dim: int, gamma: float) -> np.ndarray:
     """Element-wise damping matrix ``exp(-Gamma (j-k)^2 / 2)`` of the
     phase-diffusion channel: ``mat * dephasing_factors(dim, gamma)`` leaves the
     diagonal untouched and damps the coherences."""
-    if gamma < 0:
-        raise ValueError("phase variance must be non-negative")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"phase variance must be finite and non-negative, got {gamma}")
     k = np.arange(dim)
     offsets = k[:, None] - k[None, :]
     return np.exp(-0.5 * gamma * offsets.astype(float) ** 2)
@@ -127,8 +127,9 @@ def thermalize(mat: np.ndarray, rate: float, duration: float) -> np.ndarray:
 
     Raises ``TruncationError`` when heating leaves more than ``HEAT_TAIL_TOL``
     of the population in the top ``min(8, max(2, dim // 8))`` levels."""
-    if rate < 0 or duration < 0:
-        raise ValueError("heating rate and duration must be non-negative")
+    if not (0.0 <= rate < math.inf and 0.0 <= duration < math.inf):
+        raise ValueError("heating rate and duration must be finite and non-negative, "
+                         f"got {rate} and {duration}")
     out = thermalize_matrix(mat, rate, duration)
     if rate * duration > 0.0:
         dim = out.shape[0]
@@ -198,6 +199,8 @@ def thermal_depth_limit(pair: FockPair, h_rate: float, times,
     times = list(times)
     if not all(0.0 <= t1 <= t2 < math.inf for t1, t2 in zip([0.0] + times, times)):
         raise ValueError(f"times must be sorted ascending, >= 0 and finite: {times}")
+    if not 0.0 <= h_rate < math.inf:
+        raise ValueError(f"heating rate must be finite and non-negative, got {h_rate}")
     dim = _tail_dim(pair.n, 0.0, h_rate * (times[-1] if times else 0.0), 0)
     mat = ideal_superposition(pair, dim).density_matrix().matrix
     thr = threshold(kind, pair).value

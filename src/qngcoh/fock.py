@@ -436,13 +436,10 @@ def coherence_quantifier(rho: DensityMatrix | np.ndarray, pair: FockPair) -> flo
     return 2.0 * float(np.abs(mat[pair.m, pair.n]))
 
 
-def ideal_superposition(pair: FockPair, dim: int | None = None,
-                        phase: float = 0.0) -> PureState:
-    """Balanced two-level superposition ``(|m> + e^{i phase}|n>)/sqrt(2)``."""
-    d = dim if dim is not None else pair.n + 1
-    if d <= pair.n:
+def ideal_superposition(pair: FockPair, dim: int) -> PureState:
+    """Balanced two-level superposition ``(|m> + |n>)/sqrt(2)`` on ``dim`` levels."""
+    if dim <= pair.n:
         raise ValueError("dimension too small for the requested pair")
-    v = np.zeros(d, dtype=complex)
-    v[pair.m] = 1.0 / math.sqrt(2.0)
-    v[pair.n] = np.exp(1j * phase) / math.sqrt(2.0)
+    v = np.zeros(dim, dtype=complex)
+    v[[pair.m, pair.n]] = 1.0 / math.sqrt(2.0)
     return PureState(v)

@@ -7,11 +7,9 @@ the usual sqrt(k+1) / sqrt(k) couplings (first order in the Lamb-Dicke
 expansion); shelving swaps the ground row with the shelf row to park
 population out of the way of ladder pulses.
 
-Pulses are instantaneous for channel purposes: dephasing, heating and an
-optional constant detuning act only during the free-precession delay.
-Composite-pulse imperfections enter through per-pulse area jitter and an
-optional config-driven contrast penalty (finite electronic coherence,
-shelving losses).
+Pulses are instantaneous for channel purposes: dephasing and heating act
+only during the free-precession delay.  Composite-pulse imperfections enter
+through per-pulse area jitter.
 """
 
 from __future__ import annotations
@@ -60,8 +58,7 @@ class PulseSpec:
     """One laser pulse: kind, bare area (radians) and optical phase.
 
     The effective rotation angle on a sideband rung k is ``area * sqrt(k+1)``.
-    Pulses are instantaneous in this model; a detuning acts only during the
-    delay (``NoiseConfig.delay_detuning``).
+    Pulses are instantaneous in this model.
     """
 
     kind: PulseKind
@@ -82,31 +79,18 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Imperfection budget for one Ramsey run.
-
-    ``pulse_duration`` and ``shelving_contrast_loss`` are config inputs, not
-    predictions: the protocol specifies pulse areas, not wall-clock lengths,
-    so electronic-coherence and shelving penalties must be supplied by the
-    user as effective numbers.
-    """
+    """Imperfection budget for one Ramsey run; every field is finite and
+    non-negative."""
 
     initial_thermal_nbar: float = 0.0
     heating_rate: float = 0.0          # phonons / s
     dephasing_rate: float = 0.0        # phase variance / s
     pulse_error: float = 0.0           # fractional rms area error per pulse
-    electronic_coherence_time: float = math.inf   # seconds
-    pulse_duration: float = 0.0        # seconds of electronic superposition per pulse
-    shelving_contrast_loss: float = 0.0  # per shelve/unshelve pair
-    delay_detuning: float = 0.0        # rad/s during the delay
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "delay_detuning" and value < 0:
-                raise ValueError(f"{f.name} must be non-negative")
-            if not (math.isfinite(value)
-                    or (f.name == "electronic_coherence_time" and value == math.inf)):
-                raise ValueError(f"{f.name} must be finite")
+            if not 0.0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and non-negative")
 
 
 @dataclass
@@ -129,11 +113,6 @@ class RamseySequence:
     prep: list[PulseSpec]
     analysis: list[PulseSpec]
     meta: dict = field(default_factory=dict)
-
-    def shelve_pairs(self) -> int:
-        kinds = [p.kind for p in self.prep + self.analysis]
-        return (kinds.count(PulseKind.SHELVE)
-                + kinds.count(PulseKind.UNSHELVE)) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +311,8 @@ def _delay_channels(rho: np.ndarray, delay: float, noise: NoiseConfig,
     matrix of a (3 dim, 3 dim, P) stack at once, on the motional indices."""
     if delay == 0.0:
         return rho
-    factors = dephasing_factors(dim, noise.dephasing_rate * delay)
-    if noise.delay_detuning != 0.0:
-        k = np.arange(dim)
-        factors = factors * np.exp(-1j * noise.delay_detuning * delay
-                                   * (k[:, None] - k[None, :]))
     blocks = rho.reshape(3, dim, 3, dim, -1).transpose(4, 0, 2, 1, 3)
-    blocks *= factors
+    blocks *= dephasing_factors(dim, noise.dephasing_rate * delay)
     if noise.heating_rate > 0.0:
         blocks[...] = thermalize_matrix(blocks, noise.heating_rate, delay)
     return rho
@@ -435,15 +409,8 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
     rho = _delay_channels(rho, delay, noise, dim)
     rho = _apply_unitaries(rho, seq.analysis, dim, areas[n_prep:], offsets[n_prep:])
 
-    penalty = 1.0
-    if noise.pulse_duration > 0.0 and math.isfinite(noise.electronic_coherence_time):
-        t_sup = noise.pulse_duration * len(pulses)
-        penalty *= math.exp(-t_sup / noise.electronic_coherence_time)
-    penalty *= (1.0 - noise.shelving_contrast_loss) ** seq.shelve_pairs()
-
     # fluorescence-dark probability 1 - P(g); shelf counts as dark
-    pg = np.real(np.trace(rho[:dim, :dim]))
-    pes = 0.5 + penalty * (np.clip(1.0 - pg, 0.0, 1.0) - 0.5)
+    pes = np.clip(1.0 - np.real(np.trace(rho[:dim, :dim])), 0.0, 1.0)
     if shots is not None:
         pes = np.random.default_rng(children[-1]).binomial(shots, pes) / shots
     points = [(float(phi), float(pe), shots) for phi, pe in zip(phases, pes)]

@@ -323,7 +323,7 @@ def _search_pair(pair: FockPair) -> dict:
     """
     intrinsic = ThresholdKind.GAUSSIAN_INTRINSIC
     kinds = [k for k in ORDERED_KINDS[1:] if _cap_error(k, pair) is None]
-    inputs = range(MAX_FOCK + 1) if intrinsic in kinds else ()
+    inputs = range(MAX_FOCK + 1)
     n_inputs = max(len(inputs), pair.n)
     groups = {ThresholdKind.GAUSSIAN_MIN: [Group(0, seeds=_constraint_seeds(pair))],
               intrinsic: [Group(k, grid_density=9, n_starts=8) for k in inputs],

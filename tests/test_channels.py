@@ -223,6 +223,12 @@ class TestThermalDepthLimit:
         with pytest.raises(ValueError, match="times must be"):
             thermal_depth_limit(FockPair(0, 2), 3.2, times, ThresholdKind.GENUINE_N)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_bad_rate_rejected_before_sizing(self, rate):
+        # a NaN rate used to reach the tail bound and fail as a truncation error
+        with pytest.raises(ValueError, match="heating rate must be finite"):
+            thermal_depth_limit(FockPair(0, 2), rate, [0.0, 0.01], ThresholdKind.GENUINE_N)
+
     def test_tail_guard(self):
         # 20 phonons of heating need more levels than the cap
         with pytest.raises(TruncationError):
@@ -264,3 +270,15 @@ def test_params_validation():
         thermalize(np.eye(4) / 4, -1.0, 0.1)
     with pytest.raises(ValueError):
         thermalize(np.eye(4) / 4, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_channel_parameters_rejected(value):
+    # nan < 0 is false: a sign check alone returned all-NaN matrices
+    mat = DensityMatrix.fock(0, 8).matrix
+    with pytest.raises(ValueError, match="must be finite"):
+        dephasing_factors(4, value)
+    with pytest.raises(ValueError, match="must be finite"):
+        thermalize(mat, value, 0.01)
+    with pytest.raises(ValueError, match="must be finite"):
+        thermalize(mat, 3.2, value)

@@ -212,7 +212,7 @@ class TestSimulateCommand:
         assert "config error" in result.output
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key", ["dephasing_rate", "delay_detuning"])
+    @pytest.mark.parametrize("key", ["dephasing_rate", "heating_rate"])
     def test_nan_noise_config_error(self, runner, tmp_path, key):
         # a NaN rate used to run and report contrast 0.0 at a nonzero delay
         cfg = tmp_path / "cfg.yaml"
@@ -224,12 +224,17 @@ class TestSimulateCommand:
         assert not (tmp_path / "o").exists()
 
     def test_unknown_noise_key_rejected(self, runner, tmp_path):
+        # the noise block takes the four NoiseConfig fields and nothing else:
+        # no electronic-coherence, shelving or detuning knobs
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(yaml.safe_dump({
-            "pair": [0, 1], "delays": [0.0], "noise": {"bogus": 1.0}}))
-        result = runner.invoke(main, ["simulate", "--config", str(cfg),
-                                      "--out", str(tmp_path / "o")])
-        assert result.exit_code == 1
+        for key in ("bogus", "electronic_coherence_time", "pulse_duration",
+                    "shelving_contrast_loss", "delay_detuning"):
+            cfg.write_text(yaml.safe_dump({
+                "pair": [0, 1], "delays": [0.0], "noise": {key: 1.0}}))
+            result = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                          "--out", str(tmp_path / "o")])
+            assert result.exit_code == 1
+            assert f"config error: unknown noise keys: ['{key}']" in result.output
 
     @pytest.mark.parametrize("shots", [0, -5])
     def test_non_positive_shots_config_error(self, runner, tmp_path, shots):
