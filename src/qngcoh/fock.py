@@ -101,8 +101,10 @@ class GaussianParams:
     alpha_phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.xi_mag < 0 or self.alpha_mag < 0:
-            raise ValueError("squeeze/displacement magnitudes must be non-negative")
+        if not (0.0 <= self.xi_mag < math.inf and 0.0 <= self.alpha_mag < math.inf):
+            raise ValueError("squeeze/displacement magnitudes must be finite and non-negative")
+        if not (math.isfinite(self.xi_phase) and math.isfinite(self.alpha_phase)):
+            raise ValueError("squeeze/displacement phases must be finite")
         object.__setattr__(self, "xi_phase", float(self.xi_phase) % TWO_PI)
         object.__setattr__(self, "alpha_phase", float(self.alpha_phase) % TWO_PI)
         object.__setattr__(self, "xi_mag", float(self.xi_mag))
@@ -190,8 +192,8 @@ class DensityMatrix:
     @classmethod
     def thermal(cls, nbar: float, dim: int) -> "DensityMatrix":
         """Geometric (thermal) occupation, renormalized on the truncated space."""
-        if nbar < 0:
-            raise ValueError("mean occupation must be non-negative")
+        if not 0.0 <= nbar < math.inf:
+            raise ValueError(f"mean occupation must be finite and non-negative, got {nbar!r}")
         if nbar == 0:
             return cls.fock(0, dim)
         k = np.arange(dim)
@@ -246,24 +248,37 @@ def _scaled_hermite_ladder(kmax: int, xy, ysq) -> np.ndarray:
     the ladder stays finite for arbitrarily small squeezing (ysq -> 0 smoothly
     reduces it to plain powers of 2*xy).
     """
-    h = [np.ones_like(xy * 0j + 1.0), 2.0 * xy]
+    h = np.empty((kmax + 1,) + np.shape(xy), dtype=complex)
+    h[0] = 1.0
+    if kmax:
+        h[1] = two_xy = 2.0 * xy
+    # no in-place updates: 0-d parameters must stay on numpy's scalar complex
+    # arithmetic, which can round differently from its vectorised array loops
     for k in range(1, kmax):
-        h.append(2.0 * xy * h[k] - 2.0 * k * ysq * h[k - 1])
-    return np.stack(h[: kmax + 1])
+        h[k + 1] = two_xy * h[k] - 2.0 * k * ysq * h[k - 1]
+    return h
 
 
 @lru_cache(maxsize=256)
-def _contraction_weights(ms: tuple, ns: tuple) -> np.ndarray:
-    """Read-only ``w[i, a, b] = sqrt(m! n!) / (i! (m-i)! (n-i)!)`` for
-    ``m = ms[a]``, ``n = ns[b]``; zero for ``i > min(m, n)``."""
-    w = np.zeros((min(max(ms), max(ns)) + 1, len(ms), len(ns)))
+def _contraction_terms(ms: tuple, ns: tuple, ndim: int) -> tuple:
+    """Read-only ``(w_i, rows_m, rows_n)`` per contraction count ``i``.
+
+    ``w_i[a, b] = sqrt(m! n!) / (i! (m-i)! (n-i)!)`` for ``m = ms[a]``,
+    ``n = ns[b]`` (zero for ``i > min(m, n)``), held complex and shaped to
+    broadcast over ``ndim`` parameter axes; ``rows_m[a, 0] = max(m - i, 0)``
+    and ``rows_n[0, b] = max(n - i, 0)`` index the ladder rows it multiplies.
+    """
+    w = np.zeros((min(max(ms), max(ns)) + 1, len(ms), len(ns)) + (1,) * ndim, dtype=complex)
     for (a, m), (b, n) in product(enumerate(ms), enumerate(ns)):
         log_fact_mn = 0.5 * (lgamma(m + 1) + lgamma(n + 1))
         for i in range(min(m, n) + 1):
             w[i, a, b] = math.exp(log_fact_mn - lgamma(i + 1)
                                   - lgamma(m - i + 1) - lgamma(n - i + 1))
-    w.flags.writeable = False
-    return w
+    mv, nv = np.array(ms)[:, None], np.array(ns)[None]
+    terms = tuple((w[i], np.maximum(mv - i, 0), np.maximum(nv - i, 0)) for i in range(len(w)))
+    for arr in (a for term in terms for a in term):
+        arr.flags.writeable = False
+    return terms
 
 
 def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
@@ -278,8 +293,10 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     ``shape(m) + shape(n) + shape(params)``.
     """
     ms, ns = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
-    r, th, amag, aph = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (xi_mag, xi_phase, alpha_mag, alpha_phase)))
+    mk, nk = tuple(ms.ravel().tolist()), tuple(ns.ravel().tolist())
+    params = [np.asarray(x, dtype=float) for x in (xi_mag, xi_phase, alpha_mag, alpha_phase)]
+    shape = np.broadcast(*params).shape
+    r, th, amag, aph = (x if x.shape == shape else np.broadcast_to(x, shape) for x in params)
 
     alpha = amag * np.exp(1j * aph)
     t = np.tanh(r)
@@ -288,17 +305,23 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     tau_conj = t * np.exp(-1j * th)
 
     a00 = np.exp(-0.5 * amag ** 2 + 0.5 * tau_conj * alpha ** 2) / np.sqrt(c)
-    h_m = _scaled_hermite_ladder(ms.max(), alpha / (2.0 * c), tau / 2.0)
-    h_n = _scaled_hermite_ladder(ns.max(), (tau_conj * alpha - np.conj(alpha)) / 2.0,
+    h_m = _scaled_hermite_ladder(max(mk), alpha / (2.0 * c), tau / 2.0)
+    h_n = _scaled_hermite_ladder(max(nk), (tau_conj * alpha - np.conj(alpha)) / 2.0,
                                  -tau_conj / 2.0)
 
-    mv, nv = ms.ravel(), ns.ravel()
-    w = _contraction_weights(tuple(mv.tolist()), tuple(nv.tolist()))
-    w = w.reshape(w.shape + (1,) * r.ndim)
-    acc = np.zeros((mv.size, nv.size) + r.shape, dtype=complex)
-    for i in range(len(w)):
-        acc = acc + (w[i] * h_m[np.maximum(mv - i, 0)][:, None]
-                     * h_n[np.maximum(nv - i, 0)][None] / c ** i)
+    terms = _contraction_terms(mk, nk, r.ndim)
+
+    def term(i):
+        # ((w h_m) h_n) / c^i with one term's rows gathered at a time; tests
+        # compare the sum bit for bit with a plain loop
+        w, rows_m, rows_n = terms[i]
+        return w * h_m.take(rows_m, axis=0) * h_n.take(rows_n, axis=0) / c ** i
+
+    acc = term(0)
+    for i in range(1, len(terms)):
+        # a new sum, not +=: adding in place, the allocator returned the freed
+        # term to the OS each time, and a 1,728-point call took 10.6, not 8.4 ms
+        acc = acc + term(i)
     return (a00 * acc).reshape(ms.shape + ns.shape + r.shape)
 
 

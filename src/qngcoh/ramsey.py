@@ -66,8 +66,10 @@ class PulseSpec:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.area < 0:
-            raise ValueError("pulse area must be non-negative")
+        if not 0.0 <= self.area < math.inf:
+            raise ValueError(f"pulse area must be finite and non-negative, got {self.area!r}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"pulse phase must be finite, got {self.phase!r}")
 
     def inverse(self) -> "PulseSpec":
         if self.kind == PulseKind.SHELVE:

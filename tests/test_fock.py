@@ -1,4 +1,5 @@
 import math
+from itertools import product
 from math import lgamma
 
 import numpy as np
@@ -36,6 +37,14 @@ def dense_gaussian_matrix(g: GaussianParams, dim: int, pad: int) -> np.ndarray:
     return (squeeze @ displace)[:dim, :dim]
 
 
+def list_ladder(kmax: int, xy, ysq) -> list:
+    """Scaled Hermite ladder ``h_0..h_kmax`` (and one more for kmax = 0) as a list."""
+    h = [np.ones_like(xy * 0j + 1.0), 2.0 * xy]
+    for k in range(1, kmax):
+        h.append(2.0 * xy * h[k] - 2.0 * k * ysq * h[k - 1])
+    return h
+
+
 def per_index_amplitude(m: int, n: int, r, th, amag, aph):
     """``<m|S(xi)D(alpha)|n>`` one index pair at a time: the per-index form
     of the ladder contraction, a plain loop over the contraction order."""
@@ -43,21 +52,43 @@ def per_index_amplitude(m: int, n: int, r, th, amag, aph):
     t, c = np.tanh(r), np.cosh(r)
     tau, tau_conj = t * np.exp(1j * th), t * np.exp(-1j * th)
     a00 = np.exp(-0.5 * amag ** 2 + 0.5 * tau_conj * alpha ** 2) / np.sqrt(c)
-
-    def ladder(kmax, xy, ysq):
-        h = [np.ones_like(xy * 0j + 1.0), 2.0 * xy]
-        for k in range(1, kmax):
-            h.append(2.0 * xy * h[k] - 2.0 * k * ysq * h[k - 1])
-        return h
-
-    h_m = ladder(m, alpha / (2.0 * c), tau / 2.0)
-    h_n = ladder(n, (tau_conj * alpha - np.conj(alpha)) / 2.0, -tau_conj / 2.0)
+    h_m = list_ladder(m, alpha / (2.0 * c), tau / 2.0)
+    h_n = list_ladder(n, (tau_conj * alpha - np.conj(alpha)) / 2.0, -tau_conj / 2.0)
     acc = 0j
     for i in range(min(m, n) + 1):
         w = math.exp(0.5 * (lgamma(m + 1) + lgamma(n + 1)) - lgamma(i + 1)
                      - lgamma(m - i + 1) - lgamma(n - i + 1))
         acc = acc + w * h_m[m - i] * h_n[n - i] / c ** i
     return a00 * acc
+
+
+def reference_block_amplitude(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
+    """The block contraction as a plain loop: stacked list ladders, clamped
+    rows recomputed per term and a fresh accumulator per term.  Same
+    operations in the same order as ``sdf_amplitude_raw``, so the two agree
+    bit for bit."""
+    ms, ns = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
+    r, th, amag, aph = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (xi_mag, xi_phase, alpha_mag, alpha_phase)))
+    alpha = amag * np.exp(1j * aph)
+    t, c = np.tanh(r), np.cosh(r)
+    tau, tau_conj = t * np.exp(1j * th), t * np.exp(-1j * th)
+    a00 = np.exp(-0.5 * amag ** 2 + 0.5 * tau_conj * alpha ** 2) / np.sqrt(c)
+    h_m = np.stack(list_ladder(ms.max(), alpha / (2.0 * c), tau / 2.0)[: ms.max() + 1])
+    h_n = np.stack(list_ladder(ns.max(), (tau_conj * alpha - np.conj(alpha)) / 2.0,
+                               -tau_conj / 2.0)[: ns.max() + 1])
+
+    mv, nv = ms.ravel(), ns.ravel()
+    w = np.zeros((min(mv.max(), nv.max()) + 1, mv.size, nv.size) + (1,) * r.ndim)
+    for (a, mi), (b, ni) in product(enumerate(mv.tolist()), enumerate(nv.tolist())):
+        for i in range(min(mi, ni) + 1):
+            w[i, a, b] = math.exp(0.5 * (lgamma(mi + 1) + lgamma(ni + 1)) - lgamma(i + 1)
+                                  - lgamma(mi - i + 1) - lgamma(ni - i + 1))
+    acc = np.zeros((mv.size, nv.size) + r.shape, dtype=complex)
+    for i in range(len(w)):
+        acc = acc + (w[i] * h_m[np.maximum(mv - i, 0)][:, None]
+                     * h_n[np.maximum(nv - i, 0)][None] / c ** i)
+    return (a00 * acc).reshape(ms.shape + ns.shape + r.shape)
 
 
 class TestCoherentAmplitude:
@@ -190,6 +221,41 @@ class TestSdfAmplitude:
                     assert np.max(np.abs(block[a, b] - ref)) < 1e-12
         assert sdf_amplitude_raw(3, ks, 0.2, 1.0, 0.5, 0.0).shape == (len(ks),)
 
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6),
+                                      (1, 2), (1, 3), (2, 3)], ids=lambda p: f"{p[0]},{p[1]}")
+    def test_block_bit_identical_to_reference_loop(self, rng, pair):
+        # every call shape the library makes: the search block at its batch
+        # sizes, the MC intrinsic and genuine blocks, and squeezing exactly 0
+        m, n = pair
+
+        def points(npts):
+            r = rng.uniform(0, 2.0, npts)
+            r[: npts // 4] = 0.0
+            return r, rng.uniform(0, 2 * np.pi, npts), rng.uniform(0, 6.0, npts)
+
+        calls = [((m, n), range(11), *points(npts), 0.0) for npts in (1, 2, 33, 120, 1920)]
+        calls += [((m, n), k, *points(16384), 0.0) for k in (0, 3, 10)]
+        calls += [((m, n), range(n), *points(16384), 0.0),
+                  ((m, n), range(11), np.zeros(40), *points(40)[1:], 0.0)]
+        for call in calls:
+            got, want = sdf_amplitude_raw(*call), reference_block_amplitude(*call)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_scalar_and_mixed_bit_identical_to_reference_loop(self, rng):
+        calls = [(1, 2, 0.1, 0.2, 0.3, 0.0), (4, 4, 0.0, 1.1, 2.0, 0.4),
+                 (0, 0, 0.0, 0.0, 0.0, 0.0),
+                 ([0, 2, 5, 9], [0, 1, 3, 7, 10], 0.3, rng.uniform(0, 6, 7), 1.2,
+                  rng.uniform(0, 6, 7)),
+                 (3, [0, 4], rng.uniform(0, 2, (3, 4)), 0.5, 2.0, 0.0),
+                 (range(11), 4, rng.uniform(0, 2, 5), 0.5, rng.uniform(0, 6, 5), 1.0)]
+        calls += [(int(rng.integers(0, 11)), int(rng.integers(0, 11)),
+                   *rng.uniform(0, 2, 2), *rng.uniform(0, 6, 2)) for _ in range(50)]
+        for call in calls:
+            got, want = sdf_amplitude_raw(*call), reference_block_amplitude(*call)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
     def test_bogoliubov_identity(self):
         # D(alpha) S(xi) = S(xi) D(beta) as truncated matrices
         dim = 60
@@ -264,6 +330,13 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             GaussianParams(xi_mag=-0.1)
 
+    @pytest.mark.parametrize("field", ["xi_mag", "xi_phase", "alpha_mag", "alpha_phase"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_gaussian_params_reject_non_finite(self, field, value):
+        # nan < 0 is false, so a sign check alone let NaN through to the kernel
+        with pytest.raises(ValueError, match="finite"):
+            GaussianParams(**{field: value})
+
     def test_density_matrix_validation(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
@@ -277,6 +350,11 @@ class TestDomainTypes:
         pops = np.diag(rho.matrix).real
         assert pops[0] == pytest.approx(1 / 1.07, abs=1e-6)
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -0.5])
+    def test_thermal_state_rejects_bad_occupation(self, nbar):
+        with pytest.raises(ValueError, match="mean occupation"):
+            DensityMatrix.thermal(nbar, 4)
 
     def test_pure_state_tail_guard(self):
         v = np.zeros(DEFAULT_TRUNC, dtype=complex)

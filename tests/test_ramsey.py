@@ -107,6 +107,13 @@ class TestPulses:
         with pytest.raises(TypeError):
             PulseSpec(PulseKind.BSB, 1.0, detuning=100.0)
 
+    @pytest.mark.parametrize("area, phase", [(math.nan, 0.0), (math.inf, 0.0), (-0.1, 0.0),
+                                             (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_pulse_rejected(self, area, phase):
+        # nan < 0 is false, so a sign check alone let NaN and inf areas through
+        with pytest.raises(ValueError, match="pulse (area|phase) must be finite"):
+            PulseSpec(PulseKind.BSB, area, phase)
+
     def test_unitary_matches_pure_application(self, rng):
         # the two-sided density-matrix pulse against a mixture of pure-state
         # pulses, sum_i p_i |U psi_i><U psi_i|, for every pulse kind
