@@ -185,6 +185,8 @@ class DensityMatrix:
 
     @classmethod
     def fock(cls, k: int, dim: int) -> "DensityMatrix":
+        if not 0 <= k < dim:
+            raise ValueError(f"Fock level k={k} must satisfy 0 <= k < dim={dim}")
         mat = np.zeros((dim, dim), dtype=complex)
         mat[k, k] = 1.0
         return cls(mat)
@@ -194,6 +196,8 @@ class DensityMatrix:
         """Geometric (thermal) occupation, renormalized on the truncated space."""
         if not 0.0 <= nbar < math.inf:
             raise ValueError(f"mean occupation must be finite and non-negative, got {nbar!r}")
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got dim={dim}")
         if nbar == 0:
             return cls.fock(0, dim)
         k = np.arange(dim)

@@ -5,13 +5,17 @@ seeds.  The refinement starts advance in lockstep: each simplex stage
 (reflection; expansion or contraction; shrink) is one batch evaluation over
 the starts that take it.  Each start follows scipy's bounded, non-adaptive
 Nelder-Mead step for step, with the same initial simplex, clipping and
-stopping rule.  Deterministic: no randomness enters the search, so identical
-specs give identical results.
+stopping rule.  That stop is loose (``XATOL``, ``FATOL``): the two best starts
+of every group are then finished with safeguarded Newton steps on a
+central-difference stencil of the objective, all finishes in lockstep with
+one batch evaluation per step.  Deterministic: no randomness enters the
+search, so identical specs give identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,8 +25,15 @@ RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
 #: initial-simplex steps: relative for a nonzero coordinate, absolute for zero
 NONZDELT, ZDELT = 0.05, 0.00025
 #: per-start stopping rule
-XATOL, FATOL = 1e-10, 1e-13
+XATOL, FATOL = 1e-4, 1e-7
 MAXITER, MAXFEV = 4000, 8000
+#: Newton finish: difference step (at 1e-4 the O(h^2) gradient error left
+#: optima near |alpha| = 6 up to 1e-13 low), stencils per finished start (the
+#: first at the simplex's point), and the predicted gain, relative to
+#: ``max(1, |f|)``, below which a step is not taken
+FINISH_H = 3e-5
+FINISH_STEPS = 4
+FINISH_GAIN = 1e-15
 
 
 class NonConvergenceError(RuntimeError):
@@ -174,6 +185,85 @@ def nelder_mead(fun: Callable[..., np.ndarray], x0: np.ndarray,
         sim, fsim = _sort_simplices(sim, fsim)
 
 
+def _stencil(ndim: int) -> np.ndarray:
+    """Offset taken on each axis by each stencil point: 0 none, 1 the lower,
+    2 the upper.  The centre, two points per axis and four per pair of axes:
+    ``1 + 2n + 2n(n - 1)`` points."""
+    eye = np.eye(ndim, dtype=int)
+    return np.array([0 * eye[0]] + [a * eye[i] for i in range(ndim) for a in (1, 2)]
+                    + [a * eye[i] + b * eye[j] for i, j in combinations(range(ndim), 2)
+                       for a, b in product((1, 2), repeat=2)])
+
+
+def _newton_step(vals: np.ndarray, x: np.ndarray, du: np.ndarray, dv: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray):
+    """Ascent step and its predicted gain from stencil values ``vals`` at ``x``.
+
+    Each axis has its two offsets ``du < dv`` (either side of the centre, or
+    both on the inner side near a bound), so the differences are exact for
+    quadratics.  A coordinate on a bound whose gradient points out of the box
+    is held fixed; of the rest, only directions of negative curvature are
+    stepped, so flat directions (a ring of maxima) stay where they are.
+    """
+    n_pts, ndim = x.shape
+    f0 = vals[:, :1]
+    fu, fv = vals[:, 1:1 + 2 * ndim:2] - f0, vals[:, 2:2 + 2 * ndim:2] - f0
+    den = du * dv * (dv - du)
+    grad = (fu * dv ** 2 - fv * du ** 2) / den
+    hess = np.zeros((n_pts, ndim, ndim))
+    hess[:, range(ndim), range(ndim)] = 2.0 * (fv * du - fu * dv) / den
+    i, j = np.array(list(combinations(range(ndim), 2)), dtype=int).reshape(-1, 2).T
+    uu, uv, vu, vv = vals[:, 1 + 2 * ndim:].reshape(n_pts, len(i), 4).transpose(2, 0, 1)
+    hess[:, i, j] = hess[:, j, i] = (vv - vu - uv + uu) / ((dv - du)[:, i] * (dv - du)[:, j])
+    free = ~(((x <= lo) & (grad < 0)) | ((x >= hi) & (grad > 0)))
+    lam, vec = np.linalg.eigh(hess * free[:, :, None] * free[:, None, :])
+    proj = (vec * (grad * free)[:, :, None]).sum(axis=1)
+    # curvature within 1e-6 of the largest is rounding noise: flat
+    neg = lam < -1e-6 * np.abs(lam).max(axis=1, keepdims=True)
+    coef = np.where(neg, proj / np.where(neg, lam, -1.0), 0.0)
+    step = -(vec * coef[:, None, :]).sum(axis=2) * free
+    gain = -0.5 * (coef * proj).sum(axis=1)
+    return step, gain
+
+
+def _finish(fun: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
+            fx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Safeguarded Newton ascent from every row of ``x`` (values ``fx``) in lockstep.
+
+    ``fun(pts, starts)`` returns each start's objective at its points.  Every
+    step is one call over the stencils of the running starts: the stencil's
+    centre is the trial point, accepted only if it does not lower the value,
+    and its differences give the next step.  A start stops at a rejected
+    step, when its next step would gain less than ``FINISH_GAIN`` (relative
+    to ``max(1, |f|)``), or after ``FINISH_STEPS`` stencils.  Returns the
+    finished points, values, accepted steps and evaluations per start.
+    """
+    n_pts, ndim = x.shape
+    sel = _stencil(ndim)
+    h = np.minimum(FINISH_H, (hi - lo) / 4)
+    x, fx, trial = x.copy(), fx.copy(), x.copy()
+    steps, evals = np.zeros(n_pts, dtype=int), np.zeros(n_pts, dtype=int)
+    act = np.arange(n_pts)
+    for _ in range(FINISH_STEPS):
+        if act.size == 0:
+            break
+        t = trial[act]
+        # near a bound both offsets of an axis go to its inner side
+        shift = np.where(t - h < lo, 1.5 * h, np.where(t + h > hi, -1.5 * h, 0.0))
+        xu, xv = t + (shift - h), t + (shift + h)
+        pts = np.where(sel == 1, xu[:, None], np.where(sel == 2, xv[:, None], t[:, None]))
+        vals = fun(pts.reshape(-1, ndim), np.repeat(act, len(sel))).reshape(len(act), -1)
+        evals[act] += len(sel)
+        ok = vals[:, 0] >= fx[act]
+        act, t, vals, xu, xv = act[ok], t[ok], vals[ok], xu[ok], xv[ok]
+        steps[act] += np.any(t != x[act], axis=1)
+        x[act], fx[act] = t, vals[:, 0]
+        step, gain = _newton_step(vals, t, xu - t, xv - t, lo, hi)
+        trial[act] = np.clip(t + step, lo, hi)
+        act = act[gain > FINISH_GAIN * np.maximum(1.0, np.abs(fx[act]))]
+    return x, fx, steps, evals
+
+
 @dataclass(frozen=True, eq=False)
 class Group:
     """One objective row searched in a ``maximize`` run, with its own seeding:
@@ -211,6 +301,14 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
     result is the best group's, with every start in its trace and each
     group's result in ``groups``.
 
+    Every start runs Nelder-Mead to the loose, scipy-identical stop; its
+    trace record (``x``, ``value``, ``nfev``) is the simplex's.  The two best
+    starts of each group are then finished by ``_finish``, all groups in
+    lockstep with one batch evaluation per Newton step; the group's trace
+    records them under ``finish`` (points, values, steps, evaluations, best
+    first).  The argmax and value are the better finished start's, and the
+    group is ``converged`` when the two finished values agree to ``spec.tol``.
+
     Raises ``NonConvergenceError`` when no refinement start (of a group)
     reaches the best grid seed; trace records per-start outcomes either way.
     """
@@ -243,27 +341,36 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
     rows = np.repeat([g.row for g in groups], counts)
     runs = nelder_mead(lambda p, labels: -table(p)[labels, np.arange(len(labels))],
                        seeds, lo, hi, rows)
+    xs, fs = runs[:2]
 
-    results, offsets = [], np.cumsum([0] + counts)
-    for (pts, vals), a, b in zip(own, offsets, offsets[1:]):
+    # every group's two best starts (stable: as ranked in its trace), finished
+    offsets = np.cumsum([0] + counts)
+    top = np.concatenate([a + np.argsort(fs[a:b], kind="stable")[:2]
+                          for a, b in zip(offsets, offsets[1:])])
+    fin_x, fin_f, fin_steps, fin_evals = _finish(
+        lambda p, s: table(p)[rows[top][s], np.arange(len(s))], xs[top], -fs[top], lo, hi)
+
+    results = []
+    for i, ((pts, vals), a, b) in enumerate(zip(own, offsets, offsets[1:])):
         starts = [{"x0": x0.tolist(), "x": x.tolist(), "value": -float(f),
                    "nfev": int(nfev), "success": bool(ok)}
                   for x0, x, f, nfev, ok in zip(seeds[a:b], *(arr[a:b] for arr in runs))]
         starts.sort(key=lambda s: s["value"], reverse=True)
-        best, runner_up = starts[0]["value"], starts[1]["value"]
+        pair = sorted((2 * i, 2 * i + 1), key=lambda j: -fin_f[j])
+        best, runner_up = (float(fin_f[j]) for j in pair)
         trace = {"grid_points": len(pts), "grid_best": float(vals.max()),
-                 "starts": starts, "best_value": best, "runner_up_value": runner_up,
+                 "starts": starts,
+                 "finish": {"points": fin_x[pair].tolist(), "values": fin_f[pair].tolist(),
+                            "steps": fin_steps[pair].tolist(),
+                            "evaluations": int(fin_evals[pair].sum())},
+                 "best_value": best, "runner_up_value": runner_up,
                  "converged": abs(best - runner_up) <= max(spec.tol, spec.tol * abs(best))}
         if best < trace["grid_best"] - 1e-12:
             raise NonConvergenceError("no refinement start reached the grid seed value "
                                       f"{trace['grid_best']!r}", trace)
-        argmax = np.clip(np.array(starts[0]["x"]), lo, hi)
-        results.append(MaximizeResult(argmax, 0.0, trace))
+        # the value is the objective exactly as evaluated at the returned point
+        results.append(MaximizeResult(fin_x[pair[0]], best, trace))
 
-    # report the objective exactly as evaluated at the returned points
-    finals = table(np.array([res.argmax for res in results]))
-    for i, (g, res) in enumerate(zip(groups, results)):
-        res.value = float(finals[g.row, i])
     top = max(results, key=lambda res: res.value)
     return MaximizeResult(top.argmax, top.value, groups=results, trace=dict(
         top.trace, starts=[s for res in results for s in res.trace["starts"]]))

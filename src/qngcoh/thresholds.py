@@ -89,9 +89,10 @@ class ThresholdResult:
     diagnostics: dict = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> dict:
-        """Value, argmax and, when set, Fock input and core state, as JSON data."""
+        """Value, argmax and, when set, Fock input, core state and (searched
+        kinds) whether the optimum was left on the capped box, as JSON data."""
         out = {"value": self.value, "argmax": asdict(self.argmax),
-               "fock_index": self.fock_index}
+               "fock_index": self.fock_index, "at_cap": self.diagnostics.get("at_cap")}
         if self.core_state is not None:
             out["core_state"] = {"re": self.core_state.coeffs.real.tolist(),
                                  "im": self.core_state.coeffs.imag.tolist()}

@@ -42,6 +42,21 @@ class TestThresholdsCommand:
             0.8578, abs=1e-4)
         assert payload["manifest"]["command"] == "thresholds"
 
+    def test_searched_kinds_report_at_cap(self, runner, tmp_path):
+        # gaussian-min of (9,10) ends on the |alpha| cap: the table shows it,
+        # and the status does not change
+        out = tmp_path / "table.json"
+        result = runner.invoke(main, ["thresholds", "--pair", "9,10", "--out", str(out)])
+        assert result.exit_code == 0
+        payload = json.loads(out.read_text())
+        validate(payload, "threshold_table.schema.json")
+        row = payload["results"]["9,10"]
+        assert "at_cap" not in row["classical"]
+        assert row["gaussian-min"]["at_cap"] is True
+        assert row["intrinsic"]["at_cap"] is False
+        assert row["genuine"]["at_cap"] is False
+        assert {entry["status"] for entry in row.values()} == {"ok"}
+
     def test_empty_pairs_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["thresholds", "--out",
                                       str(tmp_path / "t.json")])

@@ -356,6 +356,16 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="mean occupation"):
             DensityMatrix.thermal(nbar, 4)
 
+    @pytest.mark.parametrize("k, dim", [(5, 3), (3, 3), (-1, 3), (0, 0)])
+    def test_fock_state_rejects_level_outside_space(self, k, dim):
+        with pytest.raises(ValueError, match=r"k=.*dim="):
+            DensityMatrix.fock(k, dim)
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.5])
+    def test_thermal_state_rejects_empty_space(self, nbar):
+        with pytest.raises(ValueError, match="dim=0"):
+            DensityMatrix.thermal(nbar, 0)
+
     def test_pure_state_tail_guard(self):
         v = np.zeros(DEFAULT_TRUNC, dtype=complex)
         v[-2] = 1.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from qngcoh import optimize
 from qngcoh.optimize import (MAXFEV, Group, MaximizeResult, SearchSpec, maximize,
                              nelder_mead)
 
@@ -97,7 +98,9 @@ def test_spec_validation():
 # ---------------------------------------------------------------------------
 
 BOX3 = ((0.0, 2.0), (-1.0, 1.0), (0.0, 3.0))
-SCIPY_OPTIONS = dict(xatol=1e-10, fatol=1e-13, maxiter=4000, maxfev=8000)
+#: scipy at the module's own per-start stop
+SCIPY_OPTIONS = dict(xatol=optimize.XATOL, fatol=optimize.FATOL,
+                     maxiter=optimize.MAXITER, maxfev=optimize.MAXFEV)
 
 
 def _tilted_bowl(x):
@@ -189,3 +192,56 @@ def test_groups_match_their_lone_runs():
     top = max(joint.groups, key=lambda part: part.value)
     assert joint.value == top.value
     assert len(joint.trace["starts"]) == 27
+
+
+# ---------------------------------------------------------------------------
+# Newton finish of each group's two best starts
+# ---------------------------------------------------------------------------
+
+
+def _recorded(fb, seen):
+    def batch(pts):
+        seen.append(pts.copy())
+        return fb(pts)
+    return batch
+
+
+def _check_finish(res, lo, hi, seen):
+    pts = np.vstack(seen)
+    assert np.all(pts >= lo) and np.all(pts <= hi)
+    for part in res.groups:
+        finish = part.trace["finish"]
+        assert part.value == finish["values"][0] == part.trace["best_value"]
+        assert finish["values"][1] == part.trace["runner_up_value"] <= part.value
+        assert np.array_equal(part.argmax, finish["points"][0])
+        # never below what the simplex found
+        assert part.value >= part.trace["starts"][0]["value"]
+        assert finish["values"][1] >= part.trace["starts"][1]["value"]
+
+
+def test_finish_on_ring_maximum_stays_in_box():
+    # every point of the circle of radius 0.5 is a maximum: the flat tangent
+    # direction is not stepped, the radial one is
+    ring = lambda pts: -1e3 * (np.hypot(pts[:, 0], pts[:, 1]) - 0.5) ** 2
+    seen, lo, hi = [], np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    res = maximize(None, SearchSpec(bounds=((-1.0, 1.0), (-1.0, 1.0))),
+                   batch_objective=_recorded(ring, seen), groups=[Group(n_starts=8)])
+    _check_finish(res, lo, hi, seen)
+    assert res.trace["starts"][0]["value"] < -1e-13 < res.value
+    assert np.hypot(*res.argmax) == pytest.approx(0.5, abs=1e-8)
+    finish = res.trace["finish"]
+    assert finish["evaluations"] % 9 == 0 and min(finish["steps"]) >= 1
+
+
+def test_finish_holds_coordinate_on_lower_bound():
+    # the maximum lies on x = 0 with the gradient pointing out of the box
+    tilted = lambda pts: (-(pts[:, 0] + 0.3) ** 2 - 2.0 * (pts[:, 1] - 0.4) ** 2
+                          + 0.5 * pts[:, 0] * pts[:, 1] + np.sin(pts[:, 1]))
+    seen, bounds = [], ((0.0, 1.0), (0.0, 1.0))
+    res = maximize(None, SearchSpec(bounds=bounds), batch_objective=_recorded(tilted, seen),
+                   groups=[Group(grid_density=5, n_starts=8), Group(grid_density=7, n_starts=9)])
+    _check_finish(res, 0.0, 1.0, seen)
+    y = 0.4 + math.cos(res.argmax[1]) / 4.0   # stationarity on x = 0
+    assert res.argmax[0] == 0.0
+    assert res.argmax[1] == pytest.approx(y, abs=1e-9)
+    assert all(part.value > part.trace["starts"][0]["value"] for part in res.groups)

@@ -1,6 +1,8 @@
+import json
 import math
 import threading
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +241,35 @@ class TestSearchReproducibility:
         intrinsic = threshold(ThresholdKind.GAUSSIAN_INTRINSIC, FockPair(1, 3))
         assert intrinsic.value == pytest.approx(0.7954951288348672, abs=1e-6)
         assert not any(intrinsic.diagnostics["per_fock_at_cap"].values())
+
+
+class TestBenchmarkThresholds:
+    """The benchmark pairs' thresholds against ``perfbench/reference.json``,
+    recorded with a tight simplex stop and no finish."""
+
+    PAIRS = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (2, 3))
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        return json.loads(path.read_text())["thresholds"]
+
+    def test_values_match_reference(self, reference):
+        got = {f"{thresholds_module.KIND_NAMES[kind]}/{m},{n}":
+               threshold(kind, FockPair(m, n)).value
+               for m, n in self.PAIRS for kind in ORDERED_KINDS}
+        assert sorted(got) == sorted(reference)
+        for key, want in reference.items():
+            assert abs(got[key] - want) <= 1e-12, key
+            assert got[key] >= want - 1e-14, key
+
+    def test_searched_thresholds_converge(self):
+        for m, n in self.PAIRS:
+            for kind in ORDERED_KINDS[1:]:
+                trace = threshold(kind, FockPair(m, n)).diagnostics
+                assert trace["converged"], (kind, m, n)
+                # one 19-point stencil per finish step of each finished start
+                assert trace["finish"]["evaluations"] % 19 == 0
 
 
 class TestJointSearch:
