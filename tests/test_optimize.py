@@ -223,10 +223,10 @@ def test_finish_on_ring_maximum_stays_in_box():
     # every point of the circle of radius 0.5 is a maximum: the flat tangent
     # direction is not stepped, the radial one is
     ring = lambda pts: -1e3 * (np.hypot(pts[:, 0], pts[:, 1]) - 0.5) ** 2
-    seen, lo, hi = [], np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    seen = []
     res = maximize(None, SearchSpec(bounds=((-1.0, 1.0), (-1.0, 1.0))),
                    batch_objective=_recorded(ring, seen), groups=[Group(n_starts=8)])
-    _check_finish(res, lo, hi, seen)
+    _check_finish(res, -1.0, 1.0, seen)
     assert res.trace["starts"][0]["value"] < -1e-13 < res.value
     assert np.hypot(*res.argmax) == pytest.approx(0.5, abs=1e-8)
     finish = res.trace["finish"]
