@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .fock import (CoreState, DensityMatrix, FockPair, GaussianParams,
-                   PureState, build_gaussian_matrix, coherence_quantifier,
-                   coherent_amplitude, ideal_superposition, sdf_amplitude)
+from .fock import (FockPair, GaussianParams, build_gaussian_matrix,
+                   coherence_quantifier, coherent_amplitude,
+                   ideal_superposition, sdf_amplitude)
 from .thresholds import (CertificationReport, ThresholdKind, ThresholdResult,
                          certify, classical_threshold, threshold)
 from .channels import DepthResult, depth, thermal_depth_limit, thermalize
@@ -16,9 +16,8 @@ from .ramsey import (NoiseConfig, PulseKind, PulseSpec, RamseyFringe,
 
 __all__ = [
     "__version__",
-    "CoreState", "DensityMatrix", "FockPair", "GaussianParams", "PureState",
-    "build_gaussian_matrix", "coherence_quantifier", "coherent_amplitude",
-    "ideal_superposition", "sdf_amplitude",
+    "FockPair", "GaussianParams", "build_gaussian_matrix", "coherence_quantifier",
+    "coherent_amplitude", "ideal_superposition", "sdf_amplitude",
     "CertificationReport", "ThresholdKind", "ThresholdResult", "certify",
     "classical_threshold", "threshold",
     "DepthResult", "depth", "thermal_depth_limit", "thermalize",

@@ -130,6 +130,8 @@ def thermalize(mat: np.ndarray, rate: float, duration: float) -> np.ndarray:
     if not (0.0 <= rate < math.inf and 0.0 <= duration < math.inf):
         raise ValueError("heating rate and duration must be finite and non-negative, "
                          f"got {rate} and {duration}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {mat.shape}")
     out = thermalize_matrix(mat, rate, duration)
     if rate * duration > 0.0:
         dim = out.shape[0]
@@ -161,10 +163,6 @@ def _tail_dim(top: int, nbar: float, heat: float, reach: int) -> int:
             return top + k + 1
     raise TruncationError(f"heating tail above Fock {top} (nbar {nbar}, rate*t "
                           f"{heat}) needs more than {DEFAULT_TRUNC} levels")
-
-
-def mean_phonons(mat: np.ndarray) -> float:
-    return float(np.real(np.sum(np.arange(mat.shape[0]) * np.diagonal(mat))))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ def thermal_depth_limit(pair: FockPair, h_rate: float, times,
     if not 0.0 <= h_rate < math.inf:
         raise ValueError(f"heating rate must be finite and non-negative, got {h_rate}")
     dim = _tail_dim(pair.n, 0.0, h_rate * (times[-1] if times else 0.0), 0)
-    mat = ideal_superposition(pair, dim).density_matrix().matrix
+    mat = ideal_superposition(pair, dim)
     thr = threshold(kind, pair).value
     out = []
     for prev_t, t in zip([0.0] + times, times):

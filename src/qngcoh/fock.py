@@ -30,7 +30,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: default oscillator truncation dimension for state construction
+#: default oscillator truncation dimension: the threshold recheck's, and the
+#: cap on a Ramsey simulation's
 DEFAULT_TRUNC = 128
 
 #: padding added on top of the requested dimension before exponentiating
@@ -114,114 +115,6 @@ class GaussianParams:
     def from_complex(cls, xi: complex, alpha: complex) -> "GaussianParams":
         return cls(abs(xi), float(np.angle(xi)) % TWO_PI,
                    abs(alpha), float(np.angle(alpha)) % TWO_PI)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Fock-basis coefficient vector of a pure oscillator state."""
-
-    amplitudes: np.ndarray
-
-    NORM_TOL = 1e-9
-    TAIL_TOL = 1e-8
-    TAIL_LEVELS = 8
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def tail_population(self) -> float:
-        """Population in the top ``TAIL_LEVELS`` truncation levels."""
-        return float(np.sum(np.abs(self.amplitudes[-self.TAIL_LEVELS:]) ** 2))
-
-    def validate(self) -> None:
-        if abs(self.norm() ** 2 - 1.0) > self.NORM_TOL:
-            raise ValueError(f"state not normalized: |psi|^2 = {self.norm()**2!r}")
-        if self.tail_population() > self.TAIL_TOL:
-            raise TruncationRiskError(
-                f"tail population {self.tail_population():.3e} exceeds {self.TAIL_TOL:.0e}; "
-                "increase the truncation dimension")
-
-    def density_matrix(self) -> "DensityMatrix":
-        v = self.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Truncated density operator with Hermiticity/trace/positivity checks."""
-
-    matrix: np.ndarray
-
-    HERMITICITY_TOL = 1e-10
-    TRACE_TOL = 1e-9
-    EIGEN_TOL = 1e-9
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-        self.validate()
-
-    def validate(self) -> None:
-        mat = self.matrix
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_defect > self.HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian: max defect {herm_defect:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > self.TRACE_TOL:
-            raise ValueError(f"trace {tr!r} differs from 1 beyond tolerance")
-        lo = float(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))))
-        if lo < -self.EIGEN_TOL:
-            raise ValueError(f"negative eigenvalue {lo:.3e} beyond tolerance")
-
-    @classmethod
-    def fock(cls, k: int, dim: int) -> "DensityMatrix":
-        if not 0 <= k < dim:
-            raise ValueError(f"Fock level k={k} must satisfy 0 <= k < dim={dim}")
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[k, k] = 1.0
-        return cls(mat)
-
-    @classmethod
-    def thermal(cls, nbar: float, dim: int) -> "DensityMatrix":
-        """Geometric (thermal) occupation, renormalized on the truncated space."""
-        if not 0.0 <= nbar < math.inf:
-            raise ValueError(f"mean occupation must be finite and non-negative, got {nbar!r}")
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got dim={dim}")
-        if nbar == 0:
-            return cls.fock(0, dim)
-        k = np.arange(dim)
-        p = (nbar / (1.0 + nbar)) ** k / (1.0 + nbar)
-        p /= p.sum()
-        return cls(np.diag(p.astype(complex)))
-
-
-@dataclass(frozen=True)
-class CoreState:
-    """Finite Fock superposition preceding the Gaussian operation."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
-        object.__setattr__(self, "coeffs", c)
-        nrm = np.linalg.norm(c)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"core state must be unit norm, got |c| = {nrm!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,48 +318,30 @@ def build_gaussian_matrix(g: GaussianParams, dim: int,
             * np.exp(-1j * (g.alpha_phase + 0.5 * math.pi) * k[:dim]))
 
 
-def oracle_dim_for(g: GaussianParams, top_index: int = 0) -> int:
-    """Truncation dimension at which the matrix oracle resolves ``g`` well.
-
-    Squeezing stretches the worst-quadrature displacement by ``e^{|xi|}`` and
-    scales a Fock level's energy by ``cosh(2|xi|)``; the returned dimension
-    leaves a ~10-sigma headroom above the combined energy estimate.
-    """
-    r = g.xi_mag
-    energy = ((g.alpha_mag * math.exp(r)) ** 2 + math.sinh(r) ** 2
-              + (top_index + 1.0) * math.cosh(2.0 * r))
-    return int(math.ceil(energy + 10.0 * math.sqrt(energy + 1.0))) + 16
-
-
-def gaussian_fock_state(g: GaussianParams, k: int, dim: int) -> PureState:
-    """State vector of ``S(xi) D(alpha) |k>`` on a ``dim``-level space."""
-    pad = max(DEFAULT_PAD, oracle_dim_for(g, k) - dim + DEFAULT_PAD)
-    col = build_gaussian_matrix(g, dim, pad=pad)[:, k]
-    return PureState(col)
-
-
 # ---------------------------------------------------------------------------
 # coherence quantifier
 # ---------------------------------------------------------------------------
 
 
-def coherence_quantifier(rho: DensityMatrix | np.ndarray, pair: FockPair) -> float:
-    """Coherence amplitude ``C_{m,n} = 2 |<m|rho|n>|``.
+def coherence_quantifier(rho: np.ndarray, pair: FockPair) -> float:
+    """Coherence amplitude ``C_{m,n} = 2 |<m|rho|n>|`` of a square density matrix.
 
     Twice the modulus of the off-diagonal element; convex under mixing and
     insensitive to the phase of the superposition.
     """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    if pair.n >= mat.shape[0]:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if pair.n >= rho.shape[0]:
         raise ValueError(
-            f"pair ({pair.m},{pair.n}) outside matrix dimension {mat.shape[0]}")
-    return 2.0 * float(np.abs(mat[pair.m, pair.n]))
+            f"pair ({pair.m},{pair.n}) outside matrix dimension {rho.shape[0]}")
+    return 2.0 * float(np.abs(rho[pair.m, pair.n]))
 
 
-def ideal_superposition(pair: FockPair, dim: int) -> PureState:
-    """Balanced two-level superposition ``(|m> + |n>)/sqrt(2)`` on ``dim`` levels."""
+def ideal_superposition(pair: FockPair, dim: int) -> np.ndarray:
+    """Density matrix of the balanced superposition ``(|m> + |n>)/sqrt(2)``
+    on ``dim`` levels."""
     if dim <= pair.n:
         raise ValueError("dimension too small for the requested pair")
     v = np.zeros(dim, dtype=complex)
     v[[pair.m, pair.n]] = 1.0 / math.sqrt(2.0)
-    return PureState(v)
+    return np.outer(v, v.conj())

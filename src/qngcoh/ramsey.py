@@ -22,7 +22,7 @@ import numpy as np
 
 from . import channels
 from .channels import TruncationError, dephasing_factors, thermalize_matrix
-from .fock import DensityMatrix, FockPair
+from .fock import FockPair
 from .thresholds import ThresholdKind, depth_value, threshold
 
 ROW_G, ROW_E, ROW_SHELF = 0, 1, 2
@@ -273,9 +273,16 @@ def build_sequence_mn(m: int, n: int) -> RamseySequence:
 
 
 def thermal_spin_osc(nbar: float, dim: int) -> np.ndarray:
-    """Thermal motional state in the electronic ground row, as a 3dim matrix."""
+    """Thermal motional state in the electronic ground row, as a 3dim matrix:
+    geometric occupation of mean ``nbar``, renormalized on ``dim`` levels."""
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"mean occupation must be finite and non-negative, got {nbar!r}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got dim={dim}")
+    k = np.arange(dim)
+    p = (nbar / (1.0 + nbar)) ** k / (1.0 + nbar)
     rho = np.zeros((3 * dim, 3 * dim), dtype=complex)
-    rho[:dim, :dim] = DensityMatrix.thermal(nbar, dim).matrix
+    rho[k, k] = p / p.sum()
     return rho
 
 
@@ -426,12 +433,6 @@ def prepared_state(seq: RamseySequence, noise: NoiseConfig) -> np.ndarray:
     dim = simulation_dim(seq, noise, 0.0)
     rho0 = thermal_spin_osc(noise.initial_thermal_nbar, dim)[..., None]
     return _apply_unitaries(rho0, seq.prep, dim)[..., 0]
-
-
-def motional_populations(rho: np.ndarray, dim: int) -> np.ndarray:
-    """Phonon-number populations traced over the electronic rows."""
-    diag = np.real(np.diagonal(rho))
-    return diag[:dim] + diag[dim:2 * dim] + diag[2 * dim:]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from math import lgamma
 import numpy as np
 
 from . import fock
-from .fock import (CoreState, FockPair, GaussianParams, TruncationRiskError,
+from .fock import (FockPair, GaussianParams, TruncationRiskError,
                    build_gaussian_matrix, sdf_amplitude_raw)
 from .optimize import Group, SearchSpec, maximize
 
@@ -85,27 +85,21 @@ class ThresholdResult:
     value: float
     argmax: GaussianParams
     fock_index: int | None = None
-    core_state: CoreState | None = None
+    #: unit-norm Fock coefficients of the genuine optimum's core state
+    core_state: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> dict:
         """Value, argmax and, when set, Fock input, core state and (searched
-        kinds) whether the optimum was left on the capped box, as JSON data."""
+        kinds) whether the optimum was left on the capped box and whether the
+        two best starts agreed, as JSON data."""
         out = {"value": self.value, "argmax": asdict(self.argmax),
-               "fock_index": self.fock_index, "at_cap": self.diagnostics.get("at_cap")}
+               "fock_index": self.fock_index, "at_cap": self.diagnostics.get("at_cap"),
+               "converged": self.diagnostics.get("converged")}
         if self.core_state is not None:
-            out["core_state"] = {"re": self.core_state.coeffs.real.tolist(),
-                                 "im": self.core_state.coeffs.imag.tolist()}
+            out["core_state"] = {"re": self.core_state.real.tolist(),
+                                 "im": self.core_state.imag.tolist()}
         return out
-
-    def argmax_state(self, dim: int = fock.DEFAULT_TRUNC) -> fock.PureState:
-        """Reconstruct the maximizing pure state on a ``dim``-level space."""
-        k = self.fock_index if self.fock_index is not None else 0
-        if self.core_state is None:
-            return fock.gaussian_fock_state(self.argmax, k, dim)
-        d = self.core_state.dim
-        cols = build_gaussian_matrix(self.argmax, dim)[:, :d]
-        return fock.PureState(cols @ self.core_state.coeffs)
 
 
 @dataclass
@@ -212,7 +206,7 @@ def _recheck_truncation(result: ThresholdResult) -> None:
     keeps only the block that holds rows ``m, n`` and the input columns."""
     dim = fock.DEFAULT_TRUNC
     k = result.fock_index if result.fock_index is not None else 0
-    c = result.core_state.coeffs if result.core_state is not None else np.eye(k + 1)[k]
+    c = result.core_state if result.core_state is not None else np.eye(k + 1)[k]
     block = max(result.pair.n + 1, len(c))
     crops = (build_gaussian_matrix(result.argmax, block, pad=d + fock.DEFAULT_PAD - block)
              for d in (dim, 2 * dim))
@@ -354,7 +348,7 @@ def _search_pair(pair: FockPair) -> dict:
                 raise RuntimeError(
                     f"rank-2 closed form and dense eigensolver disagree by "
                     f"{abs(lam - best.value):.3e} at the optimum of {pair}")
-            result.fock_index, result.core_state = None, CoreState(evecs[:, -1])
+            result.fock_index, result.core_state = None, evecs[:, -1]
             result.diagnostics.update(eigensolver_value=lam, interference_phase=theta)
         _recheck_truncation(result)
         results[(kind, pair.m, pair.n)] = result

@@ -15,20 +15,19 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qngcoh.channels import dephasing_factors, depth, mean_phonons, thermalize
+from qngcoh.channels import dephasing_factors, depth, thermalize
 from qngcoh.cli import main as cli_main
-from qngcoh.fock import (DensityMatrix, FockPair, GaussianParams,
-                         build_gaussian_matrix, coherence_quantifier,
-                         ideal_superposition, oracle_dim_for, sdf_amplitude)
+from qngcoh.fock import (FockPair, GaussianParams, build_gaussian_matrix,
+                         coherence_quantifier, ideal_superposition, sdf_amplitude)
 from qngcoh.mc import mc_verify
 from qngcoh.optimize import Group, SearchSpec, maximize
 from qngcoh.ramsey import (ROW_E, ROW_G, NoiseConfig, build_sequence_0n,
-                           fit_populations, motional_populations,
-                           prepared_state, run_ramsey)
+                           fit_populations, prepared_state, run_ramsey)
 from qngcoh.thresholds import (ORDERED_KINDS, ThresholdKind,
                                classical_threshold, clear_threshold_cache,
                                threshold)
-from conftest import random_density_matrix
+from conftest import (fock_density_matrix, mean_phonons, motional_populations,
+                      oracle_dim_for, random_density_matrix)
 
 PHASES = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 TABLE_NS = (1, 2, 3, 4, 6)
@@ -206,7 +205,7 @@ def test_criterion_08_gauge_and_composition(rng):
     ideal = depth(1.0, pair, ThresholdKind.GENUINE_N).depth
     worst_gauge = 0.0
     for gamma in np.linspace(0.0, ideal * 0.98, 9):
-        mat = ideal_superposition(pair, 8).density_matrix().matrix
+        mat = ideal_superposition(pair, 8)
         c = coherence_quantifier(mat * dephasing_factors(8, gamma), pair)
         d = depth(c, pair, ThresholdKind.GENUINE_N).depth
         worst_gauge = max(worst_gauge, abs(d - (ideal - gamma)))
@@ -228,7 +227,7 @@ def test_criterion_08_gauge_and_composition(rng):
 
 
 def test_criterion_09_heating_calibration():
-    out = thermalize(DensityMatrix.fock(0, 32).matrix, 3.2, 0.020)
+    out = thermalize(fock_density_matrix(0, 32), 3.2, 0.020)
     slope = mean_phonons(out) / 0.020
     ok = abs(slope - 3.2) / 3.2 <= 0.01
     detail = (f"<n> growth from |0> over 20 ms: slope {slope:.4f} phonons/s "

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from qngcoh.channels import (EDGE_TAIL_TOL, TruncationError, _offset_eigensystem,
                              _tail_dim, dephasing_factors, depth, depth_value,
-                             mean_phonons, thermal_depth_limit, thermalize,
-                             thermalize_matrix)
-from qngcoh.fock import (DensityMatrix, FockPair, coherence_quantifier,
-                         ideal_superposition)
+                             thermal_depth_limit, thermalize, thermalize_matrix)
+from qngcoh.fock import FockPair, coherence_quantifier, ideal_superposition
 from qngcoh.thresholds import ThresholdKind, threshold
-from conftest import random_density_matrix
+from conftest import (assert_density_matrix, fock_density_matrix, mean_phonons,
+                      random_density_matrix, thermal_density_matrix)
 
 
 def lindblad_superop_oracle(dim: int, rate: float) -> np.ndarray:
@@ -39,8 +39,7 @@ class TestDephase:
         assert np.array_equal(dephase(mat, 0.0), mat)
 
     def test_scalar_reduction(self):
-        rho = ideal_superposition(FockPair(0, 2), 6).density_matrix()
-        mat = rho.matrix.copy()
+        mat = ideal_superposition(FockPair(0, 2), 6)
         mat[0, 2] = 0.45
         mat[2, 0] = 0.45
         out = dephase(mat, 0.1)
@@ -49,7 +48,7 @@ class TestDephase:
 
     def test_full_decoherence_limit(self):
         pair = FockPair(0, 3)
-        out = dephase(ideal_superposition(pair, 6).density_matrix().matrix, 1e6)
+        out = dephase(ideal_superposition(pair, 6), 1e6)
         off = out - np.diag(np.diag(out))
         assert np.max(np.abs(off)) < 1e-300
         assert out[0, 0].real == pytest.approx(0.5)
@@ -65,7 +64,7 @@ class TestDephase:
     def test_preserves_density_matrix(self, rng):
         for _ in range(20):
             out = dephase(random_density_matrix(rng, 8), rng.uniform(0, 3))
-            DensityMatrix(out).validate()  # trace, hermiticity, positivity
+            assert_density_matrix(out)
 
     def test_linearity(self, rng):
         m1 = random_density_matrix(rng, 5)
@@ -81,11 +80,11 @@ class TestThermalize:
         assert np.array_equal(thermalize(mat, 3.2, 0.0), mat)
 
     def test_phonon_growth_from_ground(self):
-        out = thermalize(DensityMatrix.fock(0, 32).matrix, 3.2, 0.010)
+        out = thermalize(fock_density_matrix(0, 32), 3.2, 0.010)
         assert mean_phonons(out) == pytest.approx(0.032, rel=0.01)
 
     def test_slope_affine_to_50ms(self):
-        mat = DensityMatrix.thermal(0.07, 48).matrix
+        mat = thermal_density_matrix(0.07, 48)
         n0 = mean_phonons(mat)
         for t in (0.010, 0.030, 0.050):
             out = thermalize(mat, 3.2, t)
@@ -139,11 +138,10 @@ class TestThermalize:
     def test_zero_superposition_decay_is_monotone(self):
         # heated (|0>+|2>)/sqrt(2): coherence decays, population mixes up
         pair = FockPair(0, 2)
-        mat = ideal_superposition(pair, 24).density_matrix().matrix
+        mat = ideal_superposition(pair, 24)
         last_c, last_p22 = 1.0, mat[2, 2].real
         for t in (0.005, 0.010, 0.020, 0.040):
-            out = thermalize_matrix(
-                ideal_superposition(pair, 24).density_matrix().matrix, 3.2, t)
+            out = thermalize_matrix(mat, 3.2, t)
             c = coherence_quantifier(out, pair)
             assert c < last_c
             assert out[2, 2].real < last_p22
@@ -151,7 +149,13 @@ class TestThermalize:
 
     def test_tail_guard(self):
         with pytest.raises(TruncationError):
-            thermalize(DensityMatrix.fock(0, 4).matrix, 100.0, 0.05)
+            thermalize(fock_density_matrix(0, 4), 100.0, 0.05)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 4, 4)])
+    def test_rejects_non_square_input(self, shape):
+        # one density matrix only; thermalize_matrix takes the stacks
+        with pytest.raises(ValueError, match=re.escape(f"square, got shape {shape}")):
+            thermalize(np.zeros(shape, dtype=complex), 3.2, 0.01)
 
 
 class TestDepth:
@@ -182,7 +186,7 @@ class TestDepth:
         pair = FockPair(0, 3)
         ideal = depth(1.0, pair, ThresholdKind.GENUINE_N).depth
         for gamma in np.linspace(0.0, ideal * 0.95, 7):
-            decayed = dephase(ideal_superposition(pair, 8).density_matrix().matrix, gamma)
+            decayed = dephase(ideal_superposition(pair, 8), gamma)
             c = coherence_quantifier(decayed, pair)
             d = depth(c, pair, ThresholdKind.GENUINE_N).depth
             assert d == pytest.approx(ideal - gamma, abs=1e-9)
@@ -243,7 +247,7 @@ class TestTailDim:
         # 64 levels, leaves at most the tolerance on or above the chosen edge
         dim = _tail_dim(top, nbar, 3.2 * 0.024, 0)
         mat = np.zeros((64, 64), dtype=complex)
-        mat[top:, top:] = DensityMatrix.thermal(nbar, 64 - top).matrix
+        mat[top:, top:] = thermal_density_matrix(nbar, 64 - top)
         heated = np.real(np.diagonal(thermalize_matrix(mat, 3.2, 0.024)))
         assert dim < 40 and heated[dim - 1:].sum() <= EDGE_TAIL_TOL
 

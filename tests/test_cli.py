@@ -43,19 +43,24 @@ class TestThresholdsCommand:
         assert payload["manifest"]["command"] == "thresholds"
 
     def test_searched_kinds_report_at_cap(self, runner, tmp_path):
-        # gaussian-min of (9,10) ends on the |alpha| cap: the table shows it,
-        # and the status does not change
+        # gaussian-min of (9,10) ends on the |alpha| cap, and its genuine
+        # search with its two best starts apart (0.97188 against 0.92111):
+        # the table shows both flags, and the status does not change
         out = tmp_path / "table.json"
-        result = runner.invoke(main, ["thresholds", "--pair", "9,10", "--out", str(out)])
+        result = runner.invoke(main, ["thresholds", "--pair", "9,10", "--pair", "0,2",
+                                      "--out", str(out)])
         assert result.exit_code == 0
         payload = json.loads(out.read_text())
         validate(payload, "threshold_table.schema.json")
         row = payload["results"]["9,10"]
-        assert "at_cap" not in row["classical"]
+        assert "at_cap" not in row["classical"] and "converged" not in row["classical"]
         assert row["gaussian-min"]["at_cap"] is True
         assert row["intrinsic"]["at_cap"] is False
         assert row["genuine"]["at_cap"] is False
+        assert row["genuine"]["converged"] is False
         assert {entry["status"] for entry in row.values()} == {"ok"}
+        assert {payload["results"]["0,2"][kind]["converged"]
+                for kind in ("gaussian-min", "intrinsic", "genuine")} == {True}
 
     def test_empty_pairs_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["thresholds", "--out",

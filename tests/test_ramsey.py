@@ -14,10 +14,10 @@ from qngcoh.ramsey import (ROW_G, ConditioningError, FitError, MappingConditionE
                            NoiseConfig, PulseKind, PulseSpec, _apply_unitaries,
                            _delay_channels, _nnls, _rotate, build_sequence_0n,
                            build_sequence_mn, decay_scan, find_mapping_pulse, fit_fringe,
-                           fit_populations, motional_populations,
-                           prepared_state, run_ramsey, simulation_dim,
-                           thermal_spin_osc)
+                           fit_populations, prepared_state, run_ramsey,
+                           simulation_dim, thermal_spin_osc)
 from qngcoh.thresholds import ThresholdKind, threshold
+from conftest import assert_density_matrix, motional_populations
 
 PHASES = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
@@ -407,7 +407,7 @@ class TestDecayScan:
         scan = decay_scan(pair, delays, NoiseConfig(heating_rate=3.2),
                           ThresholdKind.GENUINE_N)
         for delay, contrast, _ in scan:
-            mat = ideal_superposition(pair, 24).density_matrix().matrix
+            mat = ideal_superposition(pair, 24)
             c_channel = coherence_quantifier(
                 thermalize_matrix(mat, 3.2, delay), pair)
             assert contrast == pytest.approx(c_channel, rel=0.01)
@@ -467,6 +467,31 @@ def test_prepared_state_populations_norm():
     pops = motional_populations(rho, rho.shape[0] // 3)
     assert pops.sum() == pytest.approx(1.0, abs=1e-9)
     assert pops[0] == pytest.approx(0.467, abs=0.02)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_stack_stays_a_density_matrix(n, monkeypatch):
+    # every matrix of the stack after preparation, after the delay and after
+    # analysis, under the README noise budget with pulse-area jitter
+    stages = []
+
+    def recording(stage):
+        def wrapped(*args, **kwargs):
+            out = stage(*args, **kwargs)
+            stages.append(out.copy())
+            return out
+        return wrapped
+
+    monkeypatch.setattr(ramsey_module, "_apply_unitaries", recording(_apply_unitaries))
+    monkeypatch.setattr(ramsey_module, "_delay_channels", recording(_delay_channels))
+    noise = NoiseConfig(initial_thermal_nbar=0.07, heating_rate=3.2,
+                        dephasing_rate=1.0, pulse_error=0.01)
+    run_ramsey(build_sequence_0n(n), 0.012, noise, PHASES, shots=200, seed=1)
+    assert len(stages) == 3
+    for stack in stages:
+        assert stack.shape[-1] == PHASES.size
+        for i in range(PHASES.size):
+            assert_density_matrix(stack[..., i])
 
 
 def test_noise_config_validation():

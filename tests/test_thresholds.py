@@ -17,6 +17,7 @@ from qngcoh.thresholds import (ALPHA_BOUND, ALPHA_CAP, MAX_FOCK, ORDERED_KINDS, 
                                _pair_objective, _search_gaussian,
                                certify, classical_threshold, clear_threshold_cache,
                                genuine_coherence_matrix, parse_kind, threshold)
+from conftest import argmax_state
 
 
 def coherent_scan_oracle(m: int, n: int, step: float = 1e-4) -> float:
@@ -106,7 +107,8 @@ class TestGenuine:
     def test_02_anchor(self):
         res = threshold(ThresholdKind.GENUINE_N, FockPair(0, 2))
         assert res.value == pytest.approx(0.86, abs=0.01)
-        assert res.core_state is not None and res.core_state.dim == 2
+        assert res.core_state is not None and res.core_state.shape == (2,)
+        assert abs(np.linalg.norm(res.core_state) - 1.0) <= 1e-12
 
     def test_rank2_form_matches_eigensolver_at_random_points(self, rng):
         # lambda_max(G(theta)) against the rank-2 closed form, 1e3 points
@@ -137,7 +139,8 @@ class TestSelfConsistency:
     def test_value_matches_argmax_state(self, kind):
         pair = FockPair(0, 2)
         res = threshold(kind, pair)
-        rho = res.argmax_state(dim=128).density_matrix()
+        psi = argmax_state(res, dim=128)
+        rho = np.outer(psi, psi.conj())
         assert coherence_quantifier(rho, pair) == pytest.approx(res.value,
                                                                 abs=1e-6)
 
@@ -271,6 +274,12 @@ class TestBenchmarkThresholds:
                 # one 19-point stencil per finish step of each finished start
                 assert trace["finish"]["evaluations"] % 19 == 0
 
+    def test_genuine_core_states_are_unit_norm(self):
+        for m, n in self.PAIRS:
+            res = threshold(ThresholdKind.GENUINE_N, FockPair(m, n))
+            assert res.core_state.shape == (n,), (m, n)
+            assert abs(np.linalg.norm(res.core_state) - 1.0) <= 1e-12, (m, n)
+
 
 class TestJointSearch:
     def test_certify_keeps_per_kind_diagnostics(self, monkeypatch):
@@ -338,7 +347,7 @@ class TestJointSearch:
         for kind in ORDERED_KINDS:
             res = threshold(kind, FockPair(0, 3))
             k = res.fock_index or 0
-            c = res.core_state.coeffs if res.core_state is not None else np.eye(k + 1)[k]
+            c = res.core_state if res.core_state is not None else np.eye(k + 1)[k]
             recheck = res.diagnostics["truncation_recheck"]
             assert recheck["dims"] == [128, 256]
             for dim, value in zip(recheck["dims"], recheck["values"]):
