@@ -10,6 +10,7 @@ threshold rather than sitting far below it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,8 @@ VIOLATION_SLACK = 1e-3
 #: coherent-state energy scale floor for the classical sampler
 _MIN_ENERGY_SCALE = 1.0
 
-#: samples per amplitude evaluation; bounds the working memory
+#: samples per amplitude evaluation; bounds the working memory of each
+#: worker, so a run holds at most workers x chunk samples in flight
 MC_CHUNK = 1 << 14
 
 #: bins of the margin histogram between zero and the threshold
@@ -61,7 +63,9 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
 
     Every random number is drawn first, in a fixed order; the amplitudes are
     then evaluated in chunks of ``MC_CHUNK`` samples of one Fock input each,
-    so memory stays bounded and the result does not depend on the chunk size.
+    on one worker thread per usable core.  Working memory is bounded per
+    worker (workers x chunk samples), and the result depends neither on the
+    chunk size nor on the number of workers.
     """
     m, n = pair.m, pair.n
     core = ks = None
@@ -83,20 +87,51 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
             rng.standard_normal(out=core[0])
             rng.standard_normal(out=core[1])
 
+    def evaluate(k, sel) -> None:
+        if core is None:
+            am, an = sdf_amplitude_raw((m, n), int(k), r[sel], th[sel], amag[sel], 0.0)
+        else:
+            u, v = sdf_amplitude_raw((m, n), range(n), r[sel], th[sel], amag[sel], 0.0)
+            c = core[0][:, sel] + 1j * core[1][:, sel]
+            c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
+            am, an = np.sum(u * c, axis=0), np.sum(v * c, axis=0)
+        out[sel] = 2.0 * np.abs(am * np.conj(an))
+
     out = np.empty(samples)
-    for k, group in ([(0, np.arange(samples))] if ks is None else
-                     [(k, np.flatnonzero(ks == k)) for k in np.unique(ks)]):
-        for lo in range(0, group.size, MC_CHUNK):
-            sel = group[lo:lo + MC_CHUNK]
-            if core is None:
-                am, an = sdf_amplitude_raw((m, n), int(k), r[sel], th[sel], amag[sel], 0.0)
-            else:
-                u, v = sdf_amplitude_raw((m, n), range(n), r[sel], th[sel], amag[sel], 0.0)
-                c = core[0][:, sel] + 1j * core[1][:, sel]
-                c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
-                am, an = np.sum(u * c, axis=0), np.sum(v * c, axis=0)
-            out[sel] = 2.0 * np.abs(am * np.conj(an))
+    if ks is None:
+        chunks = [(0, slice(lo, lo + MC_CHUNK)) for lo in range(0, samples, MC_CHUNK)]
+    else:
+        groups = [(k, np.flatnonzero(ks == k)) for k in np.unique(ks)]
+        chunks = [(k, group[lo:lo + MC_CHUNK])
+                  for k, group in groups for lo in range(0, group.size, MC_CHUNK)]
+    _run_chunks(evaluate, chunks)
     return out
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_chunks(evaluate, chunks: list) -> None:
+    """Call ``evaluate(*chunk)`` for every chunk, on one thread per usable core.
+
+    The chunks write disjoint slices and numpy releases the GIL inside the
+    kernel, so the threads overlap and the result does not depend on their
+    number.  With one worker no thread starts.  A worker's exception cancels
+    the chunks not yet started and is raised once every thread has ended.
+    """
+    workers = min(len(chunks), _usable_cores())
+    if workers <= 1:
+        for chunk in chunks:
+            evaluate(*chunk)
+        return
+    # imported here: concurrent.futures loads logging, which the CLI does not need
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(evaluate, *zip(*chunks)))
 
 
 def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int,

@@ -428,13 +428,6 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
                         contrast_err=err, fit_phase_offset=offset, dim=dim)
 
 
-def prepared_state(seq: RamseySequence, noise: NoiseConfig) -> np.ndarray:
-    """Density matrix right after the preparation half (no delay, no jitter)."""
-    dim = simulation_dim(seq, noise, 0.0)
-    rho0 = thermal_spin_osc(noise.initial_thermal_nbar, dim)[..., None]
-    return _apply_unitaries(rho0, seq.prep, dim)[..., 0]
-
-
 # ---------------------------------------------------------------------------
 # Rabi-oscillation population fitting
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from qngcoh.fock import DEFAULT_PAD, DEFAULT_TRUNC, GaussianParams, build_gaussian_matrix
+from qngcoh.ramsey import _apply_unitaries, simulation_dim, thermal_spin_osc
 
 settings.register_profile(
     "default",
@@ -69,6 +70,14 @@ def motional_populations(rho: np.ndarray, dim: int) -> np.ndarray:
     three electronic rows."""
     diag = np.real(np.diagonal(rho))
     return diag[:dim] + diag[dim:2 * dim] + diag[2 * dim:]
+
+
+def prepared_state(seq, noise) -> np.ndarray:
+    """Spin-oscillator density matrix right after the preparation half of
+    ``seq`` (no delay, no jitter), at the simulator's truncation."""
+    dim = simulation_dim(seq, noise, 0.0)
+    rho0 = thermal_spin_osc(noise.initial_thermal_nbar, dim)[..., None]
+    return _apply_unitaries(rho0, seq.prep, dim)[..., 0]
 
 
 def oracle_dim_for(g: GaussianParams, top_index: int = 0) -> int:

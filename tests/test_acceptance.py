@@ -22,12 +22,12 @@ from qngcoh.fock import (FockPair, GaussianParams, build_gaussian_matrix,
 from qngcoh.mc import mc_verify
 from qngcoh.optimize import Group, SearchSpec, maximize
 from qngcoh.ramsey import (ROW_E, ROW_G, NoiseConfig, build_sequence_0n,
-                           fit_populations, prepared_state, run_ramsey)
+                           fit_populations, run_ramsey)
 from qngcoh.thresholds import (ORDERED_KINDS, ThresholdKind,
                                classical_threshold, clear_threshold_cache,
                                threshold)
 from conftest import (fock_density_matrix, mean_phonons, motional_populations,
-                      oracle_dim_for, random_density_matrix)
+                      oracle_dim_for, prepared_state, random_density_matrix)
 
 PHASES = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 TABLE_NS = (1, 2, 3, 4, 6)

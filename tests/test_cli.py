@@ -349,3 +349,15 @@ def test_runtime_imports_no_scipy():
     assert out["scipy"] == []
     assert out["genuine"] == pytest.approx(0.8583496, abs=1e-6)
     assert 0.5 < out["contrast"] < 1.0 and out["p0"] > 0.99
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    # the MC thread pool imports concurrent.futures (and with it logging) only
+    # when it starts, so the CLI's import time does not grow
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qngcoh.cli; print('concurrent.futures' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True)
+    assert done.stdout.strip() == "False"

@@ -1,7 +1,9 @@
 import dataclasses
+import threading
 
 import pytest
 
+from qngcoh import mc
 from qngcoh.fock import FockPair
 from qngcoh.mc import mc_verify
 from qngcoh.thresholds import ThresholdKind
@@ -54,3 +56,36 @@ def test_histogram_counts_total():
 def test_sample_floor():
     with pytest.raises(ValueError):
         mc_verify(ThresholdKind.CLASSICAL, FockPair(0, 1), 999, seed=1)
+
+
+def test_threaded_chunks_match_serial(monkeypatch):
+    # 5 chunks of 1024 samples (more per kind for intrinsic's per-input groups):
+    # one worker runs the plain loop, two run the thread pool
+    monkeypatch.setattr(mc, "MC_CHUNK", 1024)
+    reports = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(mc, "_usable_cores", lambda: cores)
+        reports[cores] = [mc_verify(kind, FockPair(*pair), 5000, seed=17).as_dict()
+                          for pair in ((0, 2), (1, 3)) for kind in ThresholdKind]
+    assert reports[1] == reports[2]
+
+
+def test_chunk_error_propagates(monkeypatch):
+    kernel, calls, lock = mc.sdf_amplitude_raw, [], threading.Lock()
+
+    def failing_kernel(*args):
+        with lock:
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("kernel failed on its third call")
+        return kernel(*args)
+
+    mc_verify(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 2), 1000, seed=1)   # warm the threshold
+    monkeypatch.setattr(mc, "MC_CHUNK", 1024)
+    monkeypatch.setattr(mc, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(mc, "sdf_amplitude_raw", failing_kernel)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="third call"):
+        mc_verify(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 2), 40 * 1024, seed=1)
+    assert threading.active_count() == before
+    assert len(calls) < 40    # the workers stop instead of running every chunk

@@ -14,10 +14,10 @@ from qngcoh.ramsey import (ROW_G, ConditioningError, FitError, MappingConditionE
                            NoiseConfig, PulseKind, PulseSpec, _apply_unitaries,
                            _delay_channels, _nnls, _rotate, build_sequence_0n,
                            build_sequence_mn, decay_scan, find_mapping_pulse, fit_fringe,
-                           fit_populations, prepared_state, run_ramsey,
+                           fit_populations, run_ramsey,
                            simulation_dim, thermal_spin_osc)
 from qngcoh.thresholds import ThresholdKind, threshold
-from conftest import assert_density_matrix, motional_populations
+from conftest import assert_density_matrix, motional_populations, prepared_state
 
 PHASES = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
