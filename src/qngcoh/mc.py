@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,20 +119,38 @@ def _usable_cores() -> int:
 def _run_chunks(evaluate, chunks: list) -> None:
     """Call ``evaluate(*chunk)`` for every chunk, on one thread per usable core.
 
-    The chunks write disjoint slices and numpy releases the GIL inside the
-    kernel, so the threads overlap and the result does not depend on their
-    number.  With one worker no thread starts.  A worker's exception cancels
-    the chunks not yet started and is raised once every thread has ended.
+    The calling thread is one of the workers: one worker (or one chunk) is
+    the plain loop and starts no thread, and only the extra threads keep
+    freed chunk memory in malloc arenas of their own.  The chunks write
+    disjoint slices and numpy releases the GIL inside the kernel, so the
+    threads overlap and the result does not depend on their number.  A
+    worker's exception stops the others after their current chunk and is
+    raised once every thread has ended.
     """
-    workers = min(len(chunks), _usable_cores())
-    if workers <= 1:
-        for chunk in chunks:
-            evaluate(*chunk)
-        return
-    # imported here: concurrent.futures loads logging, which the CLI does not need
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(evaluate, *zip(*chunks)))
+    pending, lock, errors = iter(chunks), threading.Lock(), []
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                chunk = next(pending, None)
+            if chunk is None:
+                return
+            try:
+                evaluate(*chunk)
+            except BaseException as exc:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(len(chunks), _usable_cores()) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int,

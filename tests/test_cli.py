@@ -352,8 +352,8 @@ def test_runtime_imports_no_scipy():
 
 
 def test_cli_import_leaves_concurrent_futures_out():
-    # the MC thread pool imports concurrent.futures (and with it logging) only
-    # when it starts, so the CLI's import time does not grow
+    # the MC chunk threads use threading, which the interpreter has loaded
+    # already; concurrent.futures would add logging to the CLI's import time
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
