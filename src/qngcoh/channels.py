@@ -86,37 +86,44 @@ def _offset_eigensystem(dim: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
     return _tridiagonal_eigh(diag, off)
 
 
-def _apply(prop: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``prop @ v`` for every vector ``v`` along the last axis of ``vecs``.
-    ``einsum``, not BLAS and with no ``(..., n, n)`` product, sums every
-    vector alike in any stack or layout: a stack gives the per-matrix results."""
-    return np.einsum("...j,ij->...i", vecs, prop)
+def _apply(prop: np.ndarray, vecs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``prop @ v`` for every vector ``v`` along the last axis of ``vecs``,
+    written to ``out``.  ``einsum``, not BLAS and with no ``(..., n, n)``
+    product, sums every vector alike in any stack or layout: a stack gives
+    the per-matrix results."""
+    return np.einsum("...j,ij->...i", vecs, prop, out=out)
 
 
 def thermalize_matrix(mat: np.ndarray, rate: float, duration: float) -> np.ndarray:
-    """Evolve an operator matrix, or a ``(..., d, d)`` stack of them, under
-    the infinite-temperature reservoir.
+    """Evolve one Hermitian matrix, or a ``(..., s, s, d, d)`` stack of
+    Hermitian operators held as ``s x s`` spin blocks (block ``(a, b)`` is the
+    conjugate transpose of block ``(b, a)``), under the infinite-temperature
+    reservoir on the ``d``-level indices.
 
     The reservoir couples only matrix elements of equal index offset, so each
     diagonal propagates under its own small generator.  The propagator of a
     diagonal is formed in one step for any ``duration`` from the cached
     eigensystem of its generator, ``P = V exp(lambda rate duration) V^T``, so
     propagators compose exactly and the calibration ``d<n>/dt = rate`` holds
-    to rounding.  Hermiticity is not assumed (the Ramsey simulator feeds
-    spin-block slices through here), only preserved.
+    to rounding.  The propagators are real, so only the diagonals on and
+    below the main one are propagated: each diagonal above it is the
+    conjugate of the one below it in the mirrored block.
     """
     dim = mat.shape[-1]
     if rate == 0.0 or duration == 0.0:
         return mat.copy()
     out = np.empty(mat.shape, dtype=complex)
-    idx_all = np.arange(dim)
+    blocks = mat if mat.ndim > 2 else mat[None, None]
+    # writable views of offset diagonal q of every block: its d - q elements
+    # lie d + 1 apart in the flattened block, from q d below the main
+    # diagonal and from q above it
+    flat = out.reshape(blocks.shape[:-2] + (dim * dim,))
     for q in range(dim):
         lam, vec = _offset_eigensystem(dim, q)
         prop = (vec * np.exp(lam * (rate * duration))) @ vec.T
-        idx = idx_all[: dim - q]
-        out[..., idx + q, idx] = _apply(prop, np.diagonal(mat, -q, -2, -1))
+        below = _apply(prop, np.diagonal(blocks, -q, -2, -1), flat[..., q * dim::dim + 1])
         if q:
-            out[..., idx, idx + q] = _apply(prop, np.diagonal(mat, q, -2, -1))
+            np.conjugate(below.swapaxes(-3, -2), out=flat[..., q:dim * (dim - q):dim + 1])
     return out
 
 

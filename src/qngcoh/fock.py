@@ -199,7 +199,7 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     t = np.tanh(r)
     c = np.cosh(r)
     tau = t * np.exp(1j * th)
-    tau_conj = t * np.exp(-1j * th)
+    tau_conj = np.conj(tau)
 
     a00 = np.exp(-0.5 * amag ** 2 + 0.5 * tau_conj * alpha ** 2) / np.sqrt(c)
     h_m = _scaled_hermite_ladder(max(mk), alpha / (2.0 * c), tau / 2.0)

@@ -102,9 +102,12 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
     if ks is None:
         chunks = [(0, slice(lo, lo + MC_CHUNK)) for lo in range(0, samples, MC_CHUNK)]
     else:
-        groups = [(k, np.flatnonzero(ks == k)) for k in np.unique(ks)]
-        chunks = [(k, group[lo:lo + MC_CHUNK])
-                  for k, group in groups for lo in range(0, group.size, MC_CHUNK)]
+        # sample indices grouped by Fock input, in ascending order in each group
+        order = np.argsort(ks.astype(np.uint8), kind="stable")
+        ends = np.cumsum(np.bincount(ks)).tolist()
+        chunks = [(k, order[lo:min(lo + MC_CHUNK, end)])
+                  for k, (start, end) in enumerate(zip([0] + ends, ends))
+                  for lo in range(start, end, MC_CHUNK)]
     _run_chunks(evaluate, chunks)
     return out
 

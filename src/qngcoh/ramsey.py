@@ -272,17 +272,52 @@ def build_sequence_mn(m: int, n: int) -> RamseySequence:
 # ---------------------------------------------------------------------------
 
 
-def thermal_spin_osc(nbar: float, dim: int) -> np.ndarray:
-    """Thermal motional state in the electronic ground row, as a 3dim matrix:
-    geometric occupation of mean ``nbar``, renormalized on ``dim`` levels."""
-    if not 0.0 <= nbar < math.inf:
-        raise ValueError(f"mean occupation must be finite and non-negative, got {nbar!r}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got dim={dim}")
+def _thermal_factor(nbar: float, dim: int) -> np.ndarray:
+    """Factor ``A`` of the thermal start in the electronic ground row, with
+    ``rho = A A^H`` on 3 dim levels: one column ``sqrt(p_k) |g,k>`` per
+    occupied rung of the geometric occupation of mean ``nbar``, renormalized
+    on ``dim`` levels (one column at nbar 0)."""
     k = np.arange(dim)
     p = (nbar / (1.0 + nbar)) ** k / (1.0 + nbar)
-    rho = np.zeros((3 * dim, 3 * dim), dtype=complex)
-    rho[k, k] = p / p.sum()
+    k = np.flatnonzero(p)
+    amps = np.zeros((3 * dim, k.size), dtype=complex)
+    amps[k, np.arange(k.size)] = np.sqrt(p[k] / p.sum())
+    return amps
+
+
+def _widen(stack: np.ndarray, area, phase) -> np.ndarray:
+    """``stack`` repeated along its last axis to one matrix per entry of
+    ``area`` or ``phase`` where they hold more; work before that is shared."""
+    width = max(np.size(area), np.size(phase))
+    return np.repeat(stack, width, axis=-1) if width > stack.shape[-1] else stack
+
+
+def _check_edge(kind: PulseKind, dim: int, population) -> None:
+    """Raise ``TruncationError`` when a sideband pulse would lift population
+    out of the truncated space: ``population(level)`` gives the population of
+    the top level it lifts from, one value per matrix of the stack."""
+    edge = {PulseKind.BSB: dim - 1, PulseKind.RSB: 2 * dim - 1}.get(kind)
+    if edge is not None and np.max(population(edge)) > 1e-12:
+        raise TruncationError(f"{kind.value} pulse at the truncation edge")
+
+
+def _prepare(pulses: list[PulseSpec], nbar: float, dim: int, areas,
+             phases) -> np.ndarray:
+    """Stack of density matrices, of shape (3 dim, 3 dim, P), after
+    ``pulses`` on the thermal start.
+
+    Each pulse rotates the factor of :func:`_thermal_factor` once, from the
+    left, and ``A A^H`` is formed at the end.  ``areas`` and ``phases`` hold
+    one entry per pulse, a float or one value per matrix.
+    """
+    amps = _thermal_factor(nbar, dim)[..., None]
+    for pulse, area, phase in zip(pulses, areas, phases):
+        amps = _widen(amps, area, phase)
+        _check_edge(pulse.kind, dim, lambda edge: np.sum(np.abs(amps[edge]) ** 2, axis=0))
+        _rotate(amps.reshape(3, dim, *amps.shape[1:]), pulse.kind, area, phase)
+    cols = amps.transpose(2, 0, 1)
+    rho = np.empty((3 * dim, 3 * dim, amps.shape[-1]), dtype=complex)
+    np.matmul(cols, cols.conj().transpose(0, 2, 1), out=rho.transpose(2, 0, 1))
     return rho
 
 
@@ -293,25 +328,43 @@ def _apply_unitaries(rho: np.ndarray, pulses: list[PulseSpec], dim: int,
     ``_rotate`` calls on the (3, dim, 3 dim, P) row view, O(dim^2) each.
 
     ``areas`` and ``phases`` (default: the pulses' own) hold one entry per
-    pulse, a float or one value per matrix.  A stack of one matrix widens at
-    the first pulse whose entries differ per matrix, so work before it is
-    shared.  Works in place: ``rho`` is overwritten unless it widens first,
-    and the result is the returned stack.
+    pulse, a float or one value per matrix; the stack widens as in
+    :func:`_widen`.  Works in place: ``rho`` is overwritten unless it widens
+    first, and the result is the returned stack.
     """
     areas = [p.area for p in pulses] if areas is None else areas
     phases = [p.phase for p in pulses] if phases is None else phases
     for pulse, area, phase in zip(pulses, areas, phases):
-        width = max(np.size(area), np.size(phase))
-        if width > rho.shape[-1]:
-            rho = np.repeat(rho, width, axis=-1)
-        edge = {PulseKind.BSB: dim - 1, PulseKind.RSB: 2 * dim - 1}.get(pulse.kind)
-        if edge is not None and np.max(np.abs(rho[edge, edge])) > 1e-12:
-            raise TruncationError(f"{pulse.kind.value} pulse at the truncation edge")
+        rho = _widen(rho, area, phase)
+        _check_edge(pulse.kind, dim, lambda edge: np.abs(rho[edge, edge]))
         # each row view only splits the leading axis, so it is a view of rho
         _rotate(rho.reshape(3, dim, 3 * dim, -1), pulse.kind, area, phase)
         rho = np.conjugate(rho, out=rho).transpose(1, 0, 2)
         _rotate(rho.reshape(3, dim, 3 * dim, -1), pulse.kind, area, phase)
     return rho
+
+
+def _scan_readout(rho: np.ndarray, kind: PulseKind, area, phase, dim: int) -> np.ndarray:
+    """Ground-row population after a pulse, read off the (3 dim, 3 dim, P)
+    stack before it without applying it: one value per matrix and per entry
+    of ``area`` and ``phase``.
+
+    The pulse mixes each ground rung it couples with one partner level only.
+    With ``ph = sign e^{i phase}`` a coupled rung ends with
+    ``c^2 rho_gg + s^2 rho_pp - 2 c s Im(conj(ph) rho_gp)``; an uncoupled one
+    keeps ``rho_gg``.
+    """
+    partner, sg, sp, sign, sideband = _COUPLING[kind]
+    _check_edge(kind, dim, lambda edge: np.abs(rho[edge, edge]))
+    levels = np.arange(dim)
+    g, p = levels[sg], partner * dim + levels[sp]
+    theta = area * np.sqrt(levels[1:, None]) if sideband else area
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    ph = sign * np.exp(1j * phase)
+    coupled = (c * c * rho[g, g].real + s * s * rho[p, p].real
+               - 2.0 * c * s * np.imag(np.conj(ph) * rho[g, p]))
+    spectators = np.delete(levels, g)
+    return coupled.sum(axis=0) + rho[spectators, spectators].real.sum(axis=0)
 
 
 def _delay_channels(rho: np.ndarray, delay: float, noise: NoiseConfig,
@@ -383,11 +436,13 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
                phases, shots: int | None = None, seed: int = 0) -> RamseyFringe:
     """Simulate one full Ramsey fringe at a fixed delay.
 
-    Thermal initialization, jittered preparation pulses, free-precession
-    channels and jittered analysis pulses act on one stack of density
-    matrices, one per scan phase; the excited-state probability is fitted to
-    a cosine fringe.  ``shots=None`` reads P_e exactly, otherwise binomial
-    projection noise is added.  With a thermal start the fitted contrast
+    Jittered preparation pulses act on a factor of the thermal start;
+    free-precession channels and the jittered analysis pulses before the
+    scan pulse act on one stack of density matrices, one per scan phase once
+    the pulses differ per phase; the ground population after the scan pulse
+    is read off that stack (:func:`_scan_readout`), and the excited-state
+    probability is fitted to a cosine fringe.  ``shots=None`` reads P_e
+    exactly, otherwise binomial projection noise is added.  With a thermal start the fitted contrast
     includes the in-phase fringes of the occupied spectator rungs, so it is
     not the prepared state's coherence.  Runs at :func:`simulation_dim` levels.
     """
@@ -413,13 +468,15 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
     offsets = [p.phase for p in pulses]
     offsets[-1] += phases  # the last analysis pulse carries the scanned phase
 
-    rho = thermal_spin_osc(noise.initial_thermal_nbar, dim)[..., None]
-    rho = _apply_unitaries(rho, seq.prep, dim, areas[:n_prep], offsets[:n_prep])
+    rho = _prepare(seq.prep, noise.initial_thermal_nbar, dim, areas[:n_prep],
+                   offsets[:n_prep])
     rho = _delay_channels(rho, delay, noise, dim)
-    rho = _apply_unitaries(rho, seq.analysis, dim, areas[n_prep:], offsets[n_prep:])
+    rho = _apply_unitaries(rho, seq.analysis[:-1], dim, areas[n_prep:-1],
+                           offsets[n_prep:-1])
+    pg = _scan_readout(rho, seq.analysis[-1].kind, areas[-1], offsets[-1], dim)
 
     # fluorescence-dark probability 1 - P(g); shelf counts as dark
-    pes = np.clip(1.0 - np.real(np.trace(rho[:dim, :dim])), 0.0, 1.0)
+    pes = np.clip(1.0 - pg, 0.0, 1.0)
     if shots is not None:
         pes = np.random.default_rng(children[-1]).binomial(shots, pes) / shots
     points = [(float(phi), float(pe), shots) for phi, pe in zip(phases, pes)]

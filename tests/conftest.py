@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from qngcoh.fock import DEFAULT_PAD, DEFAULT_TRUNC, GaussianParams, build_gaussian_matrix
-from qngcoh.ramsey import _apply_unitaries, simulation_dim, thermal_spin_osc
+from qngcoh.ramsey import _apply_unitaries, simulation_dim
 
 settings.register_profile(
     "default",
@@ -70,6 +70,21 @@ def motional_populations(rho: np.ndarray, dim: int) -> np.ndarray:
     three electronic rows."""
     diag = np.real(np.diagonal(rho))
     return diag[:dim] + diag[dim:2 * dim] + diag[2 * dim:]
+
+
+def thermal_spin_osc(nbar: float, dim: int) -> np.ndarray:
+    """Thermal motional state in the electronic ground row, as a 3dim matrix:
+    geometric occupation of mean ``nbar``, renormalized on ``dim`` levels.
+    The density-matrix reference for the simulator's factored thermal start."""
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"mean occupation must be finite and non-negative, got {nbar!r}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got dim={dim}")
+    k = np.arange(dim)
+    p = (nbar / (1.0 + nbar)) ** k / (1.0 + nbar)
+    rho = np.zeros((3 * dim, 3 * dim), dtype=complex)
+    rho[k, k] = p / p.sum()
+    return rho
 
 
 def prepared_state(seq, noise) -> np.ndarray:

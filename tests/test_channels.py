@@ -127,13 +127,17 @@ class TestThermalize:
         assert np.max(np.abs(twice - once)) < 1e-12
 
     def test_stack_matches_per_block(self, rng):
+        # a Hermitian operator in 3 x 3 spin blocks against each pair of its
+        # spin rows and columns alone, and each diagonal block as one matrix
         dim = 9
-        stack = rng.normal(size=(3, 3, dim, dim)) + 1j * rng.normal(size=(3, 3, dim, dim))
+        mat = rng.normal(size=(3 * dim, 3 * dim)) + 1j * rng.normal(size=(3 * dim, 3 * dim))
+        stack = (mat + mat.conj().T).reshape(3, dim, 3, dim).transpose(0, 2, 1, 3)
         out = thermalize_matrix(stack, 3.2, 0.013)
         for s1 in range(3):
+            assert np.array_equal(out[s1, s1], thermalize_matrix(stack[s1, s1], 3.2, 0.013))
             for s2 in range(3):
-                block = thermalize_matrix(stack[s1, s2], 3.2, 0.013)
-                assert np.array_equal(out[s1, s2], block)
+                rows = np.ix_([s1, s2], [s1, s2])
+                assert np.array_equal(out[rows], thermalize_matrix(stack[rows], 3.2, 0.013))
 
     def test_zero_superposition_decay_is_monotone(self):
         # heated (|0>+|2>)/sqrt(2): coherence decays, population mixes up

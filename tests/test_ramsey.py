@@ -12,12 +12,13 @@ from qngcoh.channels import TruncationError
 from qngcoh.fock import FockPair
 from qngcoh.ramsey import (ROW_G, ConditioningError, FitError, MappingConditionError,
                            NoiseConfig, PulseKind, PulseSpec, _apply_unitaries,
-                           _delay_channels, _nnls, _rotate, build_sequence_0n,
-                           build_sequence_mn, decay_scan, find_mapping_pulse, fit_fringe,
-                           fit_populations, run_ramsey,
-                           simulation_dim, thermal_spin_osc)
+                           _delay_channels, _nnls, _prepare, _rotate, _scan_readout,
+                           build_sequence_0n, build_sequence_mn, decay_scan,
+                           find_mapping_pulse, fit_fringe, fit_populations, run_ramsey,
+                           simulation_dim)
 from qngcoh.thresholds import ThresholdKind, threshold
-from conftest import assert_density_matrix, motional_populations, prepared_state
+from conftest import (assert_density_matrix, motional_populations, prepared_state,
+                      thermal_spin_osc)
 
 PHASES = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
@@ -102,6 +103,31 @@ class TestPulses:
                 _apply_unitaries(rho.copy()[..., None], pulses, dim)
             _apply_unitaries(rho[..., None], pulses[:-1], dim)
 
+    def test_factored_preparation_truncation_edge_raises(self):
+        # from a thermal start at nbar 0.5 the top ground rung is occupied; a
+        # blue sideband pi lifts |g,0> to the top excited rung at dim 2, where
+        # a red sideband would lift it out and a blue one finds the edge empty
+        bsb, rsb = PulseSpec(PulseKind.BSB, math.pi), PulseSpec(PulseKind.RSB, math.pi)
+
+        def prepare(pulses, nbar, dim):
+            return _prepare(pulses, nbar, dim, [p.area for p in pulses],
+                            [p.phase for p in pulses])
+
+        for pulses, nbar, dim in (([bsb], 0.5, 4), ([bsb, rsb], 0.0, 2)):
+            with pytest.raises(TruncationError, match="pulse at the truncation edge"):
+                prepare(pulses, nbar, dim)
+            prepare(pulses[:-1], nbar, dim)
+        prepare([bsb, bsb], 0.0, 2)
+
+    def test_scan_readout_truncation_edge_raises(self):
+        dim = 4
+        for kind, level in ((PulseKind.BSB, dim - 1), (PulseKind.RSB, 2 * dim - 1)):
+            rho = np.zeros((3 * dim, 3 * dim, 1), dtype=complex)
+            rho[level, level] = 1.0
+            with pytest.raises(TruncationError, match=f"{kind.value} pulse at the truncation"):
+                _scan_readout(rho, kind, math.pi / 2, PHASES, dim)
+            _scan_readout(rho, PulseKind.CARRIER, math.pi / 2, PHASES, dim)
+
     def test_pulse_detuning_reserved(self):
         # pulses are instantaneous and the model has no detuning
         with pytest.raises(TypeError):
@@ -132,6 +158,55 @@ class TestPulses:
                 expected += p * np.outer(out, out.conj())
             got = _apply_unitaries(rho[..., None], [pulse], dim)[..., 0]
             assert np.max(np.abs(got - expected)) < 1e-12, kind
+
+
+#: every sequence the builders support
+SUPPORTED_PAIRS = [(0, n) for n in range(1, 9)] + [(1, 2), (1, 3), (2, 3)]
+
+
+def sequence_for(m: int, n: int):
+    return build_sequence_0n(n) if m == 0 else build_sequence_mn(m, n)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 0.07])
+@pytest.mark.parametrize("pair", SUPPORTED_PAIRS)
+def test_factored_preparation_matches_two_sided_pulses(pair, nbar):
+    # each pulse applied once to the factor of the thermal start, against
+    # every pulse applied from both sides to its density matrix: exact pulses
+    # on one matrix, and one jittered area and phase per matrix of 16
+    seq = sequence_for(*pair)
+    dim = simulation_dim(seq, NoiseConfig(initial_thermal_nbar=nbar), 0.0)
+    rng = np.random.default_rng(sum(pair))
+    exact = ([p.area for p in seq.prep], [p.phase for p in seq.prep])
+    jittered = ([p.area * (1.0 + 0.02 * rng.standard_normal(16)) for p in seq.prep],
+                [p.phase + 0.1 * rng.standard_normal(16) for p in seq.prep])
+    for areas, phases in (exact, jittered):
+        got = _prepare(seq.prep, nbar, dim, areas, phases)
+        want = _apply_unitaries(thermal_spin_osc(nbar, dim)[..., None], seq.prep, dim,
+                                areas, phases)
+        assert got.shape == want.shape == (3 * dim, 3 * dim, np.size(areas[0]))
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
+@pytest.mark.parametrize("kind", list(PulseKind))
+def test_scan_readout_matches_applied_pulse(kind, rng):
+    # the ground population read off before the scan pulse, against the pulse
+    # applied from both sides and the ground block traced: one matrix read at
+    # 16 phases, and 16 matrices with one area and phase each
+    dim = 7
+    cols = rng.normal(size=(16, 3, dim, 6)) + 1j * rng.normal(size=(16, 3, dim, 6))
+    cols[:, :, -1] = 0.0  # stay clear of the truncation edge
+    cols = cols.reshape(16, 3 * dim, 6)
+    stack = (cols @ cols.conj().transpose(0, 2, 1)).transpose(1, 2, 0)
+    stack /= np.trace(stack).real
+    pulse = PulseSpec(kind, 1.7, 0.9)
+    for rho, area in ((stack[..., :1], pulse.area),
+                      (stack, pulse.area * (1.0 + 0.05 * rng.standard_normal(16)))):
+        phase = pulse.phase + PHASES
+        got = _scan_readout(rho, kind, area, phase, dim)
+        after = _apply_unitaries(rho.copy(), [pulse], dim, [area], [phase])
+        assert got.shape == (16,)
+        assert np.max(np.abs(got - np.real(np.trace(after[:dim, :dim])))) < 1e-14
 
 
 class TestSequences:
@@ -471,19 +546,22 @@ def test_prepared_state_populations_norm():
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_stack_stays_a_density_matrix(n, monkeypatch):
-    # every matrix of the stack after preparation, after the delay and after
-    # analysis, under the README noise budget with pulse-area jitter
+    # every matrix of the stack after preparation, after the delay and before
+    # the scan pulse, under the README noise budget with pulse-area jitter
     stages = []
 
-    def recording(stage):
-        def wrapped(*args, **kwargs):
-            out = stage(*args, **kwargs)
-            stages.append(out.copy())
-            return out
-        return wrapped
+    def delay_recorded(rho, *args):
+        stages.append(rho.copy())
+        out = _delay_channels(rho, *args)
+        stages.append(out.copy())
+        return out
 
-    monkeypatch.setattr(ramsey_module, "_apply_unitaries", recording(_apply_unitaries))
-    monkeypatch.setattr(ramsey_module, "_delay_channels", recording(_delay_channels))
+    def readout_recorded(rho, *args):
+        stages.append(rho.copy())
+        return _scan_readout(rho, *args)
+
+    monkeypatch.setattr(ramsey_module, "_delay_channels", delay_recorded)
+    monkeypatch.setattr(ramsey_module, "_scan_readout", readout_recorded)
     noise = NoiseConfig(initial_thermal_nbar=0.07, heating_rate=3.2,
                         dephasing_rate=1.0, pulse_error=0.01)
     run_ramsey(build_sequence_0n(n), 0.012, noise, PHASES, shots=200, seed=1)
