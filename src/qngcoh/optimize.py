@@ -1,15 +1,13 @@
 """Derivative-free bounded maximization shared by all threshold searches.
 
-Coarse grid seeding over the box, then Nelder-Mead refinement from the best
-seeds.  The refinement starts advance in lockstep: each simplex stage
-(reflection; expansion or contraction; shrink) is one batch evaluation over
-the starts that take it.  Each start follows scipy's bounded, non-adaptive
-Nelder-Mead step for step, with the same initial simplex, clipping and
-stopping rule.  That stop is loose (``XATOL``, ``FATOL``): the two best starts
-of every group are then finished with safeguarded Newton steps on a
-central-difference stencil of the objective, all finishes in lockstep with
-one batch evaluation per step.  Deterministic: no randomness enters the
-search, so identical specs give identical results.
+Coarse grid seeding over the box, then a trust-region Newton ascent from the
+best seeds.  Gradient and Hessian come from a central-difference stencil of
+the objective around each start's trial point, and the starts advance in
+lockstep: every step evaluates the stencils of all starts still running in
+one batch.  A trial is accepted only if it does not lower the value, and
+a start stops when its next step would gain less than ``FINISH_GAIN``.
+Deterministic: no randomness enters the search, so identical specs give
+identical results.
 """
 
 from __future__ import annotations
@@ -20,20 +18,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-#: scipy's non-adaptive coefficients: reflection, expansion, contraction, shrink
-RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
-#: initial-simplex steps: relative for a nonzero coordinate, absolute for zero
-NONZDELT, ZDELT = 0.05, 0.00025
-#: per-start stopping rule
-XATOL, FATOL = 1e-4, 1e-7
-MAXITER, MAXFEV = 4000, 8000
-#: Newton finish: difference step (at 1e-4 the O(h^2) gradient error left
-#: optima near |alpha| = 6 up to 1e-13 low), stencils per finished start (the
-#: first at the simplex's point), and the predicted gain, relative to
-#: ``max(1, |f|)``, below which a step is not taken
+#: stencil difference step (at 1e-4 the O(h^2) gradient error left optima
+#: near |alpha| = 6 up to 1e-13 low) and the predicted gain, relative to
+#: ``max(1, |f|)``, below which a start stops
 FINISH_H = 3e-5
-FINISH_STEPS = 4
 FINISH_GAIN = 1e-15
+#: initial trust radius, relative to the narrowest side of the box; stencils
+#: per start; Newton steps on the secular equation of each trust-region step
+RADIUS = 0.1
+MAX_STEPS = 60
+SECULAR_STEPS = 6
 
 
 class NonConvergenceError(RuntimeError):
@@ -80,111 +74,6 @@ def _grid_points(spec: SearchSpec, density: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-#: second-stage point ``a * xbar - b * worst`` for expansion, outside and
-#: inside contraction (inside: ``(1 - PSI) xbar + PSI worst``)
-_STAGE_A = np.array([1 + RHO * CHI, 1 + PSI * RHO, 1 - PSI])
-_STAGE_B = np.array([RHO * CHI, PSI * RHO, -PSI])
-
-
-def _sort_simplices(sim: np.ndarray, fsim: np.ndarray):
-    ind = fsim.argsort(axis=1)
-    starts = np.arange(len(fsim))[:, None]
-    return sim[starts, ind], fsim[starts, ind]
-
-
-def nelder_mead(fun: Callable[..., np.ndarray], x0: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray, labels: np.ndarray | None = None):
-    """Minimize the batch function ``fun`` from every row of ``x0`` in lockstep.
-
-    ``fun`` maps an ``(npts, ndim)`` array to ``npts`` values; with ``labels``
-    (one per start) it is called as ``fun(pts, labels_of_pts)``.  Returns the
-    per-start minimizers, minima, evaluation counts and success flags (False
-    when a start ran out of iterations or evaluations).  A start that reaches
-    ``MAXFEV`` mid-iteration stops where scipy's evaluation counter would
-    stop it, so its simplex is left exactly as scipy leaves it.
-    """
-    def ev(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        return fun(pts) if labels is None else fun(pts, labels[starts])
-
-    n_starts, ndim = x0.shape
-    sim = np.repeat(np.clip(x0, lo, hi)[:, None, :], ndim + 1, axis=1)
-    for k in range(ndim):
-        coord = sim[:, k + 1, k]
-        sim[:, k + 1, k] = np.where(coord != 0, (1 + NONZDELT) * coord, ZDELT)
-    # a vertex stepped past the upper bound is reflected back into the box
-    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    fsim = ev(sim.reshape(-1, ndim),
-              np.repeat(np.arange(n_starts), ndim + 1)).reshape(n_starts, ndim + 1)
-    nfev = np.full(n_starts, ndim + 1)
-    iters = np.ones(n_starts, dtype=int)
-    # scipy sorts the initial simplex twice; an unstable sort may reorder ties
-    for _ in range(2):
-        sim, fsim = _sort_simplices(sim, fsim)
-
-    x_out, f_out = np.empty((n_starts, ndim)), np.empty(n_starts)
-    nfev_out, ok_out = np.empty(n_starts, dtype=int), np.empty(n_starts, dtype=bool)
-    act = np.arange(n_starts)          # starts still running, by input row
-    rows = np.arange(ndim)
-    while True:
-        within = (nfev < MAXFEV) & (iters < MAXITER)
-        live = within & ~(
-            (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= XATOL)
-            & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= FATOL))
-        if not live.all():
-            out, stop = act[~live], ~live
-            x_out[out], f_out[out] = sim[stop, 0], np.min(fsim[stop], axis=1)
-            nfev_out[out], ok_out[out] = nfev[stop], within[stop]
-            act, sim, fsim = act[live], sim[live], fsim[live]
-            nfev, iters = nfev[live], iters[live]
-            if act.size == 0:
-                return x_out, f_out, nfev_out, ok_out
-
-        xbar = np.add.reduce(sim[:, :-1], 1) / ndim
-        worst = sim[:, -1]
-        xr = ((1 + RHO) * xbar - RHO * worst).clip(lo, hi)
-        fxr = ev(xr, act)
-        nfev += 1
-        expand = fxr < fsim[:, 0]
-        keep_r = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~keep_r & (fxr < fsim[:, -1])
-
-        # expansion or contraction; a start with no evaluation left stalls
-        second = ~keep_r & (nfev < MAXFEV)
-        stage = np.where(expand, 0, np.where(outside, 1, 2))
-        x2 = (_STAGE_A[stage, None] * xbar - _STAGE_B[stage, None] * worst).clip(lo, hi)
-        f2 = np.full(len(act), np.nan)
-        if second.any():
-            f2[second] = ev(x2[second], act[second])
-            nfev += second
-        take2 = second & np.where(expand, f2 < fxr,
-                                  np.where(outside, f2 <= fxr, f2 < fsim[:, -1]))
-        replace = keep_r | (second & expand) | take2
-        sim[replace, -1] = np.where(take2[:, None], x2, xr)[replace]
-        fsim[replace, -1] = np.where(take2, f2, fxr)[replace]
-
-        stalled = ~keep_r & ~second
-        shrink = np.flatnonzero(second & ~replace)
-        if shrink.size:
-            best = sim[shrink, :1]
-            pts = np.clip(best + SIGMA * (sim[shrink, 1:] - best), lo, hi)
-            budget = MAXFEV - nfev[shrink]
-            # scipy moves vertex j before evaluating it, so the vertex whose
-            # evaluation would exceed MAXFEV still moves
-            moved = rows <= budget[:, None]
-            evaluated = rows < budget[:, None]
-            sub, fsub = sim[shrink, 1:], fsim[shrink, 1:]
-            sub[moved] = pts[moved]
-            if evaluated.any():
-                fsub[evaluated] = ev(pts[evaluated],
-                                     np.repeat(act[shrink], evaluated.sum(axis=1)))
-            sim[shrink, 1:], fsim[shrink, 1:] = sub, fsub
-            nfev[shrink] += evaluated.sum(axis=1)
-            stalled[shrink] = budget < ndim
-
-        iters += ~stalled
-        sim, fsim = _sort_simplices(sim, fsim)
-
-
 def _stencil(ndim: int) -> np.ndarray:
     """Offset taken on each axis by each stencil point: 0 none, 1 the lower,
     2 the upper.  The centre, two points per axis and four per pair of axes:
@@ -195,15 +84,15 @@ def _stencil(ndim: int) -> np.ndarray:
                        for a, b in product((1, 2), repeat=2)])
 
 
-def _newton_step(vals: np.ndarray, x: np.ndarray, du: np.ndarray, dv: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray):
-    """Ascent step and its predicted gain from stencil values ``vals`` at ``x``.
+def _model(vals: np.ndarray, x: np.ndarray, du: np.ndarray, dv: np.ndarray,
+           lo: np.ndarray, hi: np.ndarray):
+    """Quadratic model of the objective at ``x`` from stencil values ``vals``:
+    the gradient in the Hessian's eigenbasis, the eigenvalues and eigenvectors.
 
     Each axis has its two offsets ``du < dv`` (either side of the centre, or
     both on the inner side near a bound), so the differences are exact for
     quadratics.  A coordinate on a bound whose gradient points out of the box
-    is held fixed; of the rest, only directions of negative curvature are
-    stepped, so flat directions (a ring of maxima) stay where they are.
+    is held fixed: its gradient and its row and column of the Hessian drop out.
     """
     n_pts, ndim = x.shape
     f0 = vals[:, :1]
@@ -217,34 +106,63 @@ def _newton_step(vals: np.ndarray, x: np.ndarray, du: np.ndarray, dv: np.ndarray
     hess[:, i, j] = hess[:, j, i] = (vv - vu - uv + uu) / ((dv - du)[:, i] * (dv - du)[:, j])
     free = ~(((x <= lo) & (grad < 0)) | ((x >= hi) & (grad > 0)))
     lam, vec = np.linalg.eigh(hess * free[:, :, None] * free[:, None, :])
-    proj = (vec * (grad * free)[:, :, None]).sum(axis=1)
-    # curvature within 1e-6 of the largest is rounding noise: flat
-    neg = lam < -1e-6 * np.abs(lam).max(axis=1, keepdims=True)
-    coef = np.where(neg, proj / np.where(neg, lam, -1.0), 0.0)
-    step = -(vec * coef[:, None, :]).sum(axis=2) * free
-    gain = -0.5 * (coef * proj).sum(axis=1)
-    return step, gain
+    return (vec * (grad * free)[:, :, None]).sum(axis=1), lam, vec
 
 
-def _finish(fun: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
-            fx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Safeguarded Newton ascent from every row of ``x`` (values ``fx``) in lockstep.
+def _trust_step(p: np.ndarray, lam: np.ndarray, radius: np.ndarray):
+    """Eigenbasis coefficients ``c`` of the step and its predicted gain.
+
+    ``c`` maximizes the model ``p c + lam c^2 / 2`` over ``|c| <= radius``:
+    ``c = p / (mu - lam)`` with ``mu = 0`` (the Newton step) when that is an
+    ascent inside the radius, else with the root ``mu`` of the secular
+    equation ``1 / |c(mu)| = 1 / radius``.  Newton steps on it start below the
+    root and rise monotonically to it.  A curvature within 1e-6 of the largest
+    is rounding noise: that direction is flat and not stepped.
+    """
+    curved = np.abs(lam) > 1e-6 * np.abs(lam).max(axis=1, keepdims=True)
+    p = np.where(curved, p, 0.0)
+
+    def coef(mu):
+        d = mu[:, None] - lam
+        return np.divide(p, d, out=np.zeros_like(p), where=d > 0), d
+
+    # no root lies below the direction whose term alone reaches the radius
+    mu = np.maximum(0.0, np.where(curved, lam + np.abs(p) / radius[:, None], -np.inf).max(axis=1))
+    for _ in range(SECULAR_STEPS):
+        c, d = coef(mu)
+        norm = np.linalg.norm(c, axis=1)
+        grow = np.maximum(norm / radius - 1.0, 0.0)
+        slope = np.divide(c ** 2, d, out=np.zeros_like(c), where=d > 0).sum(axis=1)
+        mu = mu + grow * norm ** 2 / np.where(grow > 0, slope, 1.0)
+    c, _ = coef(mu)
+    c *= (radius / np.maximum(np.linalg.norm(c, axis=1), radius))[:, None]
+    return c, (p * c + 0.5 * lam * c ** 2).sum(axis=1)
+
+
+def _ascend(fun: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
+            lo: np.ndarray, hi: np.ndarray):
+    """Trust-region Newton ascent from every row of ``x`` in lockstep.
 
     ``fun(pts, starts)`` returns each start's objective at its points.  Every
     step is one call over the stencils of the running starts: the stencil's
-    centre is the trial point, accepted only if it does not lower the value,
-    and its differences give the next step.  A start stops at a rejected
-    step, when its next step would gain less than ``FINISH_GAIN`` (relative
-    to ``max(1, |f|)``), or after ``FINISH_STEPS`` stencils.  Returns the
-    finished points, values, accepted steps and evaluations per start.
+    centre is the trial point (first the start itself), accepted only if it
+    does not lower the value, and its differences give the model for the next
+    step.  An accepted step widens the trust radius to twice its length (as
+    the box clips it); a rejected one keeps the model and cuts the radius to
+    a quarter of that length.  A start stops when its next step would gain
+    less than ``FINISH_GAIN`` (relative to ``max(1, |f|)``), or unsuccessfully
+    after ``MAX_STEPS`` stencils.  Returns the points, values, accepted steps,
+    evaluations and success flags per start.
     """
     n_pts, ndim = x.shape
     sel = _stencil(ndim)
     h = np.minimum(FINISH_H, (hi - lo) / 4)
-    x, fx, trial = x.copy(), fx.copy(), x.copy()
+    x, trial, fx = x.copy(), x.copy(), np.full(n_pts, -np.inf)
+    radius, length = np.full(n_pts, RADIUS * np.min(hi - lo)), np.zeros(n_pts)
+    p, lam, vec = np.zeros((n_pts, ndim)), np.zeros((n_pts, ndim)), np.zeros((n_pts, ndim, ndim))
     steps, evals = np.zeros(n_pts, dtype=int), np.zeros(n_pts, dtype=int)
     act = np.arange(n_pts)
-    for _ in range(FINISH_STEPS):
+    for _ in range(MAX_STEPS):
         if act.size == 0:
             break
         t = trial[act]
@@ -255,13 +173,16 @@ def _finish(fun: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
         vals = fun(pts.reshape(-1, ndim), np.repeat(act, len(sel))).reshape(len(act), -1)
         evals[act] += len(sel)
         ok = vals[:, 0] >= fx[act]
-        act, t, vals, xu, xv = act[ok], t[ok], vals[ok], xu[ok], xv[ok]
-        steps[act] += np.any(t != x[act], axis=1)
-        x[act], fx[act] = t, vals[:, 0]
-        step, gain = _newton_step(vals, t, xu - t, xv - t, lo, hi)
-        trial[act] = np.clip(t + step, lo, hi)
+        acc = act[ok]
+        steps[acc] += np.any(t[ok] != x[acc], axis=1)
+        x[acc], fx[acc] = t[ok], vals[ok, 0]
+        radius[act] = np.where(ok, np.maximum(radius[act], 2.0 * length[act]), length[act] / 4)
+        p[acc], lam[acc], vec[acc] = _model(vals[ok], t[ok], (xu - t)[ok], (xv - t)[ok], lo, hi)
+        c, gain = _trust_step(p[act], lam[act], radius[act])
+        trial[act] = np.clip(x[act] + (vec[act] * c[:, None, :]).sum(axis=2), lo, hi)
+        length[act] = np.linalg.norm(trial[act] - x[act], axis=1)
         act = act[gain > FINISH_GAIN * np.maximum(1.0, np.abs(fx[act]))]
-    return x, fx, steps, evals
+    return x, fx, steps, evals, ~np.isin(np.arange(n_pts), act)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,13 +222,14 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
     result is the best group's, with every start in its trace and each
     group's result in ``groups``.
 
-    Every start runs Nelder-Mead to the loose, scipy-identical stop; its
-    trace record (``x``, ``value``, ``nfev``) is the simplex's.  The two best
-    starts of each group are then finished by ``_finish``, all groups in
-    lockstep with one batch evaluation per Newton step; the group's trace
-    records them under ``finish`` (points, values, steps, evaluations, best
-    first).  The argmax and value are the better finished start's, and the
-    group is ``converged`` when the two finished values agree to ``spec.tol``.
+    Every start climbs from its seed by ``_ascend``, all groups in lockstep
+    with one batch of stencils per step; its trace record (``x``, ``value``,
+    ``nfev``, ``success``) is where it stopped.  The group's trace records
+    its two best starts under ``finish`` (points, values, accepted steps,
+    evaluations, best first).  The argmax and value are the best start's, and
+    the group is ``converged`` when the two best values agree to ``spec.tol``.
+    A batch larger than the largest grid is evaluated in parts of that size,
+    so the ascent's peak memory stays the grid's.
 
     Raises ``NonConvergenceError`` when no refinement start (of a group)
     reaches the best grid seed; trace records per-start outcomes either way.
@@ -339,37 +261,38 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
     seeds = np.concatenate([pts[np.argsort(vals)[::-1][:n]]
                             for (pts, vals), n in zip(own, counts)])
     rows = np.repeat([g.row for g in groups], counts)
-    runs = nelder_mead(lambda p, labels: -table(p)[labels, np.arange(len(labels))],
-                       seeds, lo, hi, rows)
-    xs, fs = runs[:2]
+    chunk = max(len(pts) for pts, _ in grids.values())
 
-    # every group's two best starts (stable: as ranked in its trace), finished
-    offsets = np.cumsum([0] + counts)
-    top = np.concatenate([a + np.argsort(fs[a:b], kind="stable")[:2]
-                          for a, b in zip(offsets, offsets[1:])])
-    fin_x, fin_f, fin_steps, fin_evals = _finish(
-        lambda p, s: table(p)[rows[top][s], np.arange(len(s))], xs[top], -fs[top], lo, hi)
+    def start_values(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        out = np.empty(len(pts))
+        for i in range(0, len(pts), chunk):
+            part = slice(i, i + chunk)
+            out[part] = table(pts[part])[rows[starts[part]], np.arange(len(pts[part]))]
+        return out
+
+    xs, fs, steps, evals, ok = _ascend(start_values, seeds, lo, hi)
 
     results = []
-    for i, ((pts, vals), a, b) in enumerate(zip(own, offsets, offsets[1:])):
-        starts = [{"x0": x0.tolist(), "x": x.tolist(), "value": -float(f),
-                   "nfev": int(nfev), "success": bool(ok)}
-                  for x0, x, f, nfev, ok in zip(seeds[a:b], *(arr[a:b] for arr in runs))]
-        starts.sort(key=lambda s: s["value"], reverse=True)
-        pair = sorted((2 * i, 2 * i + 1), key=lambda j: -fin_f[j])
-        best, runner_up = (float(fin_f[j]) for j in pair)
+    offsets = np.cumsum([0] + counts)
+    for (pts, vals), a, b in zip(own, offsets, offsets[1:]):
+        # the group's starts, best first (stable: ties keep their seed order)
+        order = a + np.argsort(-fs[a:b], kind="stable")
+        starts = [{"x0": seeds[i].tolist(), "x": xs[i].tolist(), "value": float(fs[i]),
+                   "nfev": int(evals[i]), "success": bool(ok[i])} for i in order]
+        top = order[:2]
+        best, runner_up = (float(fs[j]) for j in top)
         trace = {"grid_points": len(pts), "grid_best": float(vals.max()),
                  "starts": starts,
-                 "finish": {"points": fin_x[pair].tolist(), "values": fin_f[pair].tolist(),
-                            "steps": fin_steps[pair].tolist(),
-                            "evaluations": int(fin_evals[pair].sum())},
+                 "finish": {"points": xs[top].tolist(), "values": fs[top].tolist(),
+                            "steps": steps[top].tolist(),
+                            "evaluations": int(evals[top].sum())},
                  "best_value": best, "runner_up_value": runner_up,
                  "converged": abs(best - runner_up) <= max(spec.tol, spec.tol * abs(best))}
         if best < trace["grid_best"] - 1e-12:
             raise NonConvergenceError("no refinement start reached the grid seed value "
                                       f"{trace['grid_best']!r}", trace)
         # the value is the objective exactly as evaluated at the returned point
-        results.append(MaximizeResult(fin_x[pair[0]], best, trace))
+        results.append(MaximizeResult(xs[top[0]], best, trace))
 
     top = max(results, key=lambda res: res.value)
     return MaximizeResult(top.argmax, top.value, groups=results, trace=dict(

@@ -133,12 +133,14 @@ def _pair_objective(pair: FockPair, n_inputs: int):
     def f_batch(pts: np.ndarray) -> np.ndarray:
         am, an = sdf_amplitude_raw((pair.m, pair.n), range(n_inputs), *pts.T, 0.0)
         u, v = am[: pair.n], an[: pair.n]
-        # builtin sum adds the core terms in index order at any batch size
-        # (numpy pairs them up for a one-point batch): no point's value
-        # depends on the points evaluated beside it
+        # no point's value depends on the points evaluated beside it: builtin
+        # sum adds the core terms in index order at any batch size (numpy
+        # pairs them up for a one-point batch), and the intrinsic rows take
+        # two moduli, not the modulus of a complex product, whose rounding
+        # moved with the point's place in the batch
         nu, nv = np.sqrt(sum(np.abs(u) ** 2)), np.sqrt(sum(np.abs(v) ** 2))
         genuine = nu * nv + np.abs(sum(np.conj(u) * v))
-        return np.vstack([2.0 * np.abs(am * np.conj(an)), genuine[None]])
+        return np.vstack([2.0 * np.abs(am) * np.abs(an), genuine[None]])
 
     return f_batch
 

@@ -10,8 +10,9 @@ import yaml
 from click.testing import CliRunner
 
 import qngcoh.mc
+import qngcoh.thresholds
 from qngcoh.cli import main
-from qngcoh.thresholds import ThresholdResult, ThresholdKind
+from qngcoh.thresholds import ThresholdResult, ThresholdKind, clear_threshold_cache
 from qngcoh.fock import FockPair, GaussianParams, TruncationRiskError
 from qngcoh.optimize import NonConvergenceError
 
@@ -42,13 +43,27 @@ class TestThresholdsCommand:
             0.8578, abs=1e-4)
         assert payload["manifest"]["command"] == "thresholds"
 
-    def test_searched_kinds_report_at_cap(self, runner, tmp_path):
+    def test_searched_kinds_report_at_cap(self, runner, tmp_path, monkeypatch):
         # gaussian-min of (9,10) ends on the |alpha| cap, and its genuine
-        # search with its two best starts apart (0.97188 against 0.92111):
-        # the table shows both flags, and the status does not change
+        # search is made to end with its two best starts apart: the table
+        # shows both flags, and the status does not change
+        search_pair = qngcoh.thresholds._search_pair
+
+        def genuine_apart(pair):
+            entries = search_pair(pair)
+            if (pair.m, pair.n) == (9, 10):
+                trace = entries[(ThresholdKind.GENUINE_N, 9, 10)].diagnostics
+                trace.update(runner_up_value=trace["best_value"] - 0.05, converged=False)
+            return entries
+
+        monkeypatch.setattr(qngcoh.thresholds, "_search_pair", genuine_apart)
+        clear_threshold_cache()
         out = tmp_path / "table.json"
-        result = runner.invoke(main, ["thresholds", "--pair", "9,10", "--pair", "0,2",
-                                      "--out", str(out)])
+        try:
+            result = runner.invoke(main, ["thresholds", "--pair", "9,10", "--pair", "0,2",
+                                          "--out", str(out)])
+        finally:
+            clear_threshold_cache()   # the altered entry leaves the memo
         assert result.exit_code == 0
         payload = json.loads(out.read_text())
         validate(payload, "threshold_table.schema.json")

@@ -1,13 +1,11 @@
-import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from qngcoh import optimize
-from qngcoh.optimize import (MAXFEV, Group, MaximizeResult, SearchSpec, maximize,
-                             nelder_mead)
+from qngcoh.optimize import Group, MaximizeResult, SearchSpec, maximize
 
 
 def test_quadratic_peak():
@@ -93,68 +91,13 @@ def test_spec_validation():
         Group(grid_density=1)
 
 
-# ---------------------------------------------------------------------------
-# lockstep Nelder-Mead against scipy's per-start Nelder-Mead
-# ---------------------------------------------------------------------------
-
 BOX3 = ((0.0, 2.0), (-1.0, 1.0), (0.0, 3.0))
-#: scipy at the module's own per-start stop
-SCIPY_OPTIONS = dict(xatol=optimize.XATOL, fatol=optimize.FATOL,
-                     maxiter=optimize.MAXITER, maxfev=optimize.MAXFEV)
 
 
 def _tilted_bowl(x):
     # minimum outside the box along the third axis, so starts end on a bound
     return ((x[0] - 0.7) ** 2 + 3.0 * (x[1] + 0.2) ** 2 + (x[2] - 3.5) ** 2
             + 0.3 * x[0] * x[1] + 0.1 * math.sin(5.0 * x[0]))
-
-
-def _hash_noise(x):
-    # deterministic noise: no simplex ever meets the tolerance test
-    digest = hashlib.blake2b(np.asarray(x, dtype=float).tobytes(), digest_size=8)
-    return int.from_bytes(digest.digest(), "little") / 2.0 ** 64
-
-
-def _lockstep_vs_scipy(f, x0s):
-    lo = np.array([b[0] for b in BOX3])
-    hi = np.array([b[1] for b in BOX3])
-    x0s = np.array(x0s, dtype=float)
-    xs, funs, nfevs, oks = nelder_mead(lambda pts: np.array([f(p) for p in pts]),
-                                       x0s, lo, hi)
-    for x0, x, fun, nfev, ok in zip(x0s, xs, funs, nfevs, oks):
-        ref = minimize(f, x0, method="Nelder-Mead", bounds=BOX3,
-                       options=SCIPY_OPTIONS)
-        assert np.array_equal(x, ref.x), (x0, x, ref.x)
-        assert nfev == ref.nfev
-        assert fun == ref.fun
-        assert ok == ref.success
-    return nfevs, oks
-
-
-def test_lockstep_matches_scipy_per_start():
-    # the second and fifth starts sit on upper bounds, so their initial
-    # simplices are reflected back into the box
-    nfevs, oks = _lockstep_vs_scipy(_tilted_bowl, [
-        [0.1, 0.2, 0.3], [2.0, 0.0, 1.0], [0.0, 0.0, 0.0],
-        [1.3, -0.9, 2.2], [1.99999, 1.0, 3.0]])
-    assert oks.all()
-    assert len(set(nfevs.tolist())) > 1   # starts stop at different iterations
-
-
-def test_lockstep_matches_scipy_out_of_evaluations():
-    nfevs, oks = _lockstep_vs_scipy(_hash_noise, [[0.1, 0.2, 0.3], [1.0, 0.5, 2.0]])
-    assert nfevs.max() == MAXFEV and not oks.all()
-
-
-def test_maximize_starts_match_scipy():
-    res = maximize(lambda x: -_tilted_bowl(x), SearchSpec(bounds=BOX3),
-                   groups=[Group(grid_density=4, n_starts=8)])
-    for start in res.trace["starts"]:
-        ref = minimize(_tilted_bowl, start["x0"], method="Nelder-Mead",
-                       bounds=BOX3, options=SCIPY_OPTIONS)
-        assert start["x"] == ref.x.tolist()
-        assert start["nfev"] == ref.nfev
-        assert start["value"] == -ref.fun
 
 
 def test_scalar_objective_equals_its_batch_form():
@@ -195,8 +138,102 @@ def test_groups_match_their_lone_runs():
 
 
 # ---------------------------------------------------------------------------
-# Newton finish of each group's two best starts
+# trust-region Newton ascent
 # ---------------------------------------------------------------------------
+
+
+def _ascend_one(f, x0, lo, hi):
+    """Ascent of the batch function ``f`` from the one start ``x0``, with
+    the centre (trial point) and value of every stencil it evaluated."""
+    centres = []
+
+    def fun(pts, starts):
+        vals = f(pts)
+        centres.append((pts[0].copy(), vals[0]))
+        return vals
+
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    x, fx, steps, evals, ok = optimize._ascend(fun, np.atleast_2d(x0).astype(float), lo, hi)
+    return x[0], fx[0], steps[0], evals[0], ok[0], centres
+
+
+def test_trust_step_maximizes_the_model_in_the_ball():
+    rng = np.random.default_rng(11)
+    ball = rng.normal(size=(20000, 3))
+    ball *= (rng.uniform(size=20000) ** (1 / 3) / np.linalg.norm(ball, axis=1))[:, None]
+    p = rng.normal(size=(40, 3))
+    lam = rng.normal(size=(40, 3)) * rng.choice([0.1, 1.0, 10.0], size=(40, 1))
+    radius = rng.choice([0.01, 0.3, 2.0], size=40)
+    c, gain = optimize._trust_step(p, lam, radius)
+    model = lambda q, i: q @ p[i] + 0.5 * (q ** 2) @ lam[i]
+    for i in range(40):
+        assert np.linalg.norm(c[i]) <= radius[i] * (1 + 1e-12)
+        assert gain[i] == pytest.approx(model(c[i], i), rel=1e-12)
+        # no point of the ball (nor of its surface) does better
+        sample = np.vstack([ball, ball / np.linalg.norm(ball, axis=1)[:, None]]) * radius[i]
+        assert model(sample, i).max() <= gain[i] * (1 + 1e-9) + 1e-15
+        newton = -p[i] / lam[i]
+        if np.all(lam[i] < 0) and np.linalg.norm(newton) <= radius[i]:
+            assert c[i] == pytest.approx(newton, rel=1e-12)
+    # curvatures and gradients over many decades: the step stays in the radius
+    p = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-8, 3, size=(200, 3))
+    lam = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-3, 6, size=(200, 3))
+    radius = 10.0 ** rng.uniform(-6, 1, size=200)
+    c, gain = optimize._trust_step(p, lam, radius)
+    assert np.all(np.linalg.norm(c, axis=1) <= radius * (1 + 1e-12)) and np.all(gain >= 0)
+
+
+def test_concave_quadratic_is_solved_in_one_newton_step():
+    a = np.array([[3.0, 0.4, -0.2], [0.4, 2.0, 0.3], [-0.2, 0.3, 1.0]])
+    peak = np.array([0.52, 0.31, 0.77])
+    quad = lambda pts: 1.5 - np.einsum("pi,ij,pj->p", pts - peak, a, pts - peak)
+    # within the trust radius (0.1 of the unit box) of the peak
+    x, fx, steps, evals, ok, _ = _ascend_one(quad, peak + [0.04, -0.03, 0.05], [0, 0, 0], [1, 1, 1])
+    assert ok and steps == 1
+    assert evals == 2 * 19   # the start's stencil and the peak's, where the next gain is nil
+    # rounding in the second differences (about eps / h^2) leaves the step short
+    assert x == pytest.approx(peak, abs=1e-7)
+    assert fx == pytest.approx(1.5, abs=1e-15)
+
+
+def test_far_start_steps_within_the_radius_and_never_falls():
+    # from the convex tail the model overshoots the peak: some trials fall
+    peak = np.array([1.7, 0.6, 2.5])
+    lorentz = lambda pts: 1.0 / (0.1 + ((pts - peak) ** 2).sum(axis=1))
+    lo, hi = np.array([0.0, -1.0, 0.0]), np.array([2.0, 1.0, 3.0])
+    x, fx, steps, evals, ok, centres = _ascend_one(lorentz, [0.0, -1.0, 0.0], lo, hi)
+    assert ok and x == pytest.approx(peak, abs=1e-7)
+    # replay the radius rule: an accepted step widens the radius to twice its
+    # length, a rejected one cuts it to a quarter of its length
+    radius = optimize.RADIUS * (hi - lo).min()
+    best_x, best_f = centres[0]
+    rejected = 0
+    for t, ft in centres[1:]:
+        length = np.linalg.norm(t - best_x)
+        assert 0.0 < length <= radius * (1 + 1e-12)
+        if ft >= best_f:
+            best_x, best_f, radius = t, ft, max(radius, 2 * length)
+        else:
+            rejected, radius = rejected + 1, length / 4
+    assert rejected >= 1 and steps == len(centres) - 1 - rejected
+    assert evals == 19 * len(centres)
+    # the returned point is the best trial, reached without a fall
+    assert np.array_equal(x, best_x) and fx == best_f == max(f for _, f in centres)
+
+
+def test_start_on_a_stationary_point_raises_no_warning():
+    # at the origin every stencil pair is symmetric: the gradient is exactly zero
+    bowl = lambda pts: -(pts ** 2) @ np.array([1.0, 2.0, 3.0])
+    saddle = lambda pts: (pts ** 2) @ np.array([1.0, -2.0, -3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (bowl, saddle):
+            x, fx, steps, evals, ok, _ = _ascend_one(f, [0.0, 0.0, 0.0], [-1] * 3, [1] * 3)
+            assert ok and steps == 0 and evals == 19
+            assert np.array_equal(x, [0.0, 0.0, 0.0]) and fx == 0.0
+        res = maximize(None, SearchSpec(bounds=((-1.0, 1.0),) * 3), batch_objective=bowl,
+                       groups=[Group(grid_density=5, n_starts=8)])
+    assert np.array_equal(res.argmax, [0.0, 0.0, 0.0]) and res.value == 0.0
 
 
 def _recorded(fb, seen):
@@ -210,13 +247,17 @@ def _check_finish(res, lo, hi, seen):
     pts = np.vstack(seen)
     assert np.all(pts >= lo) and np.all(pts <= hi)
     for part in res.groups:
-        finish = part.trace["finish"]
+        finish, starts = part.trace["finish"], part.trace["starts"]
         assert part.value == finish["values"][0] == part.trace["best_value"]
         assert finish["values"][1] == part.trace["runner_up_value"] <= part.value
         assert np.array_equal(part.argmax, finish["points"][0])
-        # never below what the simplex found
-        assert part.value >= part.trace["starts"][0]["value"]
-        assert finish["values"][1] >= part.trace["starts"][1]["value"]
+        # the finish records are the group's two best starts
+        assert finish["points"] == [starts[0]["x"], starts[1]["x"]]
+        assert finish["values"] == [starts[0]["value"], starts[1]["value"]]
+        assert finish["evaluations"] == starts[0]["nfev"] + starts[1]["nfev"]
+        assert all(s["success"] for s in starts)
+        # never below the grid seed it started from
+        assert part.value >= part.trace["grid_best"]
 
 
 def test_finish_on_ring_maximum_stays_in_box():
@@ -227,10 +268,14 @@ def test_finish_on_ring_maximum_stays_in_box():
     res = maximize(None, SearchSpec(bounds=((-1.0, 1.0), (-1.0, 1.0))),
                    batch_objective=_recorded(ring, seen), groups=[Group(n_starts=8)])
     _check_finish(res, -1.0, 1.0, seen)
-    assert res.trace["starts"][0]["value"] < -1e-13 < res.value
+    assert res.trace["grid_best"] < -1e-13 < res.value
     assert np.hypot(*res.argmax) == pytest.approx(0.5, abs=1e-8)
     finish = res.trace["finish"]
     assert finish["evaluations"] % 9 == 0 and min(finish["steps"]) >= 1
+    # each start stays at the angle of its seed
+    for s in res.trace["starts"]:
+        assert math.atan2(s["x"][1], s["x"][0]) == pytest.approx(
+            math.atan2(s["x0"][1], s["x0"][0]), abs=1e-6)
 
 
 def test_finish_holds_coordinate_on_lower_bound():
@@ -244,4 +289,15 @@ def test_finish_holds_coordinate_on_lower_bound():
     y = 0.4 + math.cos(res.argmax[1]) / 4.0   # stationarity on x = 0
     assert res.argmax[0] == 0.0
     assert res.argmax[1] == pytest.approx(y, abs=1e-9)
-    assert all(part.value > part.trace["starts"][0]["value"] for part in res.groups)
+    assert all(part.value > part.trace["grid_best"] for part in res.groups)
+
+
+def test_ascent_batches_stay_within_the_grid_size():
+    # nine starts with a 9-point stencil each would take 81 points per call
+    bowl = lambda pts: -(pts[:, 0] - 0.3) ** 2 - 2.0 * (pts[:, 1] - 0.6) ** 2
+    seen = []
+    res = maximize(None, SearchSpec(bounds=((0.0, 1.0), (0.0, 1.0))),
+                   batch_objective=_recorded(bowl, seen),
+                   groups=[Group(grid_density=3, n_starts=9)])
+    assert max(len(pts) for pts in seen) == 9 and len(res.trace["starts"]) == 9
+    assert res.argmax == pytest.approx([0.3, 0.6], abs=1e-7)

@@ -157,6 +157,19 @@ class TestSelfConsistency:
         assert gi == pytest.approx(gm, abs=1e-6)
 
 
+    def test_hierarchy_holds_on_every_admitted_pair(self):
+        # all 55 pairs with max(m, n) <= 10: every searched kind returns, and
+        # classical <= gaussian-min <= intrinsic <= genuine
+        for n in range(1, 11):
+            for m in range(n):
+                vals = [threshold(kind, FockPair(m, n)).value for kind in ORDERED_KINDS]
+                assert all(v1 <= v2 + 1e-14 for v1, v2 in zip(vals, vals[1:])), (m, n, vals)
+        # at (0,2) the vacuum is the best intrinsic input: sinh r = 1 at alpha = 0
+        pair = FockPair(0, 2)
+        for kind in (ThresholdKind.GAUSSIAN_MIN, ThresholdKind.GAUSSIAN_INTRINSIC):
+            assert threshold(kind, pair).value == pytest.approx(1 / math.sqrt(2), rel=0, abs=1e-15)
+
+
 class TestCertify:
     def test_published_row_02(self):
         report = certify(FockPair(0, 2), 0.917, 0.004)
@@ -333,6 +346,19 @@ class TestJointSearch:
                                    [Group(k, grid_density=9, n_starts=8)])
         assert lone.value == joint.value == joint.diagnostics["per_fock_values"][k]
         assert lone.trace["starts"] == joint.diagnostics["starts"]
+
+    @pytest.mark.parametrize("pair", [FockPair(1, 3), FockPair(0, 6), FockPair(2, 3)])
+    def test_pair_objective_rows_are_batch_invariant(self, pair):
+        # a stencil call puts each start's points beside up to 2,280 others:
+        # every row must read the same at any place in any batch
+        rng = np.random.default_rng(2280)
+        pts = np.column_stack([rng.uniform(0.0, XI_BOUND, 2280),
+                               rng.uniform(0.0, 2.0 * math.pi, 2280),
+                               rng.uniform(0.0, ALPHA_BOUND, 2280)])
+        f = _pair_objective(pair, MAX_FOCK + 1)
+        whole = f(pts)
+        for size in (19, 152):
+            assert np.array_equal(f(pts[:size].copy()), whole[:, :size])
 
     def test_capped_kinds_stay_out_of_the_run(self):
         pair = FockPair(0, 11)
