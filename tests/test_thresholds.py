@@ -284,7 +284,7 @@ class TestBenchmarkThresholds:
             for kind in ORDERED_KINDS[1:]:
                 trace = threshold(kind, FockPair(m, n)).diagnostics
                 assert trace["converged"], (kind, m, n)
-                # one 19-point stencil per finish step of each finished start
+                # one 19-point stencil per step of each of the two best starts
                 assert trace["finish"]["evaluations"] % 19 == 0
 
     def test_genuine_core_states_are_unit_norm(self):
