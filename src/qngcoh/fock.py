@@ -188,30 +188,52 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     and ``n`` may be 1-D index sequences, and the ladders up to the largest
     index then give the whole block, of shape
     ``shape(m) + shape(n) + shape(params)``.
+
+    An ``n`` of two or more axes gives each point its own inputs: its first
+    axis is the block of inputs and its further axes broadcast against the
+    parameters, for a result of shape ``shape(m) + shape(n)[:1] +
+    shape(params)``.  Each entry equals the block form's for its input.
     """
     ms, ns = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
-    mk, nk = tuple(ms.ravel().tolist()), tuple(ns.ravel().tolist())
-    params = [np.asarray(x, dtype=float) for x in (xi_mag, xi_phase, alpha_mag, alpha_phase)]
-    shape = np.broadcast(*params).shape
-    r, th, amag, aph = (x if x.shape == shape else np.broadcast_to(x, shape) for x in params)
+    mk = tuple(ms.ravel().tolist())
+    params = [np.asarray(x, dtype=float) for x in (xi_mag, xi_phase, alpha_mag)]
+    # one complex exponential per given phase, not per point it broadcasts to
+    phase = np.exp(1j * np.asarray(alpha_phase, dtype=float))
+    shape = np.broadcast_shapes(ns.shape[1:], phase.shape, *(x.shape for x in params))
+    r, th, amag = (x if x.shape == shape else np.broadcast_to(x, shape) for x in params)
 
-    alpha = amag * np.exp(1j * aph)
+    alpha = amag * phase
     t = np.tanh(r)
     c = np.cosh(r)
     tau = t * np.exp(1j * th)
     tau_conj = np.conj(tau)
 
+    per_point = ns.ndim > 1
+    if per_point:
+        idx = np.broadcast_to(ns, ns.shape[:1] + shape)
+        nk = tuple(range(int(idx.max(initial=0)) + 1))
+    else:
+        nk = tuple(ns.ravel().tolist())
     a00 = np.exp(-0.5 * amag ** 2 + 0.5 * tau_conj * alpha ** 2) / np.sqrt(c)
     h_m = _scaled_hermite_ladder(max(mk), alpha / (2.0 * c), tau / 2.0)
     h_n = _scaled_hermite_ladder(max(nk), (tau_conj * alpha - np.conj(alpha)) / 2.0,
                                  -tau_conj / 2.0)
 
-    terms = _contraction_terms(mk, nk, r.ndim)
+    # the contraction's terms set the call's peak memory: free what they do not read
+    del alpha, t, tau, tau_conj
+    terms = _contraction_terms(mk, nk, 0 if per_point else r.ndim)
+    if per_point:
+        # each point gathers its inputs' weights, and its own entries of the
+        # input ladder's rows laid out flat
+        at = np.arange(r.size).reshape(shape)
+        h_n = h_n.reshape(-1)
 
     def term(i):
         # ((w h_m) h_n) / c^i with one term's rows gathered at a time; tests
         # compare the sum bit for bit with a plain loop
         w, rows_m, rows_n = terms[i]
+        if per_point:
+            w, rows_n = w[:, idx], np.maximum(idx - i, 0) * r.size + at
         return w * h_m.take(rows_m, axis=0) * h_n.take(rows_n, axis=0) / c ** i
 
     acc = term(0)
@@ -219,7 +241,7 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
         # a new sum, not +=: adding in place let the allocator hand each freed
         # term back to the OS, and blocks of 1,728 points and more ran slower
         acc = acc + term(i)
-    return (a00 * acc).reshape(ms.shape + ns.shape + r.shape)
+    return (a00 * acc).reshape(ms.shape + ns.shape[:1] + r.shape)
 
 
 def sdf_amplitude(m: int, n: int, g: GaussianParams) -> complex:

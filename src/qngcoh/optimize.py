@@ -140,10 +140,11 @@ def _trust_step(p: np.ndarray, lam: np.ndarray, radius: np.ndarray):
 
 
 def _ascend(fun: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
-            lo: np.ndarray, hi: np.ndarray):
+            rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Trust-region Newton ascent from every row of ``x`` in lockstep.
 
-    ``fun(pts, starts)`` returns each start's objective at its points.  Every
+    ``fun(pts, rows)`` returns the value of objective row ``rows[i]`` at
+    ``pts[i]``; start ``j`` climbs row ``rows[j]``.  Every
     step is one call over the stencils of the running starts: the stencil's
     centre is the trial point (first the start itself), accepted only if it
     does not lower the value, and its differences give the model for the next
@@ -170,7 +171,7 @@ def _ascend(fun: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
         shift = np.where(t - h < lo, 1.5 * h, np.where(t + h > hi, -1.5 * h, 0.0))
         xu, xv = t + (shift - h), t + (shift + h)
         pts = np.where(sel == 1, xu[:, None], np.where(sel == 2, xv[:, None], t[:, None]))
-        vals = fun(pts.reshape(-1, ndim), np.repeat(act, len(sel))).reshape(len(act), -1)
+        vals = fun(pts.reshape(-1, ndim), np.repeat(rows[act], len(sel))).reshape(len(act), -1)
         evals[act] += len(sel)
         ok = vals[:, 0] >= fx[act]
         acc = act[ok]
@@ -206,21 +207,22 @@ class Group:
 
 
 def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
-             batch_objective: Callable[[np.ndarray], np.ndarray] | None = None,
+             batch_objective: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
              groups: Sequence[Group] = (Group(),)) -> MaximizeResult:
     """Maximize over the box in ``spec``.
 
-    ``batch_objective`` evaluates a whole ``(npts, ndim)`` array at once and
+    ``batch_objective(pts, rows)`` returns the value of objective row
+    ``rows[i]`` at ``pts[i]`` for a whole ``(npts, ndim)`` array at once, and
     drives every stage of the search.  Without it, the scalar ``objective``
-    is applied point by point in its place.
+    (a one-row objective) is applied point by point in its place.
 
-    ``batch_objective`` returns a table with one row per objective; a 1-D
-    result is a one-row table.  Each entry of ``groups`` searches its row
-    (several entries may share one) from its own grid and seeds with its own
-    starts in the one lockstep run, so its result is what it would get alone
-    as long as no point's value depends on the others in its batch.  The
-    result is the best group's, with every start in its trace and each
-    group's result in ``groups``.
+    Each entry of ``groups`` searches its row (several entries may share one)
+    from its own grid and seeds with its own starts in the one lockstep run,
+    so its result is what it would get alone as long as no point's value
+    depends on the others in its batch.  Each group's grid and seeds are one
+    call, and each step of the ascent is one call over every group's running
+    starts.  The result is the best group's, with every start in its trace
+    and each group's result in ``groups``.
 
     Every start climbs from its seed by ``_ascend``, all groups in lockstep
     with one batch of stencils per step; its trace record (``x``, ``value``,
@@ -228,32 +230,23 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
     its two best starts under ``finish`` (points, values, accepted steps,
     evaluations, best first).  The argmax and value are the best start's, and
     the group is ``converged`` when the two best values agree to ``spec.tol``.
-    A batch larger than the largest grid is evaluated in parts of that size,
-    so the ascent's peak memory stays the grid's.
 
     Raises ``NonConvergenceError`` when no refinement start (of a group)
     reaches the best grid seed; trace records per-start outcomes either way.
     """
-    if batch_objective is None:
-        def batch_objective(pts: np.ndarray) -> np.ndarray:
+    def evaluate(pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if batch_objective is None:
             return np.array([objective(x) for x in pts.copy()], dtype=float)
-
-    def table(pts: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(batch_objective(pts), dtype=float))
+        return np.asarray(batch_objective(pts, rows), dtype=float)
 
     lo, hi = np.array(spec.bounds).T
-    # each group reads its row off its grid's table (one evaluation per grid
-    # density) and off the table of its own clipped seeds
-    grids, own = {}, []
+    # each group reads its row on its grid and its own clipped seeds
+    own = []
     for g in groups:
-        if g.grid_density not in grids:
-            pts = _grid_points(spec, g.grid_density)
-            grids[g.grid_density] = pts, table(pts)
-        pts, vals = grids[g.grid_density]
+        pts = _grid_points(spec, g.grid_density)
         if len(g.seeds) > 0:
-            extras = np.clip(np.atleast_2d(np.asarray(g.seeds, dtype=float)), lo, hi)
-            pts, vals = np.vstack([pts, extras]), np.hstack([vals, table(extras)])
-        own.append((pts, vals[g.row]))
+            pts = np.vstack([pts, np.clip(np.atleast_2d(np.asarray(g.seeds, dtype=float)), lo, hi)])
+        own.append((pts, evaluate(pts, np.full(len(pts), g.row))))
     if not all(np.all(np.isfinite(vals)) for _, vals in own):
         raise ValueError("objective not finite on the search box")
 
@@ -261,16 +254,7 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
     seeds = np.concatenate([pts[np.argsort(vals)[::-1][:n]]
                             for (pts, vals), n in zip(own, counts)])
     rows = np.repeat([g.row for g in groups], counts)
-    chunk = max(len(pts) for pts, _ in grids.values())
-
-    def start_values(pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        out = np.empty(len(pts))
-        for i in range(0, len(pts), chunk):
-            part = slice(i, i + chunk)
-            out[part] = table(pts[part])[rows[starts[part]], np.arange(len(pts[part]))]
-        return out
-
-    xs, fs, steps, evals, ok = _ascend(start_values, seeds, lo, hi)
+    xs, fs, steps, evals, ok = _ascend(evaluate, seeds, rows, lo, hi)
 
     results = []
     offsets = np.cumsum([0] + counts)

@@ -122,25 +122,37 @@ class CertificationReport:
 
 
 def _pair_objective(pair: FockPair, n_inputs: int):
-    """Batch table of the Gaussian searches of ``pair`` at ``(npts, 3)`` points.
+    """Values of the Gaussian searches of ``pair``: row ``rows[i]`` at point
+    ``pts[i]`` of an ``(npts, 3)`` array.
 
-    Row ``k < n_inputs`` is C_{m,n} of S(xi)D(alpha)|k>.  The last row is the
+    Row ``k < n_inputs`` is C_{m,n} of S(xi)D(alpha)|k>, from the two
+    amplitudes of the point's own input.  Row ``n_inputs`` is the
     core-state-optimized coherence ``||u|| ||v|| + |<u,v>|`` for the overlaps
-    ``u_j = a_{m,j}``, ``v_j = a_{n,j}``, ``j < n <= n_inputs``: the rank-2
-    closed form of the top eigenvalue of the phase-optimized coherence
-    matrix, whose top eigenvector is the best core state.
+    ``u_j = a_{m,j}``, ``v_j = a_{n,j}``, ``j < n``: the rank-2 closed form of
+    the top eigenvalue of the phase-optimized coherence matrix, whose top
+    eigenvector is the best core state.
     """
-    def f_batch(pts: np.ndarray) -> np.ndarray:
-        am, an = sdf_amplitude_raw((pair.m, pair.n), range(n_inputs), *pts.T, 0.0)
-        u, v = am[: pair.n], an[: pair.n]
-        # no point's value depends on the points evaluated beside it: builtin
-        # sum adds the core terms in index order at any batch size (numpy
-        # pairs them up for a one-point batch), and the intrinsic rows take
-        # two moduli, not the modulus of a complex product, whose rounding
-        # moved with the point's place in the batch
-        nu, nv = np.sqrt(sum(np.abs(u) ** 2)), np.sqrt(sum(np.abs(v) ** 2))
-        genuine = nu * nv + np.abs(sum(np.conj(u) * v))
-        return np.vstack([2.0 * np.abs(am) * np.abs(an), genuine[None]])
+    def f_batch(pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows)
+        if rows.size and (rows.min() < 0 or rows.max() > n_inputs):
+            raise ValueError(f"rows must lie in 0..{n_inputs}, got "
+                             f"{rows.min()}..{rows.max()}")
+        out = np.empty(len(pts))
+        # no point's value depends on the points evaluated beside it: the
+        # kernel works point by point, the intrinsic rows take two moduli (the
+        # modulus of a complex product rounded with the point's place in the
+        # batch), and builtin sum adds the core terms in index order at any
+        # batch size (numpy pairs them up for a one-point batch)
+        single = rows < n_inputs
+        if single.any():
+            (am,), (an,) = sdf_amplitude_raw((pair.m, pair.n), rows[single][None],
+                                             *pts[single].T, 0.0)
+            out[single] = 2.0 * np.abs(am) * np.abs(an)
+        if not single.all():
+            u, v = sdf_amplitude_raw((pair.m, pair.n), range(pair.n), *pts[~single].T, 0.0)
+            nu, nv = np.sqrt(sum(np.abs(u) ** 2)), np.sqrt(sum(np.abs(v) ** 2))
+            out[~single] = nu * nv + np.abs(sum(np.conj(u) * v))
+        return out
 
     return f_batch
 
@@ -311,7 +323,7 @@ def _cap_error(kind: ThresholdKind, pair: FockPair) -> str | None:
 
 def _search_pair(pair: FockPair) -> dict:
     """Search every Gaussian kind whose cap admits ``pair`` in one lockstep
-    run over the pair's table, then check each optimum.
+    run over the rows of the pair's objective, then check each optimum.
 
     gaussian-min searches row 0 with constraint seeds, intrinsic the rows of
     the input Fock levels up to ``MAX_FOCK`` on a coarser grid with fewer

@@ -242,6 +242,43 @@ class TestSdfAmplitude:
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 6), (2, 3), (3, 10), (9, 10)],
+                             ids=lambda p: f"{p[0]},{p[1]}")
+    def test_per_point_inputs_equal_the_block(self, rng, pair):
+        # an index of two axes gives each point its own inputs: each entry
+        # equals the block's for the same input and point, at the search's
+        # batch sizes and the MC call shapes, with squeezing exactly 0
+        m, n = pair
+        for npts in (1, 2, 19, 1728, 16384):
+            r = rng.uniform(0, 2.0, npts)
+            r[: npts // 4] = 0.0
+            th, am = rng.uniform(0, 2 * np.pi, npts), rng.uniform(0, 6.0, npts)
+            at = np.arange(npts)
+            block = sdf_amplitude_raw((m, n), range(11), r, th, am, 0.0)
+            ks = rng.integers(0, 11, npts)
+            got = sdf_amplitude_raw((m, n), ks[None], r, th, am, 0.0)
+            assert got.shape == (2, 1, npts)
+            assert np.array_equal(got[:, 0], block[:, ks, at])
+            # MC intrinsic: one input for every point; MC genuine: inputs 0 .. n-1
+            for k in (0, 3, 10):
+                got = sdf_amplitude_raw((m, n), np.full((1, npts), k), r, th, am, 0.0)
+                assert np.array_equal(got[:, 0], sdf_amplitude_raw((m, n), k, r, th, am, 0.0))
+            inputs = np.repeat(np.arange(n)[:, None], npts, axis=1)
+            assert np.array_equal(sdf_amplitude_raw((m, n), inputs, r, th, am, 0.0),
+                                  sdf_amplitude_raw((m, n), range(n), r, th, am, 0.0))
+        # inputs broadcast against scalar and arrayed parameters, phases included
+        ks, aph = rng.integers(0, 11, (3, 40)), rng.uniform(0, 2 * np.pi, 40)
+        got = sdf_amplitude_raw(m, ks, 0.3, 1.1, am[:40], aph)
+        block = sdf_amplitude_raw(m, range(11), 0.3, 1.1, am[:40], aph)
+        assert got.shape == (3, 40)
+        assert np.array_equal(got, np.take_along_axis(block, ks, axis=0))
+        got = sdf_amplitude_raw((m, n), np.array([[2], [7]]), 0.3, 1.1, am[:40], 0.0)
+        assert np.array_equal(got, sdf_amplitude_raw((m, n), [2, 7], 0.3, 1.1, am[:40], 0.0))
+        # a point axis of length 1 makes the parameters 1-D arrays, whose loops
+        # may round differently from 0-d scalar arithmetic
+        assert np.array_equal(sdf_amplitude_raw(m, [[n], [4]], 0.2, 0.5, 1.5, 0.7),
+                              sdf_amplitude_raw(m, [n, 4], [0.2], 0.5, 1.5, 0.7))
+
     def test_scalar_and_mixed_bit_identical_to_reference_loop(self, rng):
         calls = [(1, 2, 0.1, 0.2, 0.3, 0.0), (4, 4, 0.0, 1.1, 2.0, 0.4),
                  (0, 0, 0.0, 0.0, 0.0, 0.0),

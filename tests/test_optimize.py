@@ -50,7 +50,7 @@ def test_stays_inside_box_and_value_matches():
 def test_batch_objective_agrees():
     spec = SearchSpec(bounds=((0.0, 2.0), (0.0, 2.0)))
     f = lambda x: float(np.sin(x[0]) * np.cos(0.5 * x[1]))
-    fb = lambda pts: np.sin(pts[:, 0]) * np.cos(0.5 * pts[:, 1])
+    fb = lambda pts, rows: np.sin(pts[:, 0]) * np.cos(0.5 * pts[:, 1])
     res = maximize(f, spec, batch_objective=fb, groups=[Group(grid_density=8, n_starts=8)])
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.argmax == pytest.approx([math.pi / 2, 0.0], abs=1e-6)
@@ -103,19 +103,19 @@ def _tilted_bowl(x):
 def test_scalar_objective_equals_its_batch_form():
     spec, groups = SearchSpec(bounds=BOX3), [Group(grid_density=4, n_starts=8)]
     f = lambda x: -_tilted_bowl(x)
-    fb = lambda pts: np.array([f(p) for p in pts])
+    fb = lambda pts, rows: np.array([f(p) for p in pts])
     scalar = maximize(f, spec, groups=groups)
     batch = maximize(None, spec, batch_objective=fb, groups=groups)
     assert batch.trace == scalar.trace
     assert np.array_equal(batch.argmax, scalar.argmax)
 
 
-def _two_rows(pts):
+def _two_rows(pts, rows):
     x, y, z = pts.T
     bowl = -((x - 0.7) ** 2 + 3.0 * (y + 0.2) ** 2 + (z - 3.5) ** 2 + 0.3 * x * y
              + 0.1 * np.sin(5.0 * x))
     ripple = np.sin(3.0 * x) * np.cos(2.0 * y) - 0.1 * (z - 1.0) ** 2
-    return np.stack([bowl, ripple])
+    return np.where(rows == 0, bowl, ripple)
 
 
 def test_groups_match_their_lone_runs():
@@ -147,13 +147,14 @@ def _ascend_one(f, x0, lo, hi):
     the centre (trial point) and value of every stencil it evaluated."""
     centres = []
 
-    def fun(pts, starts):
+    def fun(pts, rows):
         vals = f(pts)
         centres.append((pts[0].copy(), vals[0]))
         return vals
 
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    x, fx, steps, evals, ok = optimize._ascend(fun, np.atleast_2d(x0).astype(float), lo, hi)
+    x, fx, steps, evals, ok = optimize._ascend(fun, np.atleast_2d(x0).astype(float),
+                                               np.zeros(1, dtype=int), lo, hi)
     return x[0], fx[0], steps[0], evals[0], ok[0], centres
 
 
@@ -231,13 +232,14 @@ def test_start_on_a_stationary_point_raises_no_warning():
             x, fx, steps, evals, ok, _ = _ascend_one(f, [0.0, 0.0, 0.0], [-1] * 3, [1] * 3)
             assert ok and steps == 0 and evals == 19
             assert np.array_equal(x, [0.0, 0.0, 0.0]) and fx == 0.0
-        res = maximize(None, SearchSpec(bounds=((-1.0, 1.0),) * 3), batch_objective=bowl,
+        res = maximize(None, SearchSpec(bounds=((-1.0, 1.0),) * 3),
+                       batch_objective=lambda pts, rows: bowl(pts),
                        groups=[Group(grid_density=5, n_starts=8)])
     assert np.array_equal(res.argmax, [0.0, 0.0, 0.0]) and res.value == 0.0
 
 
 def _recorded(fb, seen):
-    def batch(pts):
+    def batch(pts, rows):
         seen.append(pts.copy())
         return fb(pts)
     return batch
@@ -292,12 +294,28 @@ def test_finish_holds_coordinate_on_lower_bound():
     assert all(part.value > part.trace["grid_best"] for part in res.groups)
 
 
-def test_ascent_batches_stay_within_the_grid_size():
-    # nine starts with a 9-point stencil each would take 81 points per call
-    bowl = lambda pts: -(pts[:, 0] - 0.3) ** 2 - 2.0 * (pts[:, 1] - 0.6) ** 2
-    seen = []
-    res = maximize(None, SearchSpec(bounds=((0.0, 1.0), (0.0, 1.0))),
-                   batch_objective=_recorded(bowl, seen),
-                   groups=[Group(grid_density=3, n_starts=9)])
-    assert max(len(pts) for pts in seen) == 9 and len(res.trace["starts"]) == 9
-    assert res.argmax == pytest.approx([0.3, 0.6], abs=1e-7)
+def test_each_ascent_step_is_one_call_with_its_starts_rows():
+    # three groups on three rows; the grids and seeds are one call per group,
+    # then every step of the ascent is one call over all running starts
+    calls = []
+
+    def rows_apart(pts, rows):
+        calls.append((pts.copy(), rows.copy()))
+        return _two_rows(pts, rows % 2) - 0.5 * (rows == 2)
+
+    spec = SearchSpec(bounds=BOX3)
+    groups = [Group(0, grid_density=4, n_starts=8), Group(1, grid_density=3, n_starts=9),
+              Group(2, grid_density=3, n_starts=8)]
+    res = maximize(None, spec, batch_objective=rows_apart, groups=groups)
+    grids, steps = calls[:3], calls[3:]
+    for (pts, rows), g in zip(grids, groups):
+        assert len(pts) == g.grid_density ** 3 and np.all(rows == g.row)
+    starts = [s for part in res.groups for s in part.trace["starts"]]
+    # one call per step, up to the most stencils any start evaluated
+    assert len(steps) == max(s["nfev"] for s in starts) // 19
+    assert sum(len(pts) for pts, _ in steps) == sum(s["nfev"] for s in starts)
+    for j, (pts, rows) in enumerate(steps):
+        # the 19-point stencil of every start still running, on its group's row
+        running = [sum(s["nfev"] > 19 * j for s in part.trace["starts"]) for part in res.groups]
+        assert np.array_equal(rows, np.repeat([g.row for g in groups], [19 * k for k in running]))
+    assert len(steps[0][0]) == 19 * sum(g.n_starts for g in groups)

@@ -1,6 +1,7 @@
 """The shipped scripts run end to end and write the CSV files they promise."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -14,9 +15,11 @@ ROOT = Path(__file__).resolve().parents[1]
 DECAY_PAIRS = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)]
 
 
-def run_script(name: str, out_dir: Path, *args: str) -> None:
+def run_script(name: str, out_dir: Path, *args: str,
+               returncode: int = 0) -> subprocess.CompletedProcess:
     """Run ``scripts/<name>`` in a fresh interpreter on this checkout's
-    sources; a ``TruncationError`` in the script is raised here."""
+    sources and check its exit code; a ``TruncationError`` in the script is
+    raised here."""
     env = {k: v for k, v in os.environ.items() if k != "QNG_CACHE_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
@@ -25,7 +28,8 @@ def run_script(name: str, out_dir: Path, *args: str) -> None:
          *args], env=env, capture_output=True, text=True, timeout=300)
     if "TruncationError" in proc.stderr:
         raise TruncationError(proc.stderr.strip().splitlines()[-1])
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
+    return proc
 
 
 def read_csv(path: Path) -> list[list[str]]:
@@ -58,3 +62,27 @@ def test_decay_curves_short_scan(tmp_path):
 def test_decay_curves_defaults(tmp_path):
     run_script("run_decay_curves.py", tmp_path)
     check_decay_curves(tmp_path, 9)
+
+
+def test_all_pairs_compares_two_outputs(tmp_path):
+    run_script("all_pairs.py", tmp_path, "--max-n", "2")
+    out = tmp_path / "all_pairs.json"
+    entries = json.loads(out.read_text())["entries"]
+    # 3 pairs x 4 kinds; floats as hex, so two trees compare bit for bit
+    assert sorted(entries) == sorted(f"{kind}/{pair}" for pair in ("0,1", "0,2", "1,2")
+                                     for kind in ("classical", "gaussian-min",
+                                                  "intrinsic", "genuine"))
+    genuine = entries["genuine/0,2"]
+    assert float.fromhex(genuine["value"]) == pytest.approx(0.86, abs=0.01)
+    assert genuine["boxes"] == [[1.5, 4.0]] and genuine["converged"] is True
+    assert genuine["at_cap"] is False and len(genuine["recheck"]) == 2
+    assert entries["classical/0,1"]["boxes"] is None
+    # against itself every entry is identical; against an altered copy not
+    proc = run_script("all_pairs.py", tmp_path / "again", "--max-n", "2", "--against", str(out))
+    assert "12 of 12 entries identical" in proc.stdout
+    entries["intrinsic/1,2"]["value"] = float.hex(0.5)
+    altered = tmp_path / "altered.json"
+    altered.write_text(json.dumps({"entries": entries}))
+    proc = run_script("all_pairs.py", tmp_path / "again", "--max-n", "2", "--against",
+                      str(altered), returncode=1)
+    assert "11 of 12 entries identical" in proc.stdout and "intrinsic/1,2" in proc.stdout

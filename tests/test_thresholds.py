@@ -28,6 +28,18 @@ def coherent_scan_oracle(m: int, n: int, step: float = 1e-4) -> float:
     return float(vals.max())
 
 
+def table_objective(pair: FockPair, n_inputs: int, pts: np.ndarray) -> np.ndarray:
+    """The pair objective as a table of every row at each point: the intrinsic
+    rows of inputs ``0 .. n_inputs - 1`` from one amplitude block, then the
+    genuine row from that block's first ``n`` inputs.  The search read one
+    entry per point off it before the objective took each point's row."""
+    am, an = sdf_amplitude_raw((pair.m, pair.n), range(n_inputs), *pts.T, 0.0)
+    u, v = am[: pair.n], an[: pair.n]
+    nu, nv = np.sqrt(sum(np.abs(u) ** 2)), np.sqrt(sum(np.abs(v) ** 2))
+    genuine = nu * nv + np.abs(sum(np.conj(u) * v))
+    return np.vstack([2.0 * np.abs(am) * np.abs(an), genuine[None]])
+
+
 class TestClassical:
     def test_01_closed_form(self):
         val = classical_threshold(FockPair(0, 1)).value
@@ -356,9 +368,63 @@ class TestJointSearch:
                                rng.uniform(0.0, 2.0 * math.pi, 2280),
                                rng.uniform(0.0, ALPHA_BOUND, 2280)])
         f = _pair_objective(pair, MAX_FOCK + 1)
-        whole = f(pts)
-        for size in (19, 152):
-            assert np.array_equal(f(pts[:size].copy()), whole[:, :size])
+        for row in range(MAX_FOCK + 2):
+            rows = np.full(2280, row)
+            whole = f(pts, rows)
+            for size in (19, 152):
+                assert np.array_equal(f(pts[:size].copy(), rows[:size]), whole[:size])
+                assert np.array_equal(f(pts[-size:].copy(), rows[:size]), whole[-size:])
+
+    @pytest.mark.parametrize("pair", [FockPair(0, 1), FockPair(0, 6), FockPair(2, 3),
+                                      FockPair(3, 10), FockPair(9, 10)], ids=str)
+    def test_pair_objective_rows_equal_the_table(self, pair):
+        # each point's row, evaluated alone, equals that row of the table of
+        # every row at the point, at every batch size a search makes
+        n_inputs = MAX_FOCK + 1
+        rng = np.random.default_rng(pair.m * 11 + pair.n)
+        pts = np.column_stack([rng.uniform(0.0, XI_CAP, 2280),
+                               rng.uniform(0.0, 2.0 * math.pi, 2280),
+                               rng.uniform(0.0, ALPHA_CAP, 2280)])
+        pts[::7, 0] = 0.0    # squeezing exactly 0, as on every grid
+        pts[::11, 2] = 0.0
+        rows = rng.permutation(np.resize(np.arange(n_inputs + 1), 2280))
+        assert set(rows[:152].tolist()) == set(range(n_inputs + 1))
+        table = table_objective(pair, n_inputs, pts)
+        f = _pair_objective(pair, n_inputs)
+        for size in (1, 2, 19, 152, 1728, 2280):
+            got = f(pts[:size].copy(), rows[:size])
+            assert np.array_equal(got, table[rows[:size], np.arange(size)]), size
+
+    def test_pair_objective_requests_only_what_each_row_reads(self, monkeypatch):
+        # 2 amplitudes per gaussian-min or intrinsic point, 2n per genuine point
+        kernel, sizes = thresholds_module.sdf_amplitude_raw, []
+
+        def recording_kernel(*args):
+            out = kernel(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(thresholds_module, "sdf_amplitude_raw", recording_kernel)
+        pair, n_inputs = FockPair(2, 7), MAX_FOCK + 1
+        f = _pair_objective(pair, n_inputs)
+        rng = np.random.default_rng(7)
+        pts = np.column_stack([rng.uniform(0.0, XI_BOUND, 300),
+                               rng.uniform(0.0, 2.0 * math.pi, 300),
+                               rng.uniform(0.0, ALPHA_BOUND, 300)])
+        for rows, want in [(np.zeros(300, dtype=int), [2 * 300]),
+                           (np.arange(300) % n_inputs, [2 * 300]),
+                           (np.full(300, n_inputs), [2 * pair.n * 300]),
+                           (np.arange(300) % (n_inputs + 1), [2 * 275, 2 * pair.n * 25])]:
+            sizes.clear()
+            f(pts, rows)
+            assert sizes == want
+
+    def test_pair_objective_rejects_rows_outside_its_table(self):
+        f = _pair_objective(FockPair(0, 3), MAX_FOCK + 1)
+        pts = np.full((3, 3), 0.5)
+        for bad in (-1, MAX_FOCK + 2):
+            with pytest.raises(ValueError, match="rows must lie in"):
+                f(pts, np.array([0, bad, MAX_FOCK + 1]))
 
     def test_capped_kinds_stay_out_of_the_run(self):
         pair = FockPair(0, 11)
@@ -390,7 +456,7 @@ class TestBoundDoubling:
 
     def test_optimum_left_at_cap_is_flagged(self):
         # increasing in |xi| and |alpha|: both bounds double up to their caps
-        res, = _search_gaussian(lambda pts: pts[:, 0] + pts[:, 2],
+        res, = _search_gaussian(lambda pts, rows: pts[:, 0] + pts[:, 2],
                                 [Group(grid_density=4, n_starts=8)])
         assert res.trace["magnitude_bounds"] == [[XI_BOUND, ALPHA_BOUND],
                                                  [XI_CAP, ALPHA_CAP]]
