@@ -29,10 +29,10 @@ def coherent_scan_oracle(m: int, n: int, step: float = 1e-4) -> float:
 
 
 def table_objective(pair: FockPair, n_inputs: int, pts: np.ndarray) -> np.ndarray:
-    """The pair objective as a table of every row at each point: the intrinsic
-    rows of inputs ``0 .. n_inputs - 1`` from one amplitude block, then the
-    genuine row from that block's first ``n`` inputs.  The search read one
-    entry per point off it before the objective took each point's row."""
+    """Reference for ``_pair_objective``: the table of every row at each
+    point, the intrinsic rows of inputs ``0 .. n_inputs - 1`` from one
+    amplitude block, then the genuine row from that block's first ``n``
+    inputs.  Each point's own row must equal its entry here bit for bit."""
     am, an = sdf_amplitude_raw((pair.m, pair.n), range(n_inputs), *pts.T, 0.0)
     u, v = am[: pair.n], an[: pair.n]
     nu, nv = np.sqrt(sum(np.abs(u) ** 2)), np.sqrt(sum(np.abs(v) ** 2))
