@@ -20,18 +20,20 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
 import yaml
 
-from . import __version__, fock
-from .fock import FockPair, TruncationRiskError
+from . import __version__
+from .fock import DEFAULT_TRUNC, FockPair, TruncationRiskError
 from .mc import mc_verify
 from .optimize import NonConvergenceError
-from .ramsey import NoiseConfig, decay_scan
+from .ramsey import NoiseConfig, build_sequence, decay_scan
 from .thresholds import (KIND_NAMES, ORDERED_KINDS, certify, parse_kind,
                          threshold)
 
@@ -43,16 +45,22 @@ def _parse_pair(text: str) -> FockPair:
     return FockPair(int(parts[0]), int(parts[1]))
 
 
-def _manifest(command: str, params: dict, t0: float, seeds=None,
-              trunc_dim: int | None = None) -> dict:
-    return {
-        "command": command,
-        "parameters": params,
-        "tool_version": __version__,
-        "seeds": seeds,
-        "wall_time_s": round(time.monotonic() - t0, 3),
-        "truncation_dim": trunc_dim if trunc_dim is not None else fock.DEFAULT_TRUNC,
-    }
+def _fail(code: int, label: str, exc) -> NoReturn:
+    click.echo(f"{label}: {exc}", err=True)
+    sys.exit(code)
+
+
+@contextmanager
+def _failures(label: str):
+    """Exit 2 on a threshold failure and 1, under ``label``, on any other
+    ``ValueError``.  Threshold failures come first: ``TruncationRiskError``
+    is a ``ValueError``."""
+    try:
+        yield
+    except (NonConvergenceError, TruncationRiskError) as exc:
+        _fail(2, "threshold failure", exc)
+    except ValueError as exc:
+        _fail(1, label, exc)
 
 
 def _sanitize(obj):
@@ -71,9 +79,27 @@ def _sanitize(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _emit(path: Path, payload: dict, command: str, params: dict, t0: float,
+          code: int, seeds=None, trunc_dim: int = DEFAULT_TRUNC) -> NoReturn:
+    """Stamp ``payload`` with the run manifest, write it as JSON and exit."""
+    payload["manifest"] = {
+        "command": command,
+        "parameters": params,
+        "tool_version": __version__,
+        "seeds": seeds,
+        "wall_time_s": round(time.monotonic() - t0, 3),
+        "truncation_dim": trunc_dim,
+    }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_sanitize(payload), indent=1, sort_keys=True))
+    sys.exit(code)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @click.group()
@@ -92,43 +118,28 @@ def main() -> None:
 def cmd_thresholds(pairs, kinds, out: Path) -> int:
     """Compute thresholds for the given pairs and write a JSON table."""
     t0 = time.monotonic()
-    if not pairs:
-        click.echo("usage error: provide at least one --pair m,n", err=True)
-        sys.exit(1)
-    try:
-        pair_objs = [_parse_pair(p) for p in pairs]
-    except ValueError as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        sys.exit(1)
-    kind_objs = [parse_kind(k) for k in kinds] if kinds else list(ORDERED_KINDS)
-
     results: dict = {}
     failed = False
-    for pair in pair_objs:
-        row: dict = {}
-        for kind in kind_objs:
-            try:
-                res = threshold(kind, pair).as_dict()
-                entry = {"status": "ok", **{k: v for k, v in res.items() if v is not None}}
-            except NonConvergenceError as exc:
-                failed = True
-                entry = {"status": "non-convergence", "error": str(exc)}
-            except TruncationRiskError as exc:
-                click.echo(f"threshold failure: {exc}", err=True)
-                sys.exit(2)
-            except ValueError as exc:
-                click.echo(f"usage error: {exc}", err=True)
-                sys.exit(1)
-            row[KIND_NAMES[kind]] = entry
-        results[str(pair)] = row
+    with _failures("usage error"):
+        if not pairs:
+            raise ValueError("provide at least one --pair m,n")
+        pair_objs = [_parse_pair(p) for p in pairs]
+        kind_objs = [parse_kind(k) for k in kinds] if kinds else list(ORDERED_KINDS)
+        for pair in pair_objs:
+            row: dict = {}
+            for kind in kind_objs:
+                try:
+                    res = threshold(kind, pair).as_dict()
+                    entry = {"status": "ok", **{k: v for k, v in res.items() if v is not None}}
+                except NonConvergenceError as exc:
+                    failed = True
+                    entry = {"status": "non-convergence", "error": str(exc)}
+                row[KIND_NAMES[kind]] = entry
+            results[str(pair)] = row
 
-    payload = {"schema": "qngcoh/threshold-table/v1", "results": results,
-               "manifest": _manifest("thresholds",
-                                     {"pairs": [str(p) for p in pair_objs],
-                                      "kinds": [KIND_NAMES[k] for k in kind_objs]},
-                                     t0)}
-    _write_json(out, payload)
-    sys.exit(2 if failed else 0)
+    _emit(out, {"schema": "qngcoh/threshold-table/v1", "results": results}, "thresholds",
+          {"pairs": [str(p) for p in pair_objs], "kinds": [KIND_NAMES[k] for k in kind_objs]},
+          t0, 2 if failed else 0)
 
 
 @main.command("certify")
@@ -139,15 +150,9 @@ def cmd_thresholds(pairs, kinds, out: Path) -> int:
 def cmd_certify(pair, measured, uncertainty, out: Path) -> int:
     """Certify a measured coherence against the full hierarchy."""
     t0 = time.monotonic()
-    try:
+    with _failures("domain error"):
         pair_obj = _parse_pair(pair)
         report = certify(pair_obj, measured, uncertainty)
-    except (NonConvergenceError, TruncationRiskError) as exc:
-        click.echo(f"threshold failure: {exc}", err=True)
-        sys.exit(2)
-    except ValueError as exc:
-        click.echo(f"domain error: {exc}", err=True)
-        sys.exit(1)
 
     payload = {
         "schema": "qngcoh/certification/v1",
@@ -162,12 +167,10 @@ def cmd_certify(pair, measured, uncertainty, out: Path) -> int:
                 "marginal": report.marginal[k],
                 "depth": report.depths[k],
             } for k in ORDERED_KINDS},
-        "manifest": _manifest("certify",
-                              {"pair": str(pair_obj), "measured": measured,
-                               "uncertainty": uncertainty}, t0),
     }
-    _write_json(out, payload)
-    sys.exit(0 if any(report.verdicts.values()) else 3)
+    _emit(out, payload, "certify",
+          {"pair": str(pair_obj), "measured": measured, "uncertainty": uncertainty},
+          t0, 0 if any(report.verdicts.values()) else 3)
 
 
 def _noise_from_config(blob: dict) -> NoiseConfig:
@@ -197,6 +200,8 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
         if not raw_pairs:
             raise ValueError("config needs 'pair' or 'pairs'")
         pairs = [FockPair(int(m), int(n)) for m, n in raw_pairs]
+        for pair in pairs:
+            build_sequence(pair)   # an unsupported pair is a config error
         delays = [float(t) for t in blob["delays"]]
         if not all(0.0 <= t1 <= t2 < math.inf for t1, t2 in zip([0.0] + delays, delays)):
             raise ValueError(f"delays must be sorted ascending, >= 0 and finite: {delays}")
@@ -209,10 +214,11 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
         if shots is not None and shots < 1:
             raise ValueError(f"shots must be positive (null for exact readout), got {shots}")
         seed = int(blob.get("seed", 0))
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
         kind = parse_kind(blob.get("kind", "genuine"))
     except (KeyError, ValueError, TypeError, OSError, yaml.YAMLError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
+        _fail(1, "config error", exc)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {}
@@ -229,41 +235,28 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
         except Exception as exc:  # noqa: BLE001 - identify the failing delay
             done = len(fringes)
             failing = delays[done] if done < len(delays) else delays[-1]
-            click.echo(f"simulation error for pair {pair} at delay "
-                       f"{failing}: {exc}", err=True)
-            sys.exit(2)
+            _fail(2, f"simulation error for pair {pair} at delay {failing}", exc)
 
         used_dim = max([used_dim] + [fringe.dim for _, fringe in fringes])
         tag = f"{pair.m}_{pair.n}"
-        with open(out_dir / f"fringes_{tag}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delay_s", "phase_rad", "p_excited"])
-            for delay, fringe in fringes:
-                for phi, pe, _ in fringe.points:
-                    writer.writerow([delay, phi, pe])
-        with open(out_dir / f"depth_{tag}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delay_s", "contrast", "depth"])
-            for delay, contrast, depth_val in scan:
-                writer.writerow([delay, contrast,
-                                 depth_val if math.isfinite(depth_val) else ""])
+        _write_csv(out_dir / f"fringes_{tag}.csv", ["delay_s", "phase_rad", "p_excited"],
+                   ((delay, phi, pe) for delay, fringe in fringes
+                    for phi, pe, _ in fringe.points))
+        _write_csv(out_dir / f"depth_{tag}.csv", ["delay_s", "contrast", "depth"],
+                   ((d, c, depth_val if math.isfinite(depth_val) else "")
+                    for d, c, depth_val in scan))
         summary[str(pair)] = [
-            {"delay_s": d, "contrast": c,
-             "depth": depth_val if math.isfinite(depth_val) else None,
-             "certified": depth_val > 0.0}
+            {"delay_s": d, "contrast": c, "depth": depth_val, "certified": depth_val > 0.0}
             for d, c, depth_val in scan]
 
-    payload = {"schema": "qngcoh/simulation-summary/v1", "scans": summary,
-               "kind": KIND_NAMES[kind],
-               "manifest": _manifest("simulate",
-                                     {"config": str(config_path),
-                                      "pairs": [str(p) for p in pairs],
-                                      "delays": delays, "phases": n_phases,
-                                      "shots": shots, "kind": KIND_NAMES[kind],
-                                      "noise": noise_block, "seed": seed},
-                                     t0, seeds=[seed], trunc_dim=used_dim)}
-    _write_json(out_dir / "summary.json", payload)
-    sys.exit(0)
+    _emit(out_dir / "summary.json",
+          {"schema": "qngcoh/simulation-summary/v1", "scans": summary,
+           "kind": KIND_NAMES[kind]},
+          "simulate",
+          {"config": str(config_path), "pairs": [str(p) for p in pairs],
+           "delays": delays, "phases": n_phases, "shots": shots,
+           "kind": KIND_NAMES[kind], "noise": noise_block, "seed": seed},
+          t0, 0, seeds=[seed], trunc_dim=used_dim)
 
 
 @main.command("mc-verify")
@@ -276,26 +269,16 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
 def cmd_mc_verify(kind, pair, samples, seed, out: Path) -> int:
     """Monte-Carlo soundness check of one threshold."""
     t0 = time.monotonic()
-    try:
+    with _failures("usage error"):
         pair_obj = _parse_pair(pair)
         report = mc_verify(parse_kind(kind), pair_obj, samples, seed)
-    except (NonConvergenceError, TruncationRiskError) as exc:
-        click.echo(f"threshold failure: {exc}", err=True)
-        sys.exit(2)
-    except ValueError as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        sys.exit(1)
 
-    payload = {"schema": "qngcoh/mc-report/v1", **report.as_dict(),
-               "manifest": _manifest("mc-verify",
-                                     {"kind": kind, "pair": str(pair_obj),
-                                      "samples": samples}, t0, seeds=[seed])}
-    _write_json(out, payload)
     if report.violations:
         click.echo(f"SOUNDNESS FAILURE: {report.violations} samples above "
                    f"threshold {report.threshold:.6f}", err=True)
-        sys.exit(4)
-    sys.exit(0)
+    _emit(out, {"schema": "qngcoh/mc-report/v1", **report.as_dict()}, "mc-verify",
+          {"kind": kind, "pair": str(pair_obj), "samples": samples},
+          t0, 4 if report.violations else 0, seeds=[seed])
 
 
 if __name__ == "__main__":

@@ -267,6 +267,15 @@ def build_sequence_mn(m: int, n: int) -> RamseySequence:
                           meta={"variant": variant, "mapping": mapping})
 
 
+def build_sequence(pair: FockPair) -> RamseySequence:
+    """The Ramsey sequence of ``pair``: the composite ladder for |0>,|n>, the
+    mapping-pulse sequence otherwise.  Raises ``ValueError`` for a pair
+    neither supports."""
+    if pair.m == 0:
+        return build_sequence_0n(pair.n)
+    return build_sequence_mn(pair.m, pair.n)
+
+
 # ---------------------------------------------------------------------------
 # running the interferometer
 # ---------------------------------------------------------------------------
@@ -582,7 +591,7 @@ def decay_scan(pair: FockPair, delays, noise: NoiseConfig, kind: ThresholdKind,
     delays = list(delays)
     if any(t2 < t1 for t1, t2 in zip(delays, delays[1:])):
         raise ValueError("delays must be sorted ascending")
-    seq = build_sequence_0n(pair.n) if pair.m == 0 else build_sequence_mn(pair.m, pair.n)
+    seq = build_sequence(pair)
     phases = np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)
     thr = threshold(kind, pair).value
     out = []

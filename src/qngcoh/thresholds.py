@@ -404,8 +404,8 @@ def certify(pair: FockPair, measured: float,
     """
     if not 0.0 <= measured <= 1.0:
         raise ValueError(f"measured coherence must lie in [0, 1], got {measured}")
-    if uncertainty < 0.0:
-        raise ValueError("uncertainty must be non-negative")
+    if not 0.0 <= uncertainty < math.inf:
+        raise ValueError(f"uncertainty must be non-negative and finite, got {uncertainty}")
 
     thresholds, margins, verdicts, marginal, depths = {}, {}, {}, {}, {}
     for kind in ORDERED_KINDS:

@@ -139,6 +139,15 @@ class TestCertifyCommand:
         assert result.exit_code == 1
         assert "domain error" in result.output
 
+    @pytest.mark.parametrize("uncertainty", ["nan", "inf"])
+    def test_non_finite_uncertainty_domain_error(self, runner, tmp_path, uncertainty):
+        out = tmp_path / "c.json"
+        result = runner.invoke(main, ["certify", "--pair", "0,2", "--measured", "0.9",
+                                      "--uncertainty", uncertainty, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "domain error: uncertainty must be non-negative and finite" in result.output
+        assert not out.exists()
+
     def test_all_false_exit_code(self, runner, tmp_path):
         out = tmp_path / "cert.json"
         result = runner.invoke(main, ["certify", "--pair", "0,1",
@@ -235,8 +244,11 @@ class TestSimulateCommand:
         assert "config error" in result.output and message in result.output
 
     @pytest.mark.parametrize("text", [
-        None, "- 0.0\n- 0.004\n", "pairs: [[0]]\ndelays: [0.0]\n"],
-        ids=["missing-file", "top-level-list", "one-index-pair"])
+        None, "- 0.0\n- 0.004\n", "pairs: [[0]]\ndelays: [0.0]\n",
+        "pairs: [[1, 4]]\ndelays: [0.0]\n", "pairs: [[0, 9]]\ndelays: [0.0]\n",
+        "pair: [0, 1]\ndelays: [0.0]\nseed: -1\n"],
+        ids=["missing-file", "top-level-list", "one-index-pair", "unsupported-delta",
+             "unsupported-ladder", "negative-seed"])
     def test_unreadable_config_error(self, runner, tmp_path, text):
         cfg = tmp_path / "cfg.yaml"
         if text is not None:

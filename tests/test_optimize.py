@@ -86,9 +86,15 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         Group(n_starts=4)
     with pytest.raises(ValueError):
-        SearchSpec(bounds=((0.0, 1.0),), tol=1e-3)
-    with pytest.raises(ValueError):
         Group(grid_density=1)
+
+
+def test_convergence_tolerance_is_fixed():
+    # every search runs at one tolerance; the spec no longer takes another
+    spec = SearchSpec(bounds=((0.0, 1.0),))
+    assert spec.tol == SearchSpec.tol == 1e-9
+    with pytest.raises(TypeError):
+        SearchSpec(bounds=((0.0, 1.0),), tol=1e-3)
 
 
 BOX3 = ((0.0, 2.0), (-1.0, 1.0), (0.0, 3.0))

@@ -211,6 +211,11 @@ class TestCertify:
             certify(FockPair(0, 1), 1.5, 0.0)
         with pytest.raises(ValueError):
             certify(FockPair(0, 1), 0.5, -0.1)
+        # a NaN uncertainty made every verdict unmarginal and was written as
+        # null, which the certification schema rejects
+        for uncertainty in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                certify(FockPair(0, 2), 0.9, uncertainty)
 
 
 class TestCaching:
