@@ -271,9 +271,7 @@ def build_sequence(pair: FockPair) -> RamseySequence:
     """The Ramsey sequence of ``pair``: the composite ladder for |0>,|n>, the
     mapping-pulse sequence otherwise.  Raises ``ValueError`` for a pair
     neither supports."""
-    if pair.m == 0:
-        return build_sequence_0n(pair.n)
-    return build_sequence_mn(pair.m, pair.n)
+    return build_sequence_0n(pair.n) if pair.m == 0 else build_sequence_mn(pair.m, pair.n)
 
 
 # ---------------------------------------------------------------------------
