@@ -191,6 +191,15 @@ def depth(measured: float, pair: FockPair, kind: ThresholdKind) -> DepthResult:
                        threshold=thr, measured=measured)
 
 
+def sorted_times(times, name: str = "times") -> list[float]:
+    """``times`` as floats; raises ``ValueError`` unless they are sorted
+    ascending, >= 0 and finite (the rule for delay lists and heating times)."""
+    times = [float(t) for t in times]
+    if not all(0.0 <= t1 <= t2 < math.inf for t1, t2 in zip([0.0] + times, times)):
+        raise ValueError(f"{name} must be sorted ascending, >= 0 and finite: {times}")
+    return times
+
+
 def thermal_depth_limit(pair: FockPair, h_rate: float, times,
                         kind: ThresholdKind) -> list[tuple[float, float]]:
     """Depth reachable without any dephasing, limited by heating alone.
@@ -201,9 +210,7 @@ def thermal_depth_limit(pair: FockPair, h_rate: float, times,
     for the last time.  Raises ``TruncationError`` when that needs more than
     ``DEFAULT_TRUNC`` levels or under the tail guard of :func:`thermalize`.
     """
-    times = list(times)
-    if not all(0.0 <= t1 <= t2 < math.inf for t1, t2 in zip([0.0] + times, times)):
-        raise ValueError(f"times must be sorted ascending, >= 0 and finite: {times}")
+    times = sorted_times(times)
     if not 0.0 <= h_rate < math.inf:
         raise ValueError(f"heating rate must be finite and non-negative, got {h_rate}")
     dim = _tail_dim(pair.n, 0.0, h_rate * (times[-1] if times else 0.0), 0)

@@ -30,12 +30,13 @@ import numpy as np
 import yaml
 
 from . import __version__
+from .channels import sorted_times
 from .fock import DEFAULT_TRUNC, FockPair, TruncationRiskError
 from .mc import mc_verify
 from .optimize import NonConvergenceError
 from .ramsey import NoiseConfig, build_sequence, decay_scan
-from .thresholds import (KIND_NAMES, ORDERED_KINDS, certify, parse_kind,
-                         threshold)
+from .thresholds import (KIND_NAMES, ORDERED_KINDS, _cap_error, certify,
+                         parse_kind, threshold)
 
 
 def _parse_pair(text: str) -> FockPair:
@@ -196,15 +197,17 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
         blob = yaml.safe_load(config_path.read_text())
         if not isinstance(blob, dict):
             raise ValueError(f"config must be a mapping, got {type(blob).__name__}")
+        kind = parse_kind(blob.get("kind", "genuine"))
         raw_pairs = blob.get("pairs") or ([blob["pair"]] if "pair" in blob else None)
         if not raw_pairs:
             raise ValueError("config needs 'pair' or 'pairs'")
         pairs = [FockPair(int(m), int(n)) for m, n in raw_pairs]
         for pair in pairs:
             build_sequence(pair)   # an unsupported pair is a config error
-        delays = [float(t) for t in blob["delays"]]
-        if not all(0.0 <= t1 <= t2 < math.inf for t1, t2 in zip([0.0] + delays, delays)):
-            raise ValueError(f"delays must be sorted ascending, >= 0 and finite: {delays}")
+            problem = _cap_error(kind, pair)
+            if problem is not None:
+                raise ValueError(f"{KIND_NAMES[kind]} threshold at pair {pair}: {problem}")
+        delays = sorted_times(blob["delays"], "delays")
         noise_block = blob.get("noise", {})
         noise = _noise_from_config(noise_block)
         n_phases = int(blob.get("phases", 16))
@@ -216,7 +219,6 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
         seed = int(blob.get("seed", 0))
         if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        kind = parse_kind(blob.get("kind", "genuine"))
     except (KeyError, ValueError, TypeError, OSError, yaml.YAMLError) as exc:
         _fail(1, "config error", exc)
 

@@ -586,9 +586,7 @@ def decay_scan(pair: FockPair, delays, noise: NoiseConfig, kind: ThresholdKind,
     fringe ``S`` (see :func:`run_ramsey`; 0.0394 at nbar 0.07), so it exceeds
     the prepared coherence and the depth is larger than the prepared state's.
     """
-    delays = list(delays)
-    if any(t2 < t1 for t1, t2 in zip(delays, delays[1:])):
-        raise ValueError("delays must be sorted ascending")
+    delays = channels.sorted_times(delays, "delays")
     seq = build_sequence(pair)
     phases = np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)
     thr = threshold(kind, pair).value

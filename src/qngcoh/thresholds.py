@@ -293,27 +293,6 @@ def classical_threshold(pair: FockPair) -> ThresholdResult:
     return _memoized(key, lambda: {key: compute()})
 
 
-def _constraint_seeds(pair: FockPair) -> list[np.ndarray]:
-    """Stationarity-constraint seeds linking |alpha|^2 to (|xi|, phase).
-
-    At zero squeezing the constraint collapses to the coherent optimum
-    ``|alpha|^2 = (m+n)/2``; away from it the seeded displacement keeps the
-    two-parameter slice near the ridge the full search then polishes.
-    """
-    s = pair.m + pair.n
-    seeds = []
-    for r in np.linspace(0.02, XI_BOUND - 0.05, 16):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
-            den = 2.0 * (1.0 - math.cos(2.0 * phi) * math.tanh(2.0 * r))
-            if den < 1e-9:
-                continue
-            a2 = ((1.0 + s) / math.cosh(2.0 * r) - 1.0) / den
-            if a2 < 0.0 or a2 > ALPHA_BOUND ** 2:
-                continue
-            seeds.append(np.array([r, phi, math.sqrt(a2)]))
-    return seeds
-
-
 def _cap_error(kind: ThresholdKind, pair: FockPair) -> str | None:
     """Why ``kind`` is not validated at ``pair``, or None; intrinsic has no cap."""
     cap = {ThresholdKind.GAUSSIAN_MIN: GAUSSIAN_MIN_INDEX_CAP,
@@ -325,23 +304,26 @@ def _search_pair(pair: FockPair) -> dict:
     """Search every Gaussian kind whose cap admits ``pair`` in one lockstep
     run over the rows of the pair's objective, then check each optimum.
 
-    gaussian-min searches row 0 with constraint seeds, intrinsic the rows of
-    the input Fock levels up to ``MAX_FOCK`` on a coarser grid with fewer
-    starts, genuine the closed-form row.  Returns the memo entries of those
-    kinds; a failure of any search or check fails every kind of the pair.
+    Intrinsic searches the rows of the input Fock levels up to ``MAX_FOCK``,
+    genuine the closed-form row.  gaussian-min is intrinsic's vacuum input:
+    it takes the result of input 0, so each row is searched once and
+    gaussian-min <= intrinsic holds by construction.  Returns the memo
+    entries of those kinds; a failure of any search or check fails every
+    kind of the pair.
     """
-    intrinsic = ThresholdKind.GAUSSIAN_INTRINSIC
+    intrinsic, genuine = ThresholdKind.GAUSSIAN_INTRINSIC, ThresholdKind.GENUINE_N
     kinds = [k for k in ORDERED_KINDS[1:] if _cap_error(k, pair) is None]
     inputs = range(MAX_FOCK + 1)
     n_inputs = max(len(inputs), pair.n)
-    groups = {ThresholdKind.GAUSSIAN_MIN: [Group(0, seeds=_constraint_seeds(pair))],
-              intrinsic: [Group(k, grid_density=9, n_starts=8) for k in inputs],
-              ThresholdKind.GENUINE_N: [Group(n_inputs)]}
-    runs = iter(_search_gaussian(_pair_objective(pair, n_inputs),
-                                 [g for kind in kinds for g in groups[kind]]))
+    groups = [Group(k, grid_density=9, n_starts=8) for k in inputs]
+    if genuine in kinds:
+        groups.append(Group(n_inputs))
+    runs = _search_gaussian(_pair_objective(pair, n_inputs), groups)
+    found_by_kind = {ThresholdKind.GAUSSIAN_MIN: runs[:1], intrinsic: runs[:len(inputs)],
+                     genuine: runs[len(inputs):]}
     results = {}
     for kind in kinds:
-        found = [next(runs) for _ in groups[kind]]
+        found = found_by_kind[kind]
         k = max(range(len(found)), key=lambda j: found[j].value)
         best = found[k]
         result = ThresholdResult(kind, pair, best.value,
@@ -351,7 +333,7 @@ def _search_pair(pair: FockPair) -> dict:
             result.diagnostics["per_fock_values"] = {j: r.value for j, r in enumerate(found)}
             result.diagnostics["per_fock_at_cap"] = {j: r.trace["at_cap"]
                                                      for j, r in enumerate(found)}
-        elif kind == ThresholdKind.GENUINE_N:
+        elif kind == genuine:
             # the top eigenpair of the dense phase-optimized coherence matrix
             # must match the rank-2 closed form; its eigenvector is the core state
             u, v = sdf_amplitude_raw((pair.m, pair.n), range(pair.n), *best.argmax, 0.0)

@@ -246,9 +246,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("text", [
         None, "- 0.0\n- 0.004\n", "pairs: [[0]]\ndelays: [0.0]\n",
         "pairs: [[1, 4]]\ndelays: [0.0]\n", "pairs: [[0, 9]]\ndelays: [0.0]\n",
-        "pair: [0, 1]\ndelays: [0.0]\nseed: -1\n"],
+        "pair: [0, 1]\ndelays: [0.0]\nseed: -1\n",
+        "pair: [9, 11]\ndelays: [0.0]\nkind: genuine\n"],
         ids=["missing-file", "top-level-list", "one-index-pair", "unsupported-delta",
-             "unsupported-ladder", "negative-seed"])
+             "unsupported-ladder", "negative-seed", "unvalidated-threshold"])
     def test_unreadable_config_error(self, runner, tmp_path, text):
         cfg = tmp_path / "cfg.yaml"
         if text is not None:

@@ -30,6 +30,14 @@ def test_gaussian_min_01_bounded():
     assert report.violations == 0
 
 
+def test_gaussian_min_38_sound():
+    # gaussian-min is intrinsic's vacuum input, whose search grows its box to
+    # |alpha| <= 6 and reaches 0.262306; a search of its own stopped at 0.197151
+    # and 105 of these samples lay above it
+    report = mc_verify(ThresholdKind.GAUSSIAN_MIN, FockPair(3, 8), 100_000, seed=7)
+    assert report.violations == 0
+
+
 def test_genuine_02_sound_small():
     report = mc_verify(ThresholdKind.GENUINE_N, FockPair(0, 2), 20000, seed=7)
     assert report.violations == 0

@@ -508,6 +508,15 @@ class TestDecayScan:
             decay_scan(FockPair(0, 1), [0.01, 0.0], NoiseConfig(),
                        ThresholdKind.CLASSICAL)
 
+    @pytest.mark.parametrize("last", [math.inf, math.nan])
+    def test_non_finite_delay_rejected_before_any_fringe(self, last):
+        fringes = []
+        with pytest.raises(ValueError, match=">= 0 and finite"):
+            decay_scan(FockPair(0, 1), [0.0, last], NoiseConfig(),
+                       ThresholdKind.CLASSICAL,
+                       fringe_sink=lambda delay, fringe: fringes.append(delay))
+        assert fringes == []
+
 
 #: the two scans the repository ships: the README scenario and the defaults
 #: of scripts/run_decay_curves.py

@@ -13,8 +13,7 @@ from qngcoh.fock import (FockPair, GaussianParams,
 from qngcoh import thresholds as thresholds_module
 from qngcoh.optimize import Group, maximize
 from qngcoh.thresholds import (ALPHA_BOUND, ALPHA_CAP, MAX_FOCK, ORDERED_KINDS, XI_BOUND,
-                               XI_CAP, ThresholdKind, _constraint_seeds,
-                               _pair_objective, _search_gaussian,
+                               XI_CAP, ThresholdKind, _pair_objective, _search_gaussian,
                                certify, classical_threshold, clear_threshold_cache,
                                genuine_coherence_matrix, parse_kind, threshold)
 from conftest import argmax_state
@@ -176,6 +175,11 @@ class TestSelfConsistency:
             for m in range(n):
                 vals = [threshold(kind, FockPair(m, n)).value for kind in ORDERED_KINDS]
                 assert all(v1 <= v2 + 1e-14 for v1, v2 in zip(vals, vals[1:])), (m, n, vals)
+                # gaussian-min is intrinsic's vacuum input, bit for bit, so it
+                # needs no slack below intrinsic
+                intrinsic = threshold(ThresholdKind.GAUSSIAN_INTRINSIC, FockPair(m, n))
+                assert vals[1] == intrinsic.diagnostics["per_fock_values"][0], (m, n)
+                assert vals[1] <= vals[2], (m, n, vals)
         # at (0,2) the vacuum is the best intrinsic input: sinh r = 1 at alpha = 0
         pair = FockPair(0, 2)
         for kind in (ThresholdKind.GAUSSIAN_MIN, ThresholdKind.GAUSSIAN_INTRINSIC):
@@ -323,13 +327,17 @@ class TestJointSearch:
         clear_threshold_cache()
         pair = FockPair(0, 3)
         certify(pair, 0.9, 0.0)
-        # one lockstep run: gaussian-min, the 11 intrinsic Fock levels, genuine
+        # one lockstep run: the 11 intrinsic Fock levels, then genuine;
+        # gaussian-min is the vacuum input's group, not a search of its own
         assert len(runs) == 1
-        assert [len(part.trace["starts"]) for part in runs[0].groups] == [16] + [8] * 11 + [16]
+        assert [len(part.trace["starts"]) for part in runs[0].groups] == [8] * 11 + [16]
         gmin, intrinsic, genuine = (threshold(kind, pair).diagnostics
                                     for kind in ORDERED_KINDS[1:])
-        assert len(gmin["starts"]) == 16
-        assert gmin["grid_points"] == 12 ** 3 + len(_constraint_seeds(pair))
+        vacuum = runs[0].groups[0].trace
+        assert {key: gmin[key] for key in vacuum} == vacuum
+        assert len(gmin["starts"]) == 8
+        assert gmin["grid_points"] == 9 ** 3
+        assert threshold(ThresholdKind.GAUSSIAN_MIN, pair).fock_index == 0
         assert len(intrinsic["starts"]) == 8      # the best Fock level's starts
         assert intrinsic["grid_points"] == 9 ** 3
         assert sorted(intrinsic["per_fock_values"]) == list(range(MAX_FOCK + 1))
