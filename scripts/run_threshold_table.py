@@ -15,10 +15,8 @@ import json
 import time
 from pathlib import Path
 
-from qngcoh.channels import depth
 from qngcoh.fock import FockPair
-from qngcoh.thresholds import (KIND_NAMES, ORDERED_KINDS, ThresholdKind,
-                               threshold)
+from qngcoh.thresholds import KIND_NAMES, ORDERED_KINDS, ThresholdKind, certify
 
 MEASURED = {1: 0.95, 2: 0.917, 3: 0.81, 4: 0.84, 6: 0.80}
 
@@ -34,15 +32,13 @@ def main() -> None:
     t0 = time.monotonic()
     for n in args.ns:
         pair = FockPair(0, n)
-        entry = {}
-        for kind in ORDERED_KINDS:
-            res = threshold(kind, pair)
-            entry[KIND_NAMES[kind]] = res.value
-        entry["depth_ideal"] = depth(1.0, pair, ThresholdKind.GENUINE_N).depth
+        ideal = certify(pair, 1.0, 0.0)
+        entry = {KIND_NAMES[kind]: ideal.thresholds[kind] for kind in ORDERED_KINDS}
+        entry["depth_ideal"] = ideal.depths[ThresholdKind.GENUINE_N]
         if n in MEASURED:
-            entry["measured"] = MEASURED[n]
-            entry["depth_measured"] = depth(MEASURED[n], pair,
-                                            ThresholdKind.GENUINE_N).depth
+            report = certify(pair, MEASURED[n], 0.0)
+            entry["measured"] = report.measured
+            entry["depth_measured"] = report.depths[ThresholdKind.GENUINE_N]
         rows[n] = entry
         print(f"(0,{n}) done after {time.monotonic() - t0:.1f}s")
 

@@ -7,7 +7,7 @@ from .fock import (FockPair, GaussianParams, build_gaussian_matrix,
                    ideal_superposition, sdf_amplitude)
 from .thresholds import (CertificationReport, ThresholdKind, ThresholdResult,
                          certify, classical_threshold, threshold)
-from .channels import DepthResult, depth, thermal_depth_limit, thermalize
+from .channels import thermal_depth_limit, thermalize
 from .optimize import MaximizeResult, SearchSpec, maximize
 from .mc import McReport, mc_verify
 from .ramsey import (NoiseConfig, PulseKind, PulseSpec, RamseyFringe,
@@ -20,7 +20,7 @@ __all__ = [
     "coherent_amplitude", "ideal_superposition", "sdf_amplitude",
     "CertificationReport", "ThresholdKind", "ThresholdResult", "certify",
     "classical_threshold", "threshold",
-    "DepthResult", "depth", "thermal_depth_limit", "thermalize",
+    "thermal_depth_limit", "thermalize",
     "MaximizeResult", "SearchSpec", "maximize",
     "McReport", "mc_verify",
     "NoiseConfig", "PulseKind", "PulseSpec", "RamseyFringe", "RamseySequence",

@@ -1,4 +1,4 @@
-"""Decoherence channels and the dephasing depth of a certified coherence.
+"""Decoherence channels and the heating-limited depth of a coherence.
 
 Two reservoir couplings matter for a trapped-ion oscillator near the ground
 state: pure phase diffusion, which multiplies each off-diagonal element by
@@ -11,12 +11,12 @@ linearly at the configured heating rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fock import DEFAULT_TRUNC, FockPair, _tridiagonal_eigh, ideal_superposition
+from .fock import (DEFAULT_TRUNC, FockPair, _tridiagonal_eigh, coherence_quantifier,
+                   ideal_superposition)
 from .thresholds import ThresholdKind, depth_value, threshold
 
 #: population allowed in the top truncation levels after heating
@@ -27,19 +27,6 @@ EDGE_TAIL_TOL = 1e-12
 
 class TruncationError(RuntimeError):
     """Population reaches the truncation edge, or would need more levels."""
-
-
-@dataclass(frozen=True)
-class DepthResult:
-    pair: FockPair
-    kind: ThresholdKind
-    depth: float
-    threshold: float
-    measured: float
-
-    @property
-    def certified(self) -> bool:
-        return self.depth > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +160,8 @@ def _tail_dim(top: int, nbar: float, heat: float, reach: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dephasing depth
+# heating-limited depth
 # ---------------------------------------------------------------------------
-
-
-def depth(measured: float, pair: FockPair, kind: ThresholdKind) -> DepthResult:
-    """Dephasing depth of a measured coherence above a threshold kind.
-
-    Negative values mean the coherence already sits below the threshold and
-    is reported as not certified.
-    """
-    if not 0.0 < measured <= 1.0:
-        raise ValueError(f"measured coherence must lie in (0, 1], got {measured}")
-    thr = threshold(kind, pair).value
-    return DepthResult(pair=pair, kind=kind,
-                       depth=depth_value(measured, thr, pair.delta),
-                       threshold=thr, measured=measured)
 
 
 def sorted_times(times, name: str = "times") -> list[float]:
@@ -219,6 +192,6 @@ def thermal_depth_limit(pair: FockPair, h_rate: float, times,
     out = []
     for prev_t, t in zip([0.0] + times, times):
         mat = thermalize(mat, h_rate, t - prev_t)
-        c = 2.0 * float(np.abs(mat[pair.m, pair.n]))
+        c = coherence_quantifier(mat, pair)
         out.append((float(t), depth_value(c, thr, pair.delta)))
     return out

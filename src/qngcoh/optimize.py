@@ -225,10 +225,9 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
 
     Every start climbs from its seed by ``_ascend``, all groups in lockstep
     with one batch of stencils per step; its trace record (``x``, ``value``,
-    ``nfev``, ``success``) is where it stopped.  The group's trace records
-    its two best starts under ``finish`` (points, values, accepted steps,
-    evaluations, best first).  The argmax and value are the best start's, and
-    the group is ``converged`` when the two best values agree to ``spec.tol``.
+    accepted ``steps``, ``nfev``, ``success``) is where it stopped, best
+    first.  The argmax and value are the best start's, and the group is
+    ``converged`` when the two best values agree to ``spec.tol``.
 
     Raises ``NonConvergenceError`` when no refinement start (of a group)
     reaches the best grid seed; trace records per-start outcomes either way.
@@ -261,21 +260,17 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
         # the group's starts, best first (stable: ties keep their seed order)
         order = a + np.argsort(-fs[a:b], kind="stable")
         starts = [{"x0": seeds[i].tolist(), "x": xs[i].tolist(), "value": float(fs[i]),
-                   "nfev": int(evals[i]), "success": bool(ok[i])} for i in order]
-        top = order[:2]
-        best, runner_up = (float(fs[j]) for j in top)
+                   "steps": int(steps[i]), "nfev": int(evals[i]), "success": bool(ok[i])}
+                  for i in order]
+        best, runner_up = (float(fs[j]) for j in order[:2])
         trace = {"grid_points": len(pts), "grid_best": float(vals.max()),
-                 "starts": starts,
-                 "finish": {"points": xs[top].tolist(), "values": fs[top].tolist(),
-                            "steps": steps[top].tolist(),
-                            "evaluations": int(evals[top].sum())},
-                 "best_value": best, "runner_up_value": runner_up,
+                 "starts": starts, "best_value": best, "runner_up_value": runner_up,
                  "converged": abs(best - runner_up) <= max(spec.tol, spec.tol * abs(best))}
         if best < trace["grid_best"] - 1e-12:
             raise NonConvergenceError("no refinement start reached the grid seed value "
                                       f"{trace['grid_best']!r}", trace)
         # the value is the objective exactly as evaluated at the returned point
-        results.append(MaximizeResult(xs[top[0]], best, trace))
+        results.append(MaximizeResult(xs[order[0]], best, trace))
 
     top = max(results, key=lambda res: res.value)
     return MaximizeResult(top.argmax, top.value, groups=results, trace=dict(

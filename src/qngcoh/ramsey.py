@@ -50,7 +50,6 @@ class PulseKind(enum.Enum):
     BSB = "bsb"
     RSB = "rsb"
     SHELVE = "shelve"
-    UNSHELVE = "unshelve"
 
 
 @dataclass(frozen=True)
@@ -72,10 +71,8 @@ class PulseSpec:
             raise ValueError(f"pulse phase must be finite, got {self.phase!r}")
 
     def inverse(self) -> "PulseSpec":
-        if self.kind == PulseKind.SHELVE:
-            return replace(self, kind=PulseKind.UNSHELVE)
-        if self.kind == PulseKind.UNSHELVE:
-            return replace(self, kind=PulseKind.SHELVE)
+        """The pulse that undoes this one: the same rotation with its phase
+        advanced by pi (every kind rotates two levels by ``area``)."""
         return replace(self, phase=self.phase + math.pi)
 
 
@@ -123,14 +120,13 @@ class RamseySequence:
 
 
 #: per pulse kind: the row the ground row exchanges with, the (ground,
-#: partner) level slices it couples, the sign of the phase factor, and whether
-#: rung k couples with strength sqrt(k) ({g,k-1} <-> {e,k} blue, {g,k} <-> {e,k-1} red)
+#: partner) level slices it couples, and whether rung k couples with
+#: strength sqrt(k) ({g,k-1} <-> {e,k} blue, {g,k} <-> {e,k-1} red)
 _COUPLING = {
-    PulseKind.CARRIER: (ROW_E, slice(None), slice(None), 1.0, False),
-    PulseKind.SHELVE: (ROW_SHELF, slice(None), slice(None), 1.0, False),
-    PulseKind.UNSHELVE: (ROW_SHELF, slice(None), slice(None), -1.0, False),
-    PulseKind.BSB: (ROW_E, slice(None, -1), slice(1, None), 1.0, True),
-    PulseKind.RSB: (ROW_E, slice(1, None), slice(None, -1), 1.0, True),
+    PulseKind.CARRIER: (ROW_E, slice(None), slice(None), False),
+    PulseKind.SHELVE: (ROW_SHELF, slice(None), slice(None), False),
+    PulseKind.BSB: (ROW_E, slice(None, -1), slice(1, None), True),
+    PulseKind.RSB: (ROW_E, slice(1, None), slice(None, -1), True),
 }
 
 
@@ -138,14 +134,14 @@ def _rotate(amps: np.ndarray, kind: PulseKind, area, phase) -> np.ndarray:
     """Apply one pulse in place to an array of shape (3, dim, ...) of state
     columns and return it.  ``area`` and ``phase`` are floats or arrays that
     broadcast over the trailing axes (one value per matrix of a stack)."""
-    partner, sg, sp, sign, sideband = _COUPLING[kind]
+    partner, sg, sp, sideband = _COUPLING[kind]
     g, e = amps[ROW_G, sg], amps[partner, sp]
     theta = area
     if sideband:
         rungs = np.sqrt(np.arange(1, amps.shape[1]))
         theta = area * rungs.reshape((-1,) + (1,) * (amps.ndim - 2))
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    ph = sign * np.exp(1j * phase)
+    ph = np.exp(1j * phase)
     g_new = c * g
     g_new -= 1j * ph * s * e
     e *= c
@@ -181,12 +177,12 @@ def build_sequence_0n(n: int) -> RamseySequence:
     per pulse; for n = 1 and 2 the arms end at |g,0> and |e,1> or |g,2>.
     Above n = 2 the resting |g,0> branch is shelved around the ladder; an
     odd ladder parks the moving branch in |e,n> and a carrier pi (protected
-    by the shelving) moves it to |g,n>.  The closing unshelve then swaps the
-    whole ground and shelf rows, so the arms end at |g,0> and |shelf,n>; the
-    delay channels act the same on every spin block, so the fringes do not
-    depend on which row the |n> arm rests in.  The analysis half is the
-    exact pulse-by-pulse inverse; its last pulse, the closing blue-sideband
-    pi/2, carries the scanned phase.
+    by the shelving) moves it to |g,n>.  The closing shelving pi (phase pi,
+    the inverse of the first) then swaps the whole ground and shelf rows, so
+    the arms end at |g,0> and |shelf,n>; the delay channels act the same on
+    every spin block, so the fringes do not depend on which row the |n> arm
+    rests in.  The analysis half is the exact pulse-by-pulse inverse; its
+    last pulse, the closing blue-sideband pi/2, carries the scanned phase.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"supported superposition range is 1 <= n <= 8, got {n}")
@@ -199,7 +195,7 @@ def build_sequence_0n(n: int) -> RamseySequence:
     if row == ROW_E and n > 1:
         prep.append(PulseSpec(PulseKind.CARRIER, math.pi))
     if shelved:
-        prep.append(PulseSpec(PulseKind.UNSHELVE, math.pi))
+        prep.append(PulseSpec(PulseKind.SHELVE, math.pi, math.pi))
 
     analysis = [p.inverse() for p in reversed(prep)]
     return RamseySequence(pair=FockPair(0, n), prep=prep, analysis=analysis)
@@ -357,17 +353,17 @@ def _scan_readout(rho: np.ndarray, kind: PulseKind, area, phase, dim: int) -> np
     of ``area`` and ``phase``.
 
     The pulse mixes each ground rung it couples with one partner level only.
-    With ``ph = sign e^{i phase}`` a coupled rung ends with
+    With ``ph = e^{i phase}`` a coupled rung ends with
     ``c^2 rho_gg + s^2 rho_pp - 2 c s Im(conj(ph) rho_gp)``; an uncoupled one
     keeps ``rho_gg``.
     """
-    partner, sg, sp, sign, sideband = _COUPLING[kind]
+    partner, sg, sp, sideband = _COUPLING[kind]
     _check_edge(kind, dim, lambda edge: np.abs(rho[edge, edge]))
     levels = np.arange(dim)
     g, p = levels[sg], partner * dim + levels[sp]
     theta = area * np.sqrt(levels[1:, None]) if sideband else area
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    ph = sign * np.exp(1j * phase)
+    ph = np.exp(1j * phase)
     coupled = (c * c * rho[g, g].real + s * s * rho[p, p].real
                - 2.0 * c * s * np.imag(np.conj(ph) * rho[g, p]))
     spectators = np.delete(levels, g)

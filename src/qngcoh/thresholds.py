@@ -34,7 +34,9 @@ from .fock import (FockPair, GaussianParams, TruncationRiskError,
 from .optimize import Group, SearchSpec, maximize
 
 #: search box: squeeze magnitude, squeeze phase, displacement magnitude
-#: (displacement phase is gauged away by a number-conserving rotation)
+#: (displacement phase is gauged away by a number-conserving rotation, and
+#: complex conjugation maps squeeze phase theta to 2 pi - theta at the same
+#: value, so theta is searched on [0, pi])
 XI_BOUND = 1.5
 ALPHA_BOUND = 4.0
 
@@ -171,7 +173,7 @@ def genuine_coherence_matrix(u: np.ndarray, v: np.ndarray,
 
 
 def _search_gaussian(batch_objective, groups=(Group(),)):
-    """Multistart search over (|xi|, arg xi, |alpha|) with bound doubling.
+    """Multistart search over (|xi|, arg xi in [0, pi], |alpha|) with bound doubling.
 
     A magnitude bound hit at the optimum doubles that bound (up to the
     validated amplitude range) and reruns, so reported maxima are never
@@ -190,7 +192,7 @@ def _search_gaussian(batch_objective, groups=(Group(),)):
         runs = groupby(sorted(pending, key=box.__getitem__), key=box.__getitem__)
         pending = []
         for (xi_hi, alpha_hi), members in ((b, list(m)) for b, m in runs):
-            spec = SearchSpec(bounds=((0.0, xi_hi), (0.0, 2.0 * math.pi),
+            spec = SearchSpec(bounds=((0.0, xi_hi), (0.0, math.pi),
                                       (0.0, alpha_hi)))
             res = maximize(None, spec, batch_objective=batch_objective,
                            groups=[groups[i] for i in members])

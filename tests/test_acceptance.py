@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qngcoh.channels import dephasing_factors, depth, thermalize
+from qngcoh.channels import dephasing_factors, thermalize
 from qngcoh.cli import main as cli_main
 from qngcoh.fock import (FockPair, GaussianParams, build_gaussian_matrix,
                          coherence_quantifier, ideal_superposition, sdf_amplitude)
@@ -23,7 +23,7 @@ from qngcoh.mc import mc_verify
 from qngcoh.optimize import Group, SearchSpec, maximize
 from qngcoh.ramsey import (ROW_E, ROW_G, NoiseConfig, build_sequence_0n,
                            fit_populations, run_ramsey)
-from qngcoh.thresholds import (ORDERED_KINDS, ThresholdKind,
+from qngcoh.thresholds import (ORDERED_KINDS, ThresholdKind, certify,
                                classical_threshold, clear_threshold_cache,
                                threshold)
 from conftest import (fock_density_matrix, mean_phonons, motional_populations,
@@ -130,11 +130,11 @@ def test_criterion_04_worked_states():
 
 
 def test_criterion_05_depths():
-    ideal = {n: depth(1.0, FockPair(0, n), ThresholdKind.GENUINE_N).depth
+    ideal = {n: certify(FockPair(0, n), 1.0, 0.0).depths[ThresholdKind.GENUINE_N]
              for n in TABLE_NS}
-    exp2 = depth(0.917, FockPair(0, 2), ThresholdKind.GENUINE_N).depth
-    exp4 = depth(0.84, FockPair(0, 4), ThresholdKind.GENUINE_N).depth
-    exp1 = depth(0.95, FockPair(0, 1), ThresholdKind.GENUINE_N).depth
+    exp2 = certify(FockPair(0, 2), 0.917, 0.0).depths[ThresholdKind.GENUINE_N]
+    exp4 = certify(FockPair(0, 4), 0.84, 0.0).depths[ThresholdKind.GENUINE_N]
+    exp1 = certify(FockPair(0, 1), 0.95, 0.0).depths[ThresholdKind.GENUINE_N]
     ok = (all(abs(ideal[n] - IDEAL_DEPTH_TABLE[n]) <= 0.01 for n in TABLE_NS)
           and abs(exp2 - 0.03) <= 0.01 and abs(exp4 - 0.01) <= 0.01)
     detail = ("ideal depths " + ", ".join(f"(0,{n})={ideal[n]:.3f}"
@@ -202,12 +202,12 @@ def test_criterion_07_mc_soundness():
 
 def test_criterion_08_gauge_and_composition(rng):
     pair = FockPair(0, 3)
-    ideal = depth(1.0, pair, ThresholdKind.GENUINE_N).depth
+    ideal = certify(pair, 1.0, 0.0).depths[ThresholdKind.GENUINE_N]
     worst_gauge = 0.0
     for gamma in np.linspace(0.0, ideal * 0.98, 9):
         mat = ideal_superposition(pair, 8)
         c = coherence_quantifier(mat * dephasing_factors(8, gamma), pair)
-        d = depth(c, pair, ThresholdKind.GENUINE_N).depth
+        d = certify(pair, c, 0.0).depths[ThresholdKind.GENUINE_N]
         worst_gauge = max(worst_gauge, abs(d - (ideal - gamma)))
 
     worst_comp = 0.0

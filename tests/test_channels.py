@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
 from qngcoh.channels import (EDGE_TAIL_TOL, TruncationError, _offset_eigensystem,
-                             _tail_dim, dephasing_factors, depth, depth_value,
+                             _tail_dim, dephasing_factors, depth_value,
                              thermal_depth_limit, thermalize, thermalize_matrix)
 from qngcoh.fock import FockPair, coherence_quantifier, ideal_superposition
-from qngcoh.thresholds import ThresholdKind, threshold
+from qngcoh.thresholds import ThresholdKind, certify, threshold
 from conftest import (assert_density_matrix, fock_density_matrix, mean_phonons,
                       random_density_matrix, thermal_density_matrix)
 
@@ -164,40 +164,36 @@ class TestThermalize:
 
 class TestDepth:
     def test_ideal_02_value(self):
-        res = depth(1.0, FockPair(0, 2), ThresholdKind.GENUINE_N)
-        assert res.depth == pytest.approx(0.5 * math.log(1 / res.threshold),
-                                          abs=1e-12)
-        assert res.depth == pytest.approx(0.08, abs=0.01)
-        assert res.certified
+        report = certify(FockPair(0, 2), 1.0, 0.0)
+        d, thr = report.depths[ThresholdKind.GENUINE_N], report.thresholds[ThresholdKind.GENUINE_N]
+        assert d == pytest.approx(0.5 * math.log(1 / thr), abs=1e-12)
+        assert d == pytest.approx(0.08, abs=0.01)
+        assert report.verdicts[ThresholdKind.GENUINE_N]
 
     def test_exp_04_value(self):
-        res = depth(0.84, FockPair(0, 4), ThresholdKind.GENUINE_N)
-        assert res.depth == pytest.approx(0.01, abs=0.01)
+        d = certify(FockPair(0, 4), 0.84, 0.0).depths[ThresholdKind.GENUINE_N]
+        assert d == pytest.approx(0.01, abs=0.01)
 
     def test_zero_at_threshold(self):
         thr = threshold(ThresholdKind.CLASSICAL, FockPair(0, 1)).value
-        res = depth(thr, FockPair(0, 1), ThresholdKind.CLASSICAL)
-        assert res.depth == pytest.approx(0.0, abs=1e-12)
+        d = certify(FockPair(0, 1), thr, 0.0).depths[ThresholdKind.CLASSICAL]
+        assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_strictly_increasing_in_measured(self):
         pair = FockPair(0, 2)
-        vals = [depth(c, pair, ThresholdKind.CLASSICAL).depth
+        vals = [certify(pair, c, 0.0).depths[ThresholdKind.CLASSICAL]
                 for c in (0.3, 0.5, 0.7, 0.9)]
         assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
 
     def test_gauge_property(self):
         # dephasing an ideal state by Gamma shifts its depth by -Gamma
         pair = FockPair(0, 3)
-        ideal = depth(1.0, pair, ThresholdKind.GENUINE_N).depth
+        ideal = certify(pair, 1.0, 0.0).depths[ThresholdKind.GENUINE_N]
         for gamma in np.linspace(0.0, ideal * 0.95, 7):
             decayed = dephase(ideal_superposition(pair, 8), gamma)
             c = coherence_quantifier(decayed, pair)
-            d = depth(c, pair, ThresholdKind.GENUINE_N).depth
+            d = certify(pair, c, 0.0).depths[ThresholdKind.GENUINE_N]
             assert d == pytest.approx(ideal - gamma, abs=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            depth(0.0, FockPair(0, 1), ThresholdKind.CLASSICAL)
 
 
 class TestThermalDepthLimit:
@@ -205,7 +201,7 @@ class TestThermalDepthLimit:
         pair = FockPair(0, 1)
         curve = thermal_depth_limit(pair, 0.0, [0.0, 0.01, 0.02],
                                     ThresholdKind.GENUINE_N)
-        ideal = depth(1.0, pair, ThresholdKind.GENUINE_N).depth
+        ideal = certify(pair, 1.0, 0.0).depths[ThresholdKind.GENUINE_N]
         for _, d in curve:
             assert d == pytest.approx(ideal, abs=1e-9)
 

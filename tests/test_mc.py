@@ -38,6 +38,14 @@ def test_gaussian_min_38_sound():
     assert report.violations == 0
 
 
+def test_intrinsic_67_sound():
+    # with the squeeze phase searched on [0, pi] the nine grid nodes of that
+    # axis are distinct, and input 6 reaches 0.784583; on [0, 2 pi] the
+    # search stopped at 0.676957 (input 5) and 13 of these samples lay above it
+    report = mc_verify(ThresholdKind.GAUSSIAN_INTRINSIC, FockPair(6, 7), 100_000, seed=7)
+    assert report.violations == 0
+
+
 def test_genuine_02_sound_small():
     report = mc_verify(ThresholdKind.GENUINE_N, FockPair(0, 2), 20000, seed=7)
     assert report.violations == 0
