@@ -16,6 +16,13 @@ the other.
 Conventions: ``a|n> = sqrt(n)|n-1>``, displacement ``D(alpha) =
 exp(alpha a^+ - conj(alpha) a)``, squeeze ``S(xi) = exp((conj(xi) a^2 -
 xi a^+^2)/2)`` with ``xi = r e^{i theta}``.
+
+The closed form works at a real displacement.  With ``R(phi) = exp(i phi
+a^+ a)``, ``D(|alpha| e^{i phi}) = R(phi) D(|alpha|) R(-phi)`` and ``R(-phi)
+S(xi) R(phi) = S(xi e^{-2i phi})``, so ``<m|S(xi)D(|alpha| e^{i phi})|n> =
+e^{i(m-n) phi} <m|S(xi e^{-2i phi})D(|alpha|)|n>``; the phase factor is
+applied only when ``phi`` is nonzero (the searches and the Monte-Carlo
+sampler pass ``phi = 0``).
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import lgamma
 
 import numpy as np
@@ -145,37 +151,74 @@ def _scaled_hermite_ladder(kmax: int, xy, ysq) -> np.ndarray:
     the ladder stays finite for arbitrarily small squeezing (ysq -> 0 smoothly
     reduces it to plain powers of 2*xy).
     """
-    h = np.empty((kmax + 1,) + np.shape(xy), dtype=complex)
+    h = np.empty((kmax + 1,) + np.shape(ysq), dtype=complex)
     h[0] = 1.0
     if kmax:
-        h[1] = two_xy = 2.0 * xy
-    # no in-place updates: 0-d parameters must stay on numpy's scalar complex
-    # arithmetic, which can round differently from its vectorised array loops
+        h[1] = 2.0 * xy
+        two_xy, tmp = h[1], np.empty_like(ysq)
     for k in range(1, kmax):
-        h[k + 1] = two_xy * h[k] - 2.0 * k * ysq * h[k - 1]
+        if h.ndim == 1:
+            # 0-d parameters stay on numpy's scalar complex arithmetic, which
+            # can round differently from its vectorised array loops
+            h[k + 1] = two_xy * h[k] - 2.0 * k * ysq * h[k - 1]
+            continue
+        # the same operations without temporaries; no product is written over
+        # one of its factors (numpy's complex product may then round differently)
+        np.multiply(2.0 * k, ysq, out=tmp)
+        np.multiply(tmp, h[k - 1], out=h[k + 1])
+        np.multiply(two_xy, h[k], out=tmp)
+        np.subtract(tmp, h[k + 1], out=h[k + 1])
     return h
 
 
-@lru_cache(maxsize=256)
-def _contraction_terms(ms: tuple, ns: tuple, ndim: int) -> tuple:
-    """Read-only ``(w_i, rows_m, rows_n)`` per contraction count ``i``.
+def _rows(rows: list):
+    """Ladder rows as a slice (a view, no copy) when they step evenly upward."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if step > 0 and rows == list(range(rows[0], rows[-1] + 1, step)):
+        return slice(rows[0], rows[-1] + 1, step)
+    return np.array(rows)
 
-    ``w_i[a, b] = sqrt(m! n!) / (i! (m-i)! (n-i)!)`` for ``m = ms[a]``,
-    ``n = ns[b]`` (zero for ``i > min(m, n)``), held complex and shaped to
-    broadcast over ``ndim`` parameter axes; ``rows_m[a, 0] = max(m - i, 0)``
-    and ``rows_n[0, b] = max(n - i, 0)`` index the ladder rows it multiplies.
+
+@lru_cache(maxsize=256)
+def _contraction_terms(ms: tuple, ns: tuple, ndim: int, per_point: bool) -> tuple:
+    """Read-only plan ``(undo_m, undo_n, terms)`` of the contraction.
+
+    The contraction runs over the indices sorted in ascending order, so the
+    rows with ``m >= i`` and the inputs with ``n >= i`` that term ``i`` reads
+    are suffixes ``[ra:]`` and ``[rb:]``; ``undo_m``/``undo_n`` restore the
+    given order (``None`` when it is sorted).  Term ``i`` is ``(ra, rows_m,
+    rb, rows_n, w)``: ``rows_m``/``rows_n`` index the ladder rows ``m - i``/
+    ``n - i`` of the suffixes (slices where they step evenly) and ``w[a, b] =
+    sqrt(m! n!) / (i! (m-i)! (n-i)!)`` is held complex and shaped to
+    broadcast over ``ndim`` parameter axes.  Per-point inputs (``ns`` is then
+    ``0 .. max``) keep every input: ``rb`` is 0, ``rows_n`` is ``None`` and
+    ``w[a, n]`` is a table by input value, zero for ``n < i``.
     """
-    w = np.zeros((min(max(ms), max(ns)) + 1, len(ms), len(ns)) + (1,) * ndim, dtype=complex)
-    for (a, m), (b, n) in product(enumerate(ms), enumerate(ns)):
-        log_fact_mn = 0.5 * (lgamma(m + 1) + lgamma(n + 1))
-        for i in range(min(m, n) + 1):
-            w[i, a, b] = math.exp(log_fact_mn - lgamma(i + 1)
-                                  - lgamma(m - i + 1) - lgamma(n - i + 1))
-    mv, nv = np.array(ms)[:, None], np.array(ns)[None]
-    terms = tuple((w[i], np.maximum(mv - i, 0), np.maximum(nv - i, 0)) for i in range(len(w)))
-    for arr in (a for term in terms for a in term):
-        arr.flags.writeable = False
-    return terms
+    def weight(m: int, n: int, i: int) -> float:
+        if min(m, n) < i:
+            return 0.0
+        return math.exp(0.5 * (lgamma(m + 1) + lgamma(n + 1)) - lgamma(i + 1)
+                        - lgamma(m - i + 1) - lgamma(n - i + 1))
+
+    def plan(idx: tuple) -> tuple:
+        order = sorted(range(len(idx)), key=idx.__getitem__)
+        undo = None if order == sorted(order) else np.argsort(order)
+        return [idx[j] for j in order], undo
+
+    sm, undo_m = plan(ms)
+    sn, undo_n = (list(ns), None) if per_point else plan(ns)
+    terms = []
+    for i in range(min(sm[-1], sn[-1]) + 1):
+        ra = next(a for a, m in enumerate(sm) if m >= i)
+        rb = 0 if per_point else next(b for b, n in enumerate(sn) if n >= i)
+        w = np.array([[weight(m, n, i) for n in sn[rb:]] for m in sm[ra:]], dtype=complex)
+        terms.append((ra, _rows([m - i for m in sm[ra:]]), rb,
+                      None if per_point else _rows([n - i for n in sn[rb:]]),
+                      w if per_point else w.reshape(w.shape + (1,) * ndim)))
+    for arr in (undo_m, undo_n, *(t[k] for t in terms for k in (1, 3, 4))):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return undo_m, undo_n, tuple(terms)
 
 
 def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
@@ -184,10 +227,11 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     Derived by inserting the normal-ordered squeeze between coherent-state
     generating kernels: the result is a finite contraction of two rescaled
     Hermite ladders, one per Fock index, summed over the number of ladder
-    contractions.  Broadcasts over array-valued Gaussian parameters; ``m``
-    and ``n`` may be 1-D index sequences, and the ladders up to the largest
-    index then give the whole block, of shape
-    ``shape(m) + shape(n) + shape(params)``.
+    contractions.  The displacement is real: its phase is gauged away (see
+    the module docstring).  Broadcasts over array-valued Gaussian parameters;
+    ``m`` and ``n`` may be 1-D index sequences (in any order, repeats
+    allowed), and the ladders up to the largest index then give the whole
+    block, of shape ``shape(m) + shape(n) + shape(params)``.
 
     An ``n`` of two or more axes gives each point its own inputs: its first
     axis is the block of inputs and its further axes broadcast against the
@@ -195,53 +239,73 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     shape(params)``.  Each entry equals the block form's for its input.
     """
     ms, ns = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
-    mk = tuple(ms.ravel().tolist())
+    phi = np.asarray(alpha_phase, dtype=float)
     params = [np.asarray(x, dtype=float) for x in (xi_mag, xi_phase, alpha_mag)]
-    # one complex exponential per given phase, not per point it broadcasts to
-    phase = np.exp(1j * np.asarray(alpha_phase, dtype=float))
-    shape = np.broadcast_shapes(ns.shape[1:], phase.shape, *(x.shape for x in params))
-    r, th, amag = (x if x.shape == shape else np.broadcast_to(x, shape) for x in params)
+    shape = np.broadcast_shapes(ns.shape[1:], phi.shape, *(x.shape for x in params))
+    gauge = bool(phi.any())
+    if gauge:
+        params[1] = params[1] - 2.0 * phi
+        params.append(phi)
+    # one flat point axis; 0-d parameters stay 0-d, on numpy's scalar arithmetic
+    if shape:
+        params = [(x if x.shape == shape else np.broadcast_to(x, shape)).reshape(-1)
+                  for x in params]
+    r, th, amag = params[:3]
 
-    alpha = amag * phase
-    t = np.tanh(r)
-    c = np.cosh(r)
-    tau = t * np.exp(1j * th)
+    cinv, half_a = 1.0 / np.cosh(r), 0.5 * amag
+    tau = np.tanh(r) * np.exp(1j * th)
     tau_conj = np.conj(tau)
+    tc1 = tau_conj - 1.0
+    a00 = np.exp(half_a * amag * tc1) * np.sqrt(cinv)
 
     per_point = ns.ndim > 1
+    mk = tuple(ms.ravel().tolist())
     if per_point:
-        idx = np.broadcast_to(ns, ns.shape[:1] + shape)
+        idx = (ns if ns.shape[1:] == shape else np.broadcast_to(ns, ns.shape[:1] + shape))
+        idx = idx.reshape(len(ns), -1)
         nk = tuple(range(int(idx.max(initial=0)) + 1))
     else:
         nk = tuple(ns.ravel().tolist())
-    a00 = np.exp(-0.5 * amag ** 2 + 0.5 * tau_conj * alpha ** 2) / np.sqrt(c)
-    h_m = _scaled_hermite_ladder(max(mk), alpha / (2.0 * c), tau / 2.0)
-    h_n = _scaled_hermite_ladder(max(nk), (tau_conj * alpha - np.conj(alpha)) / 2.0,
-                                 -tau_conj / 2.0)
+    h_m = _scaled_hermite_ladder(max(mk), half_a * cinv, 0.5 * tau)
+    h_n = _scaled_hermite_ladder(max(nk), half_a * tc1, -0.5 * tau_conj)
+    # the contraction's buffers set the call's peak memory: free what it does not read
+    del tau, tau_conj, tc1
 
-    # the contraction's terms set the call's peak memory: free what they do not read
-    del alpha, t, tau, tau_conj
-    terms = _contraction_terms(mk, nk, 0 if per_point else r.ndim)
+    undo_m, undo_n, terms = _contraction_terms(mk, nk, np.ndim(r), per_point)
+    acc = np.empty((len(mk), len(idx) if per_point else len(nk)) + np.shape(r), dtype=complex)
+    # one workspace per call, never shared with another call: each term's
+    # weighted rows and its product, on the term's sub-block
+    work = np.empty((2,) + acc.shape, dtype=complex)
     if per_point:
-        # each point gathers its inputs' weights, and its own entries of the
-        # input ladder's rows laid out flat
-        at = np.arange(r.size).reshape(shape)
+        # each point reads its own entries of the input ladder's rows laid out
+        # flat; an input below i reads a clipped row, and its weight is zero
+        flat, size = idx * r.size + np.arange(r.size), r.size
         h_n = h_n.reshape(-1)
-
-    def term(i):
-        # ((w h_m) h_n) / c^i with one term's rows gathered at a time; tests
-        # compare the sum bit for bit with a plain loop
-        w, rows_m, rows_n = terms[i]
+    scale = 1.0
+    for i, (ra, rows_m, rb, rows_n, w) in enumerate(terms):
+        # only the nonzero sub-block, rows with m >= i times inputs with n >= i:
+        # (w h_m) (h_n / cosh(r)^i); tests compare the sum bit for bit with a plain loop
         if per_point:
-            w, rows_n = w[:, idx], np.maximum(idx - i, 0) * r.size + at
-        return w * h_m.take(rows_m, axis=0) * h_n.take(rows_n, axis=0) / c ** i
-
-    acc = term(0)
-    for i in range(1, len(terms)):
-        # a new sum, not +=: adding in place let the allocator hand each freed
-        # term back to the OS, and blocks of 1,728 points and more ran slower
-        acc = acc + term(i)
-    return (a00 * acc).reshape(ms.shape + ns.shape[:1] + r.shape)
+            w, y = w[:, idx], h_n.take(flat - i * size, mode="clip") * scale
+        else:
+            y = h_n[rows_n] * scale
+        wx, term = work[:, : len(acc) - ra, : acc.shape[1] - rb]
+        np.multiply(w, h_m[rows_m][:, None], out=wx)
+        if i == 0:
+            np.multiply(wx, y[None], out=acc)
+        else:
+            np.multiply(wx, y[None], out=term)
+            np.add(acc[ra:, rb:], term, out=acc[ra:, rb:])
+        scale = scale * cinv
+    out = a00 * acc
+    if undo_m is not None:
+        out = out[undo_m]
+    if undo_n is not None:
+        out = out[:, undo_n]
+    if gauge:
+        phi, n_at = params[3], idx if per_point else ns.reshape((-1,) + (1,) * np.ndim(r))
+        out = out * np.exp(1j * ((ms.reshape((-1, 1) + (1,) * np.ndim(r)) - n_at) * phi))
+    return out.reshape(ms.shape + ns.shape[:1] + shape)
 
 
 def sdf_amplitude(m: int, n: int, g: GaussianParams) -> complex:
@@ -328,14 +392,19 @@ def build_gaussian_matrix(g: GaussianParams, dim: int,
             "truncation edge; use pad >= 16")
     (lam, vec), sectors = _generator_eigensystems(dim + pad)
     k = np.arange(dim + pad)
-    # V e^{-i|alpha| lam} V^T as two real products, times D's row gauge and S's column gauge
-    disp = ((vec * np.cos(g.alpha_mag * lam)) @ vec[:dim].T
-            - 1j * ((vec * np.sin(g.alpha_mag * lam)) @ vec[:dim].T))
-    disp *= np.exp(1j * (g.alpha_phase - 0.5 * g.xi_phase + 0.25 * math.pi) * k)[:, None]
+    # row j of disp is column j of V e^{-i|alpha| lam} V^T, times D's row gauge
+    # and S's column gauge; one matrix-vector product per kept column, and one
+    # dot product per kept entry below, so an entry does not depend on how
+    # many rows and columns the crop keeps
+    cols = vec[:dim, :, None]
+    disp = (np.matmul(vec * np.cos(g.alpha_mag * lam), cols)
+            - 1j * np.matmul(vec * np.sin(g.alpha_mag * lam), cols))[..., 0]
+    disp = disp * np.exp(1j * (g.alpha_phase - 0.5 * g.xi_phase + 0.25 * math.pi) * k)
     out = np.empty((dim, dim), dtype=complex)
     for s, (mu, w) in enumerate(sectors):
         rows = w[: (dim - s + 1) // 2] * np.exp(1j * g.xi_mag * mu)
-        out[s::2] = (rows @ w.T) @ disp[s::2]
+        rows = np.matmul(rows[:, None, None, :], w.T)
+        out[s::2] = np.matmul(rows, np.ascontiguousarray(disp[:, s::2])[:, :, None])[..., 0, 0]
     return (np.exp(1j * (0.5 * g.xi_phase + 0.25 * math.pi) * k[:dim])[:, None] * out
             * np.exp(-1j * (g.alpha_phase + 0.5 * math.pi) * k[:dim]))
 

@@ -25,8 +25,8 @@ VIOLATION_SLACK = 1e-3
 #: coherent-state energy scale floor for the classical sampler
 _MIN_ENERGY_SCALE = 1.0
 
-#: samples per amplitude evaluation; bounds the working memory of each
-#: worker, so a run holds at most workers x chunk samples in flight
+#: samples per amplitude evaluation; bounds the amplitude and coherence
+#: memory of each worker, so a run holds at most workers x chunk of them
 MC_CHUNK = 1 << 14
 
 #: bins of the margin histogram between zero and the threshold
@@ -59,14 +59,18 @@ class McReport:
 
 
 def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Coherences of random pure extreme points of the admissible family.
+                       rng: np.random.Generator, reduce) -> list:
+    """``reduce`` of the coherences of random pure extreme points of the
+    admissible family, one result per chunk of samples.
 
-    Every random number is drawn first, in a fixed order; the amplitudes are
-    then evaluated in chunks of ``MC_CHUNK`` samples of one Fock input each,
-    on one worker thread per usable core.  Working memory is bounded per
-    worker (workers x chunk samples), and the result depends neither on the
-    chunk size nor on the number of workers.
+    Every random number is drawn first, in a fixed order, into arrays of
+    ``samples`` entries: the three Gaussian parameters, and the intrinsic
+    Fock inputs with their sort order or the genuine core states (``2 n``
+    values per sample).  The amplitudes are then evaluated in chunks of
+    ``MC_CHUNK`` samples of one Fock input each, on one worker thread per
+    usable core, and each worker reduces its chunk's coherences itself: no
+    ``samples``-sized array of coherences is formed.  The chunks' results
+    depend neither on the number of workers nor on their timing.
     """
     m, n = pair.m, pair.n
     core = ks = None
@@ -88,7 +92,7 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
             rng.standard_normal(out=core[0])
             rng.standard_normal(out=core[1])
 
-    def evaluate(k, sel) -> None:
+    def evaluate(k, sel):
         if core is None:
             am, an = sdf_amplitude_raw((m, n), int(k), r[sel], th[sel], amag[sel], 0.0)
         else:
@@ -96,9 +100,8 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
             c = core[0][:, sel] + 1j * core[1][:, sel]
             c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
             am, an = np.sum(u * c, axis=0), np.sum(v * c, axis=0)
-        out[sel] = 2.0 * np.abs(am * np.conj(an))
+        return reduce(2.0 * np.abs(am * np.conj(an)))
 
-    out = np.empty(samples)
     if ks is None:
         chunks = [(0, slice(lo, lo + MC_CHUNK)) for lo in range(0, samples, MC_CHUNK)]
     else:
@@ -108,8 +111,7 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
         chunks = [(k, order[lo:min(lo + MC_CHUNK, end)])
                   for k, (start, end) in enumerate(zip([0] + ends, ends))
                   for lo in range(start, end, MC_CHUNK)]
-    _run_chunks(evaluate, chunks)
-    return out
+    return _run_chunks(evaluate, chunks)
 
 
 def _usable_cores() -> int:
@@ -119,27 +121,29 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunks(evaluate, chunks: list) -> None:
-    """Call ``evaluate(*chunk)`` for every chunk, on one thread per usable core.
+def _run_chunks(evaluate, chunks: list) -> list:
+    """``evaluate(*chunk)`` of every chunk, in chunk order, computed on one
+    thread per usable core.
 
     The calling thread is one of the workers: one worker (or one chunk) is
     the plain loop and starts no thread, and only the extra threads keep
-    freed chunk memory in malloc arenas of their own.  The chunks write
-    disjoint slices and numpy releases the GIL inside the kernel, so the
-    threads overlap and the result does not depend on their number.  A
+    freed chunk memory in malloc arenas of their own.  Each chunk's result
+    goes to its own slot and numpy releases the GIL inside the kernel, so the
+    threads overlap and the results do not depend on their number.  A
     worker's exception stops the others after their current chunk and is
     raised once every thread has ended.
     """
-    pending, lock, errors = iter(chunks), threading.Lock(), []
+    pending, lock, errors = iter(enumerate(chunks)), threading.Lock(), []
+    results = [None] * len(chunks)
 
     def work() -> None:
         while not errors:
             with lock:
-                chunk = next(pending, None)
+                i, chunk = next(pending, (None, None))
             if chunk is None:
                 return
             try:
-                evaluate(*chunk)
+                results[i] = evaluate(*chunk)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -154,6 +158,7 @@ def _run_chunks(evaluate, chunks: list) -> None:
             thread.join()
     if errors:
         raise errors[0]
+    return results
 
 
 def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int,
@@ -167,17 +172,20 @@ def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int,
     if samples < 1000:
         raise ValueError("need at least 1e3 samples for a meaningful report")
     thr = threshold(kind, pair).value
-    rng = np.random.default_rng(seed)
-    coh = _sample_coherences(kind, pair, samples, rng)
-
-    margins = thr - coh
-    violations = int(np.sum(coh > thr + VIOLATION_SLACK))
     edges = np.linspace(0.0, thr, HISTOGRAM_BINS + 1)
-    counts, _ = np.histogram(np.clip(margins, 0.0, thr), bins=edges)
+
+    def reduce(coh: np.ndarray) -> tuple:
+        # a chunk's largest coherence, closest approach, violations and margin histogram
+        margins = thr - coh
+        return (coh.max(), margins.min(), int(np.count_nonzero(coh > thr + VIOLATION_SLACK)),
+                np.histogram(np.clip(margins, 0.0, thr), bins=edges)[0])
+
+    highs, lows, over, counts = zip(*_sample_coherences(
+        kind, pair, samples, np.random.default_rng(seed), reduce))
+    counts = np.sum(counts, axis=0)
     hist = tuple((float(edges[i]), float(edges[i + 1]), int(counts[i]))
                  for i in range(HISTOGRAM_BINS))
     return McReport(kind=kind, pair=pair, samples=samples, seed=seed,
-                    max_observed=float(np.max(coh)), threshold=thr,
-                    violations=violations,
-                    closest_approach=float(np.min(margins)),
+                    max_observed=float(max(highs)), threshold=thr,
+                    violations=sum(over), closest_approach=float(min(lows)),
                     margin_histogram=hist)

@@ -131,6 +131,8 @@ def _trust_step(p: np.ndarray, lam: np.ndarray, radius: np.ndarray):
         c, d = coef(mu)
         norm = np.linalg.norm(c, axis=1)
         grow = np.maximum(norm / radius - 1.0, 0.0)
+        if not grow.any():
+            break   # no step exceeds its radius: mu would not move again
         slope = np.divide(c ** 2, d, out=np.zeros_like(c), where=d > 0).sum(axis=1)
         mu = mu + grow * norm ** 2 / np.where(grow > 0, slope, 1.0)
     c, _ = coef(mu)

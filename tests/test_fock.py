@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 from itertools import product
 from math import lgamma
 
@@ -64,19 +66,22 @@ def per_index_amplitude(m: int, n: int, r, th, amag, aph):
 
 def reference_block_amplitude(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     """The block contraction as a plain loop: stacked list ladders, clamped
-    rows recomputed per term and a fresh accumulator per term.  Same
-    operations in the same order as ``sdf_amplitude_raw``, so the two agree
-    bit for bit."""
+    rows recomputed per term, zero weights past ``min(m, n)`` and a fresh
+    accumulator per term.  Same operations in the same order as
+    ``sdf_amplitude_raw`` (the displacement phase gauged away, running powers
+    of ``1/cosh r``), so the two agree bit for bit."""
     ms, ns = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
     r, th, amag, aph = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (xi_mag, xi_phase, alpha_mag, alpha_phase)))
-    alpha = amag * np.exp(1j * aph)
-    t, c = np.tanh(r), np.cosh(r)
-    tau, tau_conj = t * np.exp(1j * th), t * np.exp(-1j * th)
-    a00 = np.exp(-0.5 * amag ** 2 + 0.5 * tau_conj * alpha ** 2) / np.sqrt(c)
-    h_m = np.stack(list_ladder(ms.max(), alpha / (2.0 * c), tau / 2.0)[: ms.max() + 1])
-    h_n = np.stack(list_ladder(ns.max(), (tau_conj * alpha - np.conj(alpha)) / 2.0,
-                               -tau_conj / 2.0)[: ns.max() + 1])
+    if aph.any():
+        th = th - 2.0 * aph
+    cinv, half_a = 1.0 / np.cosh(r), 0.5 * amag
+    tau = np.tanh(r) * np.exp(1j * th)
+    tau_conj = np.conj(tau)
+    a00 = np.exp(half_a * amag * (tau_conj - 1.0)) * np.sqrt(cinv)
+    h_m = np.stack(list_ladder(ms.max(), half_a * cinv, 0.5 * tau)[: ms.max() + 1])
+    h_n = np.stack(list_ladder(ns.max(), half_a * (tau_conj - 1.0),
+                               -0.5 * tau_conj)[: ns.max() + 1])
 
     mv, nv = ms.ravel(), ns.ravel()
     w = np.zeros((min(mv.max(), nv.max()) + 1, mv.size, nv.size) + (1,) * r.ndim)
@@ -84,11 +89,16 @@ def reference_block_amplitude(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
         for i in range(min(mi, ni) + 1):
             w[i, a, b] = math.exp(0.5 * (lgamma(mi + 1) + lgamma(ni + 1)) - lgamma(i + 1)
                                   - lgamma(mi - i + 1) - lgamma(ni - i + 1))
-    acc = np.zeros((mv.size, nv.size) + r.shape, dtype=complex)
+    acc, scale = np.zeros((mv.size, nv.size) + r.shape, dtype=complex), 1.0
     for i in range(len(w)):
         acc = acc + (w[i] * h_m[np.maximum(mv - i, 0)][:, None]
-                     * h_n[np.maximum(nv - i, 0)][None] / c ** i)
-    return (a00 * acc).reshape(ms.shape + ns.shape + r.shape)
+                     * (h_n[np.maximum(nv - i, 0)] * scale)[None])
+        scale = scale * cinv
+    out = a00 * acc
+    if aph.any():
+        out = out * np.exp(1j * ((mv[:, None] - nv[None]).reshape(acc.shape[:2] + (1,) * r.ndim)
+                                 * aph))
+    return out.reshape(ms.shape + ns.shape + r.shape)
 
 
 class TestCoherentAmplitude:
@@ -292,6 +302,82 @@ class TestSdfAmplitude:
             got, want = sdf_amplitude_raw(*call), reference_block_amplitude(*call)
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
+
+    def test_displacement_phase_against_oracle_and_per_index_loop(self, rng):
+        # the phase is gauged away inside the kernel; the matrix oracle and the
+        # per-index loop keep a complex displacement
+        for _ in range(12):
+            m, n = (int(k) for k in rng.integers(0, 11, 2))
+            g = GaussianParams(rng.uniform(0, 1.0), rng.uniform(0, 2 * np.pi),
+                               rng.uniform(0, 2.0), rng.uniform(0.1, 2 * np.pi))
+            mat = build_gaussian_matrix(g, max(m, n) + 1, pad=oracle_dim_for(g, max(m, n) + 1))
+            got = sdf_amplitude_raw(m, n, g.xi_mag, g.xi_phase, g.alpha_mag, g.alpha_phase)
+            assert np.shape(got) == ()
+            assert abs(got - mat[m, n]) < 1e-8
+            assert abs(got - per_index_amplitude(m, n, g.xi_mag, g.xi_phase, g.alpha_mag,
+                                                 g.alpha_phase)) < 1e-12
+        # per-point inputs with a phase per point
+        npts = 40
+        r, th = rng.uniform(0, 1.0, npts), rng.uniform(0, 2 * np.pi, npts)
+        am, ap = rng.uniform(0, 2.0, npts), rng.uniform(0, 2 * np.pi, npts)
+        ap[::5] = 0.0
+        ks = rng.integers(0, 11, npts)
+        got = sdf_amplitude_raw((2, 7), ks[None], r, th, am, ap)
+        assert got.shape == (2, 1, npts)
+        for i in range(npts):
+            g = GaussianParams(r[i], th[i], am[i], ap[i])
+            mat = build_gaussian_matrix(g, 11, pad=oracle_dim_for(g, 11))
+            for a, m in enumerate((2, 7)):
+                assert abs(got[a, 0, i] - mat[m, ks[i]]) < 1e-8
+                assert abs(got[a, 0, i] - per_index_amplitude(m, int(ks[i]), r[i], th[i],
+                                                              am[i], ap[i])) < 1e-12
+
+    def test_unsorted_and_repeated_indices_equal_single_index_calls(self, rng):
+        ms, ks = [3, 0, 3], [4, 1, 1, 0, 7]
+        for params in [(0.4, 1.3, 2.2, 0.0), (0.4, 1.3, 2.2, 0.9),
+                       (rng.uniform(0, 2, 33), rng.uniform(0, 2 * np.pi, 33),
+                        rng.uniform(0, 6, 33), 0.0),
+                       (rng.uniform(0, 2, 33), rng.uniform(0, 2 * np.pi, 33),
+                        rng.uniform(0, 6, 33), rng.uniform(0, 2 * np.pi, 33))]:
+            block = sdf_amplitude_raw(ms, ks, *params)
+            assert block.shape == (3, 5) + np.shape(params[0])
+            for (a, m), (b, k) in product(enumerate(ms), enumerate(ks)):
+                assert np.array_equal(block[a, b], sdf_amplitude_raw(m, k, *params))
+            if np.ndim(params[0]):
+                # per-point inputs in any order, against the block
+                per_point = rng.integers(0, 11, (2, 33))
+                got = sdf_amplitude_raw(ms, per_point, *params)
+                full = sdf_amplitude_raw(ms, range(11), *params)
+                assert np.array_equal(got, np.take_along_axis(full, per_point[None], axis=1))
+
+    def test_threads_calling_at_once_get_the_serial_blocks(self, rng):
+        # each call has its own workspace: more threads than cores, switching
+        # often, all reproduce their serial result bit for bit
+        npts = 1728
+        calls = [((0, 3), range(11), *rng.uniform(0, 2, (3, npts)), 0.0),
+                 ((1, 3), np.tile(np.arange(11), 158)[None, :npts], *rng.uniform(0, 2, (3, npts)),
+                  0.0),
+                 ((2, 5), range(5), *rng.uniform(0, 2, (3, npts)), rng.uniform(0, 6, npts)),
+                 ((0, 6), 4, *rng.uniform(0, 2, (3, npts)), 0.0)]
+        want = [sdf_amplitude_raw(*call) for call in calls]
+        mismatches, interval = [], sys.getswitchinterval()
+
+        def run(j):
+            for _ in range(20):
+                if not np.array_equal(sdf_amplitude_raw(*calls[j % 4]), want[j % 4]):
+                    mismatches.append(j)
+
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(8)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
     def test_bogoliubov_identity(self):
         # D(alpha) S(xi) = S(xi) D(beta) as truncated matrices

@@ -1,6 +1,7 @@
 import dataclasses
 import threading
 
+import numpy as np
 import pytest
 
 from qngcoh import mc
@@ -104,3 +105,21 @@ def test_chunk_error_propagates(monkeypatch):
         mc_verify(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 2), 40 * 1024, seed=1)
     assert threading.active_count() == before
     assert len(calls) < 40    # the workers stop instead of running every chunk
+
+
+def test_chunk_reductions_equal_the_whole_sample():
+    # each worker reduces its own chunks; the merged report is the one the
+    # whole array of coherences gives
+    for kind in ThresholdKind:
+        pair = FockPair(1, 3)
+        report = mc_verify(kind, pair, 50_000, seed=9)
+        coh = np.concatenate(mc._sample_coherences(kind, pair, 50_000,
+                                                   np.random.default_rng(9), lambda c: c))
+        thr = report.threshold
+        edges = np.linspace(0.0, thr, mc.HISTOGRAM_BINS + 1)
+        counts, _ = np.histogram(np.clip(thr - coh, 0.0, thr), bins=edges)
+        assert coh.size == 50_000
+        assert report.max_observed == float(coh.max())
+        assert report.closest_approach == float((thr - coh).min())
+        assert report.violations == int(np.sum(coh > thr + mc.VIOLATION_SLACK))
+        assert [c for _, _, c in report.margin_histogram] == counts.tolist()

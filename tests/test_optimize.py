@@ -190,6 +190,39 @@ def test_trust_step_maximizes_the_model_in_the_ball():
     assert np.all(np.linalg.norm(c, axis=1) <= radius * (1 + 1e-12)) and np.all(gain >= 0)
 
 
+def test_trust_step_leaves_the_secular_loop_without_changing_a_bit():
+    # the secular loop stops once no step exceeds its radius; the full
+    # SECULAR_STEPS iterations give the same steps and gains bit for bit
+    def full_loop(p, lam, radius):
+        curved = np.abs(lam) > 1e-6 * np.abs(lam).max(axis=1, keepdims=True)
+        p = np.where(curved, p, 0.0)
+
+        def coef(mu):
+            d = mu[:, None] - lam
+            return np.divide(p, d, out=np.zeros_like(p), where=d > 0), d
+
+        mu = np.maximum(0.0, np.where(curved, lam + np.abs(p) / radius[:, None],
+                                      -np.inf).max(axis=1))
+        for _ in range(optimize.SECULAR_STEPS):
+            c, d = coef(mu)
+            norm = np.linalg.norm(c, axis=1)
+            grow = np.maximum(norm / radius - 1.0, 0.0)
+            slope = np.divide(c ** 2, d, out=np.zeros_like(c), where=d > 0).sum(axis=1)
+            mu = mu + grow * norm ** 2 / np.where(grow > 0, slope, 1.0)
+        c, _ = coef(mu)
+        c *= (radius / np.maximum(np.linalg.norm(c, axis=1), radius))[:, None]
+        return c, (p * c + 0.5 * lam * c ** 2).sum(axis=1)
+
+    rng = np.random.default_rng(5)
+    for size in (1, 3, 40, 200):
+        for scale in (1e-3, 1.0, 1e3):
+            p = rng.normal(size=(size, 3)) * 10.0 ** rng.uniform(-6, 2, size=(size, 3))
+            lam = -np.abs(rng.normal(size=(size, 3))) * rng.choice([1.0, -0.2], size=(size, 3))
+            radius = scale * 10.0 ** rng.uniform(-3, 1, size=size)
+            got, want = optimize._trust_step(p, lam, radius), full_loop(p, lam, radius)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_concave_quadratic_is_solved_in_one_newton_step():
     a = np.array([[3.0, 0.4, -0.2], [0.4, 2.0, 0.3], [-0.2, 0.3, 1.0]])
     peak = np.array([0.52, 0.31, 0.77])
