@@ -151,23 +151,14 @@ def _scaled_hermite_ladder(kmax: int, xy, ysq) -> np.ndarray:
     the ladder stays finite for arbitrarily small squeezing (ysq -> 0 smoothly
     reduces it to plain powers of 2*xy).
     """
-    h = np.empty((kmax + 1,) + np.shape(ysq), dtype=complex)
+    h = np.empty((kmax + 1,) + np.shape(xy), dtype=complex)
     h[0] = 1.0
     if kmax:
-        h[1] = 2.0 * xy
-        two_xy, tmp = h[1], np.empty_like(ysq)
+        h[1] = two_xy = 2.0 * xy
+    # no in-place updates: 0-d parameters must stay on numpy's scalar complex
+    # arithmetic, which can round differently from its vectorised array loops
     for k in range(1, kmax):
-        if h.ndim == 1:
-            # 0-d parameters stay on numpy's scalar complex arithmetic, which
-            # can round differently from its vectorised array loops
-            h[k + 1] = two_xy * h[k] - 2.0 * k * ysq * h[k - 1]
-            continue
-        # the same operations without temporaries; no product is written over
-        # one of its factors (numpy's complex product may then round differently)
-        np.multiply(2.0 * k, ysq, out=tmp)
-        np.multiply(tmp, h[k - 1], out=h[k + 1])
-        np.multiply(two_xy, h[k], out=tmp)
-        np.subtract(tmp, h[k + 1], out=h[k + 1])
+        h[k + 1] = two_xy * h[k] - 2.0 * k * ysq * h[k - 1]
     return h
 
 

@@ -186,6 +186,6 @@ def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int,
     hist = tuple((float(edges[i]), float(edges[i + 1]), int(counts[i]))
                  for i in range(HISTOGRAM_BINS))
     return McReport(kind=kind, pair=pair, samples=samples, seed=seed,
-                    max_observed=float(max(highs)), threshold=thr,
-                    violations=sum(over), closest_approach=float(min(lows)),
+                    max_observed=float(np.max(highs)), threshold=thr,
+                    violations=sum(over), closest_approach=float(np.min(lows)),
                     margin_histogram=hist)

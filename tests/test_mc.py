@@ -83,7 +83,7 @@ def test_threaded_chunks_match_serial(monkeypatch):
     for cores in (1, 2):
         monkeypatch.setattr(mc, "_usable_cores", lambda: cores)
         reports[cores] = [mc_verify(kind, FockPair(*pair), 5000, seed=17).as_dict()
-                          for pair in ((0, 2), (1, 3)) for kind in ThresholdKind]
+                          for pair in ((0, 2), (0, 3), (1, 3)) for kind in ThresholdKind]
     assert reports[1] == reports[2]
 
 
@@ -105,6 +105,22 @@ def test_chunk_error_propagates(monkeypatch):
         mc_verify(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 2), 40 * 1024, seed=1)
     assert threading.active_count() == before
     assert len(calls) < 40    # the workers stop instead of running every chunk
+
+
+def test_nan_in_a_later_chunk_shows_in_the_report(monkeypatch):
+    # the merge of the chunks' maxima and closest approaches keeps a NaN,
+    # as the reduction over the whole sample does
+    kernel, calls = mc.sdf_amplitude_raw, []
+
+    def nan_on_third_call(*args):
+        calls.append(None)
+        return kernel(*args) * (np.nan if len(calls) == 3 else 1.0)
+
+    monkeypatch.setattr(mc, "MC_CHUNK", 1024)
+    monkeypatch.setattr(mc, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(mc, "sdf_amplitude_raw", nan_on_third_call)
+    report = mc_verify(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 2), 5000, seed=17)
+    assert np.isnan(report.max_observed) and np.isnan(report.closest_approach)
 
 
 def test_chunk_reductions_equal_the_whole_sample():
