@@ -3,7 +3,8 @@
 Every command writes machine-readable output (JSON for structured results,
 CSV for curves) stamped with a run manifest: command, full parameter echo,
 package version, seeds, wall time and truncation dimension.  Exit codes are
-part of the contract so CI can gate on them:
+part of the contract so CI can gate on them (click's own usage errors, such
+as an unknown option or a value of the wrong type, exit 1 for every command):
 
 * ``thresholds``: 0 ok, 1 usage error, 2 threshold failure (on optimizer
   non-convergence partial results are still written, with per-entry status);
@@ -49,6 +50,27 @@ def _parse_pair(text: str) -> FockPair:
 def _fail(code: int, label: str, exc) -> NoReturn:
     click.echo(f"{label}: {exc}", err=True)
     sys.exit(code)
+
+
+@contextmanager
+def _usage_exits_1():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+class _Commands(click.Group):
+    """The commands; a click usage error, the group's or a command's, exits 1, not 2."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_exits_1():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_exits_1():
+            return super().invoke(ctx)
 
 
 @contextmanager
@@ -103,7 +125,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(version=__version__)
 def main() -> None:
     """Quantum non-Gaussian coherence toolbox."""
@@ -174,6 +196,15 @@ def cmd_certify(pair, measured, uncertainty, out: Path) -> int:
           t0, 0 if any(report.verdicts.values()) else 3)
 
 
+def _config_int(value, name: str) -> int:
+    """An integer config value, never truncated: anything else is a config error."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _noise_from_config(blob: dict) -> NoiseConfig:
     unknown = set(blob) - {f.name for f in fields(NoiseConfig)}
     if unknown:
@@ -201,7 +232,8 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
         raw_pairs = blob.get("pairs") or ([blob["pair"]] if "pair" in blob else None)
         if not raw_pairs:
             raise ValueError("config needs 'pair' or 'pairs'")
-        pairs = [FockPair(int(m), int(n)) for m, n in raw_pairs]
+        pairs = [FockPair(_config_int(m, "pair index"), _config_int(n, "pair index"))
+                 for m, n in raw_pairs]
         for pair in pairs:
             build_sequence(pair)   # an unsupported pair is a config error
             problem = _cap_error(kind, pair)
@@ -210,13 +242,13 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
         delays = sorted_times(blob["delays"], "delays")
         noise_block = blob.get("noise", {})
         noise = _noise_from_config(noise_block)
-        n_phases = int(blob.get("phases", 16))
+        n_phases = _config_int(blob.get("phases", 16), "phases")
         if n_phases < 3:
             raise ValueError(f"phases must be at least 3 for a fringe fit, got {n_phases}")
-        shots = None if blob.get("shots") is None else int(blob["shots"])
+        shots = None if blob.get("shots") is None else _config_int(blob["shots"], "shots")
         if shots is not None and shots < 1:
             raise ValueError(f"shots must be positive (null for exact readout), got {shots}")
-        seed = int(blob.get("seed", 0))
+        seed = _config_int(blob.get("seed", 0), "seed")
         if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
     except (KeyError, ValueError, TypeError, OSError, yaml.YAMLError) as exc:

@@ -155,35 +155,23 @@ def _scaled_hermite_ladder(kmax: int, xy, ysq) -> np.ndarray:
     h[0] = 1.0
     if kmax:
         h[1] = two_xy = 2.0 * xy
-    # no in-place updates: 0-d parameters must stay on numpy's scalar complex
-    # arithmetic, which can round differently from its vectorised array loops
     for k in range(1, kmax):
         h[k + 1] = two_xy * h[k] - 2.0 * k * ysq * h[k - 1]
     return h
 
 
-def _rows(rows: list):
-    """Ladder rows as a slice (a view, no copy) when they step evenly upward."""
-    step = rows[1] - rows[0] if len(rows) > 1 else 1
-    if step > 0 and rows == list(range(rows[0], rows[-1] + 1, step)):
-        return slice(rows[0], rows[-1] + 1, step)
-    return np.array(rows)
-
-
 @lru_cache(maxsize=256)
-def _contraction_terms(ms: tuple, ns: tuple, ndim: int, per_point: bool) -> tuple:
-    """Read-only plan ``(undo_m, undo_n, terms)`` of the contraction.
+def _contraction_terms(ms: tuple, ns: tuple, per_point: bool) -> tuple:
+    """Read-only terms of the contraction, one per number ``i`` of ladder contractions.
 
-    The contraction runs over the indices sorted in ascending order, so the
-    rows with ``m >= i`` and the inputs with ``n >= i`` that term ``i`` reads
-    are suffixes ``[ra:]`` and ``[rb:]``; ``undo_m``/``undo_n`` restore the
-    given order (``None`` when it is sorted).  Term ``i`` is ``(ra, rows_m,
-    rb, rows_n, w)``: ``rows_m``/``rows_n`` index the ladder rows ``m - i``/
-    ``n - i`` of the suffixes (slices where they step evenly) and ``w[a, b] =
-    sqrt(m! n!) / (i! (m-i)! (n-i)!)`` is held complex and shaped to
-    broadcast over ``ndim`` parameter axes.  Per-point inputs (``ns`` is then
-    ``0 .. max``) keep every input: ``rb`` is 0, ``rows_n`` is ``None`` and
-    ``w[a, n]`` is a table by input value, zero for ``n < i``.
+    ``ms`` and ``ns`` are each a non-negative index or an evenly stepped
+    ascending run, else ``ValueError`` (on every call: a raise is not
+    cached).  Term ``i`` reads the suffixes ``[ra:]``/``[rb:]`` with ``m >= i``
+    and ``n >= i``, whose ladder rows ``m - i``/``n - i`` are slices: it is
+    ``(ra, rows_m, rb, rows_n, w)``, ``w[a, b] = sqrt(m! n!) / (i! (m-i)!
+    (n-i)!)`` complex with a trailing point axis.  Per-point inputs (``ns``
+    is ``0 .. max``) keep every input: ``rb`` is 0, ``rows_n`` is ``None``
+    and ``w[a, n]`` is a table by input value, zero for ``n < i``.
     """
     def weight(m: int, n: int, i: int) -> float:
         if min(m, n) < i:
@@ -191,25 +179,24 @@ def _contraction_terms(ms: tuple, ns: tuple, ndim: int, per_point: bool) -> tupl
         return math.exp(0.5 * (lgamma(m + 1) + lgamma(n + 1)) - lgamma(i + 1)
                         - lgamma(m - i + 1) - lgamma(n - i + 1))
 
-    def plan(idx: tuple) -> tuple:
-        order = sorted(range(len(idx)), key=idx.__getitem__)
-        undo = None if order == sorted(order) else np.argsort(order)
-        return [idx[j] for j in order], undo
+    def step(idx: tuple) -> int:
+        by = idx[1] - idx[0] if len(idx) > 1 else 1
+        if not idx or idx[0] < 0 or by < 1 or idx != tuple(range(idx[0], idx[-1] + 1, by)):
+            raise ValueError("an index block must be a non-negative index or an evenly "
+                             f"stepped ascending run, got {list(idx)}")
+        return by
 
-    sm, undo_m = plan(ms)
-    sn, undo_n = (list(ns), None) if per_point else plan(ns)
+    by_m, by_n = step(ms), step(ns)
     terms = []
-    for i in range(min(sm[-1], sn[-1]) + 1):
-        ra = next(a for a, m in enumerate(sm) if m >= i)
-        rb = 0 if per_point else next(b for b, n in enumerate(sn) if n >= i)
-        w = np.array([[weight(m, n, i) for n in sn[rb:]] for m in sm[ra:]], dtype=complex)
-        terms.append((ra, _rows([m - i for m in sm[ra:]]), rb,
-                      None if per_point else _rows([n - i for n in sn[rb:]]),
-                      w if per_point else w.reshape(w.shape + (1,) * ndim)))
-    for arr in (undo_m, undo_n, *(t[k] for t in terms for k in (1, 3, 4))):
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-    return undo_m, undo_n, tuple(terms)
+    for i in range(min(ms[-1], ns[-1]) + 1):
+        ra = next(a for a, m in enumerate(ms) if m >= i)
+        rb = 0 if per_point else next(b for b, n in enumerate(ns) if n >= i)
+        w = np.array([[weight(m, n, i) for n in ns[rb:]] for m in ms[ra:]], dtype=complex)
+        w.flags.writeable = False
+        terms.append((ra, slice(ms[ra] - i, ms[-1] - i + 1, by_m), rb,
+                      None if per_point else slice(ns[rb] - i, ns[-1] - i + 1, by_n),
+                      w if per_point else w[..., None]))
+    return tuple(terms)
 
 
 def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
@@ -219,15 +206,19 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     generating kernels: the result is a finite contraction of two rescaled
     Hermite ladders, one per Fock index, summed over the number of ladder
     contractions.  The displacement is real: its phase is gauged away (see
-    the module docstring).  Broadcasts over array-valued Gaussian parameters;
-    ``m`` and ``n`` may be 1-D index sequences (in any order, repeats
-    allowed), and the ladders up to the largest index then give the whole
-    block, of shape ``shape(m) + shape(n) + shape(params)``.
+    the module docstring).  ``m`` and ``n`` are each a non-negative index or
+    an evenly stepped ascending run, such as ``(pair.m, pair.n)`` or
+    ``range(k)`` (any other block raises ``ValueError``), and the ladders up
+    to the largest index give the whole block, of shape ``shape(m) +
+    shape(n) + shape(params)``.  The parameters broadcast on one flat point
+    axis; a 0-d call is a one-point batch, so it gives the same bits as the
+    same point inside a batch.
 
-    An ``n`` of two or more axes gives each point its own inputs: its first
-    axis is the block of inputs and its further axes broadcast against the
-    parameters, for a result of shape ``shape(m) + shape(n)[:1] +
-    shape(params)``.  Each entry equals the block form's for its input.
+    An ``n`` of two or more axes gives each point its own inputs, in any
+    order: its first axis is the block of inputs and its further axes
+    broadcast against the parameters, for a result of shape ``shape(m) +
+    shape(n)[:1] + shape(params)``.  Each entry equals the block form's for
+    its input.
     """
     ms, ns = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
     phi = np.asarray(alpha_phase, dtype=float)
@@ -237,17 +228,8 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     if gauge:
         params[1] = params[1] - 2.0 * phi
         params.append(phi)
-    # one flat point axis; 0-d parameters stay 0-d, on numpy's scalar arithmetic
-    if shape:
-        params = [(x if x.shape == shape else np.broadcast_to(x, shape)).reshape(-1)
-                  for x in params]
+    params = [(x if x.shape == shape else np.broadcast_to(x, shape)).reshape(-1) for x in params]
     r, th, amag = params[:3]
-
-    cinv, half_a = 1.0 / np.cosh(r), 0.5 * amag
-    tau = np.tanh(r) * np.exp(1j * th)
-    tau_conj = np.conj(tau)
-    tc1 = tau_conj - 1.0
-    a00 = np.exp(half_a * amag * tc1) * np.sqrt(cinv)
 
     per_point = ns.ndim > 1
     mk = tuple(ms.ravel().tolist())
@@ -257,13 +239,19 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
         nk = tuple(range(int(idx.max(initial=0)) + 1))
     else:
         nk = tuple(ns.ravel().tolist())
-    h_m = _scaled_hermite_ladder(max(mk), half_a * cinv, 0.5 * tau)
-    h_n = _scaled_hermite_ladder(max(nk), half_a * tc1, -0.5 * tau_conj)
+    terms = _contraction_terms(mk, nk, per_point)
+
+    cinv, half_a = 1.0 / np.cosh(r), 0.5 * amag
+    tau = np.tanh(r) * np.exp(1j * th)
+    tau_conj = np.conj(tau)
+    tc1 = tau_conj - 1.0
+    a00 = np.exp(half_a * amag * tc1) * np.sqrt(cinv)
+    h_m = _scaled_hermite_ladder(mk[-1], half_a * cinv, 0.5 * tau)
+    h_n = _scaled_hermite_ladder(nk[-1], half_a * tc1, -0.5 * tau_conj)
     # the contraction's buffers set the call's peak memory: free what it does not read
     del tau, tau_conj, tc1
 
-    undo_m, undo_n, terms = _contraction_terms(mk, nk, np.ndim(r), per_point)
-    acc = np.empty((len(mk), len(idx) if per_point else len(nk)) + np.shape(r), dtype=complex)
+    acc = np.empty((len(mk), len(idx) if per_point else len(nk), r.size), dtype=complex)
     # one workspace per call, never shared with another call: each term's
     # weighted rows and its product, on the term's sub-block
     work = np.empty((2,) + acc.shape, dtype=complex)
@@ -288,14 +276,11 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
             np.multiply(wx, y[None], out=term)
             np.add(acc[ra:, rb:], term, out=acc[ra:, rb:])
         scale = scale * cinv
-    out = a00 * acc
-    if undo_m is not None:
-        out = out[undo_m]
-    if undo_n is not None:
-        out = out[:, undo_n]
+    # not a00 * acc: broadcast from 1-D, a one-point a00 takes a loop that rounds unlike a batch's
+    out = a00[None, None] * acc
     if gauge:
-        phi, n_at = params[3], idx if per_point else ns.reshape((-1,) + (1,) * np.ndim(r))
-        out = out * np.exp(1j * ((ms.reshape((-1, 1) + (1,) * np.ndim(r)) - n_at) * phi))
+        n_at = idx if per_point else ns.reshape(-1, 1)
+        out = out * np.exp(1j * ((ms.reshape(-1, 1, 1) - n_at) * params[3]))
     return out.reshape(ms.shape + ns.shape[:1] + shape)
 
 

@@ -71,7 +71,7 @@ NAMES_TO_KIND = {v: k for k, v in KIND_NAMES.items()}
 
 
 def parse_kind(name: str) -> ThresholdKind:
-    key = name.strip().lower()
+    key = name.strip().lower() if isinstance(name, str) else None
     if key not in NAMES_TO_KIND:
         raise ValueError(
             f"unknown threshold kind {name!r}; choose from {sorted(NAMES_TO_KIND)}")

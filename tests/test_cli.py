@@ -18,6 +18,7 @@ from qngcoh.optimize import NonConvergenceError
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = SRC_DIR / "qngcoh" / "schemas"
+REFERENCE = SRC_DIR.parent / "perfbench" / "reference.json"
 
 
 def validate(payload: dict, schema_name: str) -> None:
@@ -179,11 +180,11 @@ class TestSimulateCommand:
         assert depths[0] == "delay_s,contrast,depth"
 
     def test_manifest_reports_truncation_used(self, runner, tmp_path):
-        # the README scenario cut to two delays; the tail bound picks 14/14
-        # levels for (0,2) and 16/17 for (0,4)
+        # the README scenario: its largest tail-bound truncation is 18 levels,
+        # and its 8 contrasts match perfbench/reference.json within 1e-9
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({
-            "pairs": [[0, 2], [0, 4]], "delays": [0.0, 0.004],
+            "pairs": [[0, 2], [0, 4]], "delays": [0.0, 0.004, 0.008, 0.012],
             "noise": {"initial_thermal_nbar": 0.07, "heating_rate": 3.2,
                       "dephasing_rate": 1.0},
             "phases": 16, "shots": None, "seed": 1, "kind": "genuine"}))
@@ -193,7 +194,14 @@ class TestSimulateCommand:
         assert result.exit_code == 0
         payload = json.loads((out_dir / "summary.json").read_text())
         validate(payload, "simulation_summary.schema.json")
-        assert payload["manifest"]["truncation_dim"] == 17
+        assert payload["manifest"]["truncation_dim"] == 18
+        want = {key: value for key, value in json.loads(REFERENCE.read_text())["ramsey"].items()
+                if key.startswith("readme/exact/")}
+        got = {f"readme/exact/{pair}/{i}": point["contrast"]
+               for pair, points in payload["scans"].items() for i, point in enumerate(points)}
+        assert len(want) == 8 and sorted(got) == sorted(want)
+        for key, ref in want.items():
+            assert abs(got[key] - ref) <= 1e-9, key
 
     def test_depth_ratio_04_vs_06(self, runner, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -231,7 +239,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("key, value, message", [
         ("phases", 2, "phases must be at least 3"),
         ("delays", [0.004, 0.0], "delays must be sorted ascending"),
-        ("delays", [-0.01, 0.0], ">= 0 and finite")])
+        ("delays", [-0.01, 0.0], ">= 0 and finite"),
+        ("phases", 3.9, "phases must be an integer, got 3.9"),
+        ("phases", True, "phases must be an integer, got True"),
+        ("shots", 2.5, "shots must be an integer, got 2.5")])
     def test_scan_shape_config_error(self, runner, tmp_path, key, value, message):
         # a scan no fringe can be fitted from is a bad config, found before
         # any delay is simulated
@@ -247,17 +258,25 @@ class TestSimulateCommand:
         None, "- 0.0\n- 0.004\n", "pairs: [[0]]\ndelays: [0.0]\n",
         "pairs: [[1, 4]]\ndelays: [0.0]\n", "pairs: [[0, 9]]\ndelays: [0.0]\n",
         "pair: [0, 1]\ndelays: [0.0]\nseed: -1\n",
-        "pair: [9, 11]\ndelays: [0.0]\nkind: genuine\n"],
+        "pair: [9, 11]\ndelays: [0.0]\nkind: genuine\n",
+        "pairs: [[0, 2.7]]\ndelays: [0.0]\n", "pair: [0, true]\ndelays: [0.0]\n",
+        "pair: [0, 1]\ndelays: [0.0]\nseed: 1.9\n",
+        "pair: [0, 1]\ndelays: [0.0]\nshots: .inf\n",
+        "pair: [0, 1]\ndelays: [0.0]\nkind: 3\n", "pair: [0, 1]\ndelays: [0.0]\nkind: null\n"],
         ids=["missing-file", "top-level-list", "one-index-pair", "unsupported-delta",
-             "unsupported-ladder", "negative-seed", "unvalidated-threshold"])
+             "unsupported-ladder", "negative-seed", "unvalidated-threshold",
+             "fractional-index", "boolean-index", "fractional-seed", "infinite-shots",
+             "numeric-kind", "null-kind"])
     def test_unreadable_config_error(self, runner, tmp_path, text):
+        # read as a config error on one line, not truncated to an integer and
+        # not a traceback
         cfg = tmp_path / "cfg.yaml"
         if text is not None:
             cfg.write_text(text)
         result = runner.invoke(main, ["simulate", "--config", str(cfg),
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
-        assert "config error" in result.output
+        assert result.stderr.startswith("config error: ") and result.stderr.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["dephasing_rate", "heating_rate"])
@@ -344,6 +363,25 @@ class TestMcVerifyCommand:
         assert result.exit_code == 2
         assert f"threshold failure: {error}" in result.output
         assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args", [
+    ["mc-verify", "--kind", "classical", "--pair", "0,1", "--samples", "abc", "--out", "OUT"],
+    ["certify", "--pair", "0,2", "--measured", "abc", "--out", "OUT"],
+    ["thresholds", "--pair", "0,2"],
+    ["mc-verify", "--kind", "bogus", "--pair", "0,1", "--out", "OUT"],
+    ["thresholds", "--pair", "0,1", "--bogus", "--out", "OUT"],
+    ["--bogus", "thresholds"], ["bogus"]],
+    ids=["non-integer-samples", "non-numeric-measured", "missing-out", "unknown-kind",
+         "unknown-option", "unknown-group-option", "unknown-command"])
+def test_click_usage_errors_exit_1(runner, tmp_path, args):
+    # click's own usage errors exit 1 like every usage error: 2 means a
+    # threshold failure or a simulation error
+    out = tmp_path / "out.json"
+    result = runner.invoke(main, [str(out) if a == "OUT" else a for a in args])
+    assert result.exit_code == 1
+    assert "Error:" in result.stderr
+    assert not out.exists()
 
 
 RUNTIME_WITHOUT_SCIPY = """

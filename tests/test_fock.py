@@ -69,10 +69,13 @@ def reference_block_amplitude(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     rows recomputed per term, zero weights past ``min(m, n)`` and a fresh
     accumulator per term.  Same operations in the same order as
     ``sdf_amplitude_raw`` (the displacement phase gauged away, running powers
-    of ``1/cosh r``), so the two agree bit for bit."""
+    of ``1/cosh r``, one flat point axis even for a 0-d call), so the two
+    agree bit for bit."""
     ms, ns = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
-    r, th, amag, aph = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (xi_mag, xi_phase, alpha_mag, alpha_phase)))
+    r, th, amag, aph = (x.reshape(-1) for x in np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (xi_mag, xi_phase, alpha_mag, alpha_phase))))
+    shape = np.broadcast_shapes(*(np.shape(x) for x in (xi_mag, xi_phase, alpha_mag,
+                                                         alpha_phase)))
     if aph.any():
         th = th - 2.0 * aph
     cinv, half_a = 1.0 / np.cosh(r), 0.5 * amag
@@ -84,7 +87,7 @@ def reference_block_amplitude(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
                                -0.5 * tau_conj)[: ns.max() + 1])
 
     mv, nv = ms.ravel(), ns.ravel()
-    w = np.zeros((min(mv.max(), nv.max()) + 1, mv.size, nv.size) + (1,) * r.ndim)
+    w = np.zeros((min(mv.max(), nv.max()) + 1, mv.size, nv.size, 1))
     for (a, mi), (b, ni) in product(enumerate(mv.tolist()), enumerate(nv.tolist())):
         for i in range(min(mi, ni) + 1):
             w[i, a, b] = math.exp(0.5 * (lgamma(mi + 1) + lgamma(ni + 1)) - lgamma(i + 1)
@@ -94,11 +97,10 @@ def reference_block_amplitude(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
         acc = acc + (w[i] * h_m[np.maximum(mv - i, 0)][:, None]
                      * (h_n[np.maximum(nv - i, 0)] * scale)[None])
         scale = scale * cinv
-    out = a00 * acc
+    out = a00[None, None] * acc
     if aph.any():
-        out = out * np.exp(1j * ((mv[:, None] - nv[None]).reshape(acc.shape[:2] + (1,) * r.ndim)
-                                 * aph))
-    return out.reshape(ms.shape + ns.shape + r.shape)
+        out = out * np.exp(1j * ((mv[:, None] - nv[None])[..., None] * aph))
+    return out.reshape(ms.shape + ns.shape + shape)
 
 
 class TestCoherentAmplitude:
@@ -205,6 +207,7 @@ class TestSdfAmplitude:
             assert abs(sdf_amplitude(m, n, g) - mat[m, n]) < 1e-8
 
     def test_batch_matches_scalar(self, rng):
+        # a scalar call runs on the same one point axis as a batch: same bits
         r = rng.uniform(0, 1.5, 16)
         th = rng.uniform(0, 2 * np.pi, 16)
         am = rng.uniform(0, 3.0, 16)
@@ -212,11 +215,11 @@ class TestSdfAmplitude:
         batch = sdf_amplitude_raw(3, 2, r, th, am, ap)
         for i in range(16):
             g = GaussianParams(r[i], th[i], am[i], ap[i])
-            assert batch[i] == pytest.approx(sdf_amplitude(3, 2, g), abs=1e-12)
+            assert batch[i] == sdf_amplitude(3, 2, g)
 
     def test_block_matches_per_index(self, rng):
         # rows above and below every column index, and squeezing down to zero
-        ms, ks = [0, 2, 5, 9], [0, 1, 3, 7, 10]
+        ms, ks = range(0, 11, 5), range(1, 10, 2)
         for npts in (1, 33):
             r = rng.uniform(0, 2.0, npts)
             r[: npts // 3] = 0.0
@@ -284,15 +287,15 @@ class TestSdfAmplitude:
         assert np.array_equal(got, np.take_along_axis(block, ks, axis=0))
         got = sdf_amplitude_raw((m, n), np.array([[2], [7]]), 0.3, 1.1, am[:40], 0.0)
         assert np.array_equal(got, sdf_amplitude_raw((m, n), [2, 7], 0.3, 1.1, am[:40], 0.0))
-        # a point axis of length 1 makes the parameters 1-D arrays, whose loops
-        # may round differently from 0-d scalar arithmetic
-        assert np.array_equal(sdf_amplitude_raw(m, [[n], [4]], 0.2, 0.5, 1.5, 0.7),
-                              sdf_amplitude_raw(m, [n, 4], [0.2], 0.5, 1.5, 0.7))
+        # scalar parameters are a one-point batch, per-point inputs or not
+        lo, hi = sorted((n, 4))
+        assert np.array_equal(sdf_amplitude_raw(m, [[lo], [hi]], 0.2, 0.5, 1.5, 0.7),
+                              sdf_amplitude_raw(m, [lo, hi], 0.2, 0.5, 1.5, 0.7)[:, None])
 
     def test_scalar_and_mixed_bit_identical_to_reference_loop(self, rng):
         calls = [(1, 2, 0.1, 0.2, 0.3, 0.0), (4, 4, 0.0, 1.1, 2.0, 0.4),
                  (0, 0, 0.0, 0.0, 0.0, 0.0),
-                 ([0, 2, 5, 9], [0, 1, 3, 7, 10], 0.3, rng.uniform(0, 6, 7), 1.2,
+                 (range(0, 11, 5), range(1, 10, 2), 0.3, rng.uniform(0, 6, 7), 1.2,
                   rng.uniform(0, 6, 7)),
                  (3, [0, 4], rng.uniform(0, 2, (3, 4)), 0.5, 2.0, 0.0),
                  (range(11), 4, rng.uniform(0, 2, 5), 0.5, rng.uniform(0, 6, 5), 1.0)]
@@ -332,23 +335,27 @@ class TestSdfAmplitude:
                 assert abs(got[a, 0, i] - per_index_amplitude(m, int(ks[i]), r[i], th[i],
                                                               am[i], ap[i])) < 1e-12
 
-    def test_unsorted_and_repeated_indices_equal_single_index_calls(self, rng):
-        ms, ks = [3, 0, 3], [4, 1, 1, 0, 7]
-        for params in [(0.4, 1.3, 2.2, 0.0), (0.4, 1.3, 2.2, 0.9),
-                       (rng.uniform(0, 2, 33), rng.uniform(0, 2 * np.pi, 33),
-                        rng.uniform(0, 6, 33), 0.0),
+    @pytest.mark.parametrize("ms, ks", [
+        ([3, 0], 1), (2, [4, 1, 0]), ([0, 3, 3], 1), (1, [2, 2]), ([0, 2, 5], 1),
+        (0, [0, 1, 3, 7]), (-1, 2), (1, -2), ([-1, 0, 1], 1), (1, [-2, 0, 2])],
+        ids=["unsorted-m", "unsorted-n", "repeated-m", "repeated-n", "uneven-m", "uneven-n",
+             "negative-m", "negative-n", "negative-run-m", "negative-run-n"])
+    def test_blocks_other_than_stepped_runs_rejected(self, rng, ms, ks):
+        # a block is a non-negative index or an evenly stepped ascending run;
+        # a rejected block raises again on a second call, and per-point inputs
+        # do not slip a bad row block through
+        for params in [(0.4, 1.3, 2.2, 0.0),
                        (rng.uniform(0, 2, 33), rng.uniform(0, 2 * np.pi, 33),
                         rng.uniform(0, 6, 33), rng.uniform(0, 2 * np.pi, 33))]:
-            block = sdf_amplitude_raw(ms, ks, *params)
-            assert block.shape == (3, 5) + np.shape(params[0])
-            for (a, m), (b, k) in product(enumerate(ms), enumerate(ks)):
-                assert np.array_equal(block[a, b], sdf_amplitude_raw(m, k, *params))
-            if np.ndim(params[0]):
-                # per-point inputs in any order, against the block
-                per_point = rng.integers(0, 11, (2, 33))
-                got = sdf_amplitude_raw(ms, per_point, *params)
-                full = sdf_amplitude_raw(ms, range(11), *params)
-                assert np.array_equal(got, np.take_along_axis(full, per_point[None], axis=1))
+            for _ in range(2):
+                with pytest.raises(ValueError, match="evenly stepped ascending run"):
+                    sdf_amplitude_raw(ms, ks, *params)
+        if isinstance(ms, list) or ms < 0:   # the row block is the bad one
+            with pytest.raises(ValueError, match="evenly stepped ascending run"):
+                sdf_amplitude_raw(ms, np.zeros((1, 33), dtype=int), *params)
+        # a good block still runs, a 0-d call as a one-point batch
+        assert sdf_amplitude_raw(1, 2, 0.4, 1.3, 2.2, 0.0) == sdf_amplitude_raw(
+            [1], [2], [0.4], 1.3, 2.2, 0.0)[0, 0, 0]
 
     def test_threads_calling_at_once_get_the_serial_blocks(self, rng):
         # each call has its own workspace: more threads than cores, switching

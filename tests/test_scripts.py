@@ -60,8 +60,19 @@ def test_decay_curves_short_scan(tmp_path):
 
 
 def test_decay_curves_defaults(tmp_path):
+    # the defaults' contrasts against the 59 non-null decay-curves/exact
+    # references of perfbench/reference.json, within 1e-9
     run_script("run_decay_curves.py", tmp_path)
     check_decay_curves(tmp_path, 9)
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())["ramsey"]
+    want = {key: value for key, value in reference.items()
+            if key.startswith("decay-curves/exact/") and value is not None}
+    got = {f"decay-curves/exact/{m},{n}/{i}": float(row[1])
+           for m, n in DECAY_PAIRS
+           for i, row in enumerate(read_csv(tmp_path / f"decay_{m}_{n}.csv")[1:])}
+    assert len(want) == 59
+    for key, ref in want.items():
+        assert abs(got[key] - ref) <= 1e-9, key
 
 
 def test_all_pairs_compares_two_outputs(tmp_path):

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from qngcoh.fock import (FockPair, GaussianParams,
                          bogoliubov_displacement, build_gaussian_matrix,
                          coherence_quantifier, sdf_amplitude_raw)
 from qngcoh import thresholds as thresholds_module
+from qngcoh.cli import main
 from qngcoh.optimize import Group, maximize
 from qngcoh.thresholds import (ALPHA_BOUND, ALPHA_CAP, MAX_FOCK, ORDERED_KINDS, XI_BOUND,
                                XI_CAP, ThresholdKind, _pair_objective, _search_gaussian,
@@ -282,7 +284,8 @@ class TestSearchReproducibility:
 
 class TestBenchmarkThresholds:
     """The benchmark pairs' thresholds against ``perfbench/reference.json``,
-    within 1e-12 and never below it by more than 1e-14."""
+    within 1e-12 and never below it by more than 1e-14; every searched entry
+    converged and did not end on the capped box."""
 
     PAIRS = ((0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (2, 3))
 
@@ -307,6 +310,28 @@ class TestBenchmarkThresholds:
                 assert trace["converged"], (kind, m, n)
                 # one 19-point stencil per step of each of the two best starts
                 assert all(s["nfev"] % 19 == 0 for s in trace["starts"][:2])
+
+    def test_searched_thresholds_not_at_cap(self):
+        for m, n in self.PAIRS:
+            for kind in ORDERED_KINDS[1:]:
+                assert threshold(kind, FockPair(m, n)).diagnostics["at_cap"] is False, (kind, m, n)
+
+    def test_thresholds_command_reports_the_reference(self, reference, tmp_path):
+        # the console command on the 8 pairs (memo warm) writes the same values and flags
+        out = tmp_path / "pairs.json"
+        args = [a for m, n in self.PAIRS for a in ("--pair", f"{m},{n}")]
+        result = CliRunner().invoke(main, ["thresholds", *args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = json.loads(out.read_text())["results"]
+        got = {f"{kind}/{pair}": entry["value"] for pair, row in rows.items()
+               for kind, entry in row.items()}
+        assert sorted(got) == sorted(reference)
+        for key, want in reference.items():
+            assert abs(got[key] - want) <= 1e-12, key
+            assert got[key] >= want - 1e-14, key
+        for pair, row in rows.items():
+            for kind in ("gaussian-min", "intrinsic", "genuine"):
+                assert (row[kind]["converged"], row[kind]["at_cap"]) == (True, False), (kind, pair)
 
     def test_genuine_core_states_are_unit_norm(self):
         for m, n in self.PAIRS:
@@ -500,3 +525,6 @@ def test_parse_kind_names():
     assert parse_kind("GENUINE") == ThresholdKind.GENUINE_N
     with pytest.raises(ValueError):
         parse_kind("bogus")
+    for name in (3, None, True):
+        with pytest.raises(ValueError, match="unknown threshold kind"):
+            parse_kind(name)
