@@ -205,11 +205,20 @@ def _config_int(value, name: str) -> int:
     return value
 
 
+def _config_number(value, name: str):
+    """A numeric config value as given: a bool or a string is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _noise_from_config(blob: dict) -> NoiseConfig:
+    if not isinstance(blob, dict):
+        raise ValueError(f"noise must be a mapping, got {type(blob).__name__}")
     unknown = set(blob) - {f.name for f in fields(NoiseConfig)}
     if unknown:
         raise ValueError(f"unknown noise keys: {sorted(unknown)}")
-    return NoiseConfig(**blob)
+    return NoiseConfig(**{key: _config_number(value, key) for key, value in blob.items()})
 
 
 @main.command("simulate")
@@ -235,11 +244,11 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
         pairs = [FockPair(_config_int(m, "pair index"), _config_int(n, "pair index"))
                  for m, n in raw_pairs]
         for pair in pairs:
-            build_sequence(pair)   # an unsupported pair is a config error
             problem = _cap_error(kind, pair)
             if problem is not None:
                 raise ValueError(f"{KIND_NAMES[kind]} threshold at pair {pair}: {problem}")
-        delays = sorted_times(blob["delays"], "delays")
+            build_sequence(pair)   # an unsupported pair is a config error
+        delays = sorted_times([_config_number(t, "delay") for t in blob["delays"]], "delays")
         noise_block = blob.get("noise", {})
         noise = _noise_from_config(noise_block)
         n_phases = _config_int(blob.get("phases", 16), "phases")

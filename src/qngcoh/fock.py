@@ -236,6 +236,8 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     if per_point:
         idx = (ns if ns.shape[1:] == shape else np.broadcast_to(ns, ns.shape[:1] + shape))
         idx = idx.reshape(len(ns), -1)
+        if idx.min(initial=0) < 0:
+            raise ValueError(f"per-point inputs must be non-negative, got {idx.min()}")
         nk = tuple(range(int(idx.max(initial=0)) + 1))
     else:
         nk = tuple(ns.ravel().tolist())

@@ -4,10 +4,10 @@ Coarse grid seeding over the box, then a trust-region Newton ascent from the
 best seeds.  Gradient and Hessian come from a central-difference stencil of
 the objective around each start's trial point, and the starts advance in
 lockstep: every step evaluates the stencils of all starts still running in
-one batch.  A trial is accepted only if it does not lower the value, and
-a start stops when its next step would gain less than ``FINISH_GAIN``.
-Deterministic: no randomness enters the search, so identical specs give
-identical results.
+one batch, and each grid is one batch of all its rows.  A trial is accepted
+only if it does not lower the value; a start stops when its next step would
+gain less than ``FINISH_GAIN`` or its trust radius falls below the stencil
+step.  Deterministic: identical specs give identical results.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ def _ascend(fun: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
     step.  An accepted step widens the trust radius to twice its length (as
     the box clips it); a rejected one keeps the model and cuts the radius to
     a quarter of that length.  A start stops when its next step would gain
-    less than ``FINISH_GAIN`` (relative to ``max(1, |f|)``), or unsuccessfully
-    after ``MAX_STEPS`` stencils.  Returns the points, values, accepted steps,
-    evaluations and success flags per start.
+    less than ``FINISH_GAIN`` (relative to ``max(1, |f|)``) or its radius is
+    below the stencil step, unsuccessfully after ``MAX_STEPS`` stencils.
+    Returns the points, values, accepted steps, evaluations and successes.
     """
     n_pts, ndim = x.shape
     sel = _stencil(ndim)
@@ -183,7 +183,8 @@ def _ascend(fun: Callable[[np.ndarray, np.ndarray], np.ndarray], x: np.ndarray,
         c, gain = _trust_step(p[act], lam[act], radius[act])
         trial[act] = np.clip(x[act] + (vec[act] * c[:, None, :]).sum(axis=2), lo, hi)
         length[act] = np.linalg.norm(trial[act] - x[act], axis=1)
-        act = act[gain > FINISH_GAIN * np.maximum(1.0, np.abs(fx[act]))]
+        act = act[(gain > FINISH_GAIN * np.maximum(1.0, np.abs(fx[act])))
+                  & (radius[act] >= h.min())]
     return x, fx, steps, evals, ~np.isin(np.arange(n_pts), act)
 
 
@@ -212,18 +213,20 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
              groups: Sequence[Group] = (Group(),)) -> MaximizeResult:
     """Maximize over the box in ``spec``.
 
-    ``batch_objective(pts, rows)`` returns the value of objective row
-    ``rows[i]`` at ``pts[i]`` for a whole ``(npts, ndim)`` array at once, and
-    drives every stage of the search.  Without it, the scalar ``objective``
-    (a one-row objective) is applied point by point in its place.
+    ``batch_objective(pts, rows)`` evaluates an ``(npts, ndim)`` array at
+    once, ``rows`` broadcast against the point axis: rows of shape ``(npts,)``
+    give row ``rows[i]`` at ``pts[i]``, rows of shape ``(R, 1)`` the ``(R, npts)``
+    table of every row at every point.  It drives every stage of the search;
+    without it, the scalar ``objective`` (one row) is applied point by point.
 
     Each entry of ``groups`` searches its row (several entries may share one)
     from its own grid and seeds with its own starts in the one lockstep run,
     so its result is what it would get alone as long as no point's value
-    depends on the others in its batch.  Each group's grid and seeds are one
-    call, and each step of the ascent is one call over every group's running
-    starts.  The result is the best group's, with every start in its trace
-    and each group's result in ``groups``.
+    depends on the others in its batch.  Each distinct grid is one call, the
+    table of the rows of the groups on it (a group with seeds has its grid
+    to itself, a table of one row), and each step of the ascent is one call
+    over every group's running starts.  The result is the best group's, with
+    every start in its trace and each group's result in ``groups``.
 
     Every start climbs from its seed by ``_ascend``, all groups in lockstep
     with one batch of stencils per step; its trace record (``x``, ``value``,
@@ -235,18 +238,25 @@ def maximize(objective: Callable[[np.ndarray], float] | None, spec: SearchSpec,
     reaches the best grid seed; trace records per-start outcomes either way.
     """
     def evaluate(pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if batch_objective is None:
-            return np.array([objective(x) for x in pts.copy()], dtype=float)
-        return np.asarray(batch_objective(pts, rows), dtype=float)
+        vals = (batch_objective(pts, rows) if batch_objective is not None
+                else [objective(x) for x in pts.copy()])
+        # a one-row objective may ignore ``rows``
+        return np.broadcast_to(np.asarray(vals, dtype=float), np.broadcast(rows, pts[:, 0]).shape)
 
     lo, hi = np.array(spec.bounds).T
-    # each group reads its row on its grid and its own clipped seeds
-    own = []
-    for g in groups:
+    # one call per distinct grid; a group with seeds has its grid to itself
+    on_grid: dict = {}
+    for i, g in enumerate(groups):
+        on_grid.setdefault((g.grid_density, i if len(g.seeds) else None), []).append(i)
+    own = [None] * len(groups)
+    for members in on_grid.values():
+        g = groups[members[0]]
         pts = _grid_points(spec, g.grid_density)
         if len(g.seeds) > 0:
             pts = np.vstack([pts, np.clip(np.atleast_2d(np.asarray(g.seeds, dtype=float)), lo, hi)])
-        own.append((pts, evaluate(pts, np.full(len(pts), g.row))))
+        table = evaluate(pts, np.array([[groups[i].row] for i in members]))
+        for i, vals in zip(members, table):
+            own[i] = (pts, vals)
     if not all(np.all(np.isfinite(vals)) for _, vals in own):
         raise ValueError("objective not finite on the search box")
 

@@ -44,8 +44,8 @@ ALPHA_BOUND = 4.0
 XI_CAP = fock.SDF_XI_MAX
 ALPHA_CAP = fock.SDF_ALPHA_MAX
 
-GAUSSIAN_MIN_INDEX_CAP = 10
-GENUINE_INDEX_CAP = 10
+#: the largest intrinsic Fock input, and the largest pair index any searched
+#: kind admits: above it the inputs leave out the Fock states that matter
 MAX_FOCK = 10
 
 
@@ -125,7 +125,8 @@ class CertificationReport:
 
 def _pair_objective(pair: FockPair, n_inputs: int):
     """Values of the Gaussian searches of ``pair``: row ``rows[i]`` at point
-    ``pts[i]`` of an ``(npts, 3)`` array.
+    ``pts[i]`` of an ``(npts, 3)`` array, or for rows of shape ``(R, 1)`` the
+    ``(R, npts)`` table of each row at every point, with the same bits.
 
     Row ``k < n_inputs`` is C_{m,n} of S(xi)D(alpha)|k>, from the two
     amplitudes of the point's own input.  Row ``n_inputs`` is the
@@ -139,19 +140,27 @@ def _pair_objective(pair: FockPair, n_inputs: int):
         if rows.size and (rows.min() < 0 or rows.max() > n_inputs):
             raise ValueError(f"rows must lie in 0..{n_inputs}, got "
                              f"{rows.min()}..{rows.max()}")
-        out = np.empty(len(pts))
+        table = rows.ndim == 2   # the intrinsic rows of a table are one block
+        single = (rows[:, 0] if table else rows) < n_inputs
+        out = np.empty((len(rows), len(pts)) if table else len(pts))
         # no point's value depends on the points evaluated beside it: the
-        # kernel works point by point, the intrinsic rows take two moduli (the
-        # modulus of a complex product rounded with the point's place in the
-        # batch), and builtin sum adds the core terms in index order at any
-        # batch size (numpy pairs them up for a one-point batch)
-        single = rows < n_inputs
+        # kernel works point by point and gives a per-point input the bits of
+        # the block form, the intrinsic rows take two moduli (the modulus of
+        # a complex product rounded with the point's place in the batch), and
+        # builtin sum adds the core terms in index order at any batch size
+        # (numpy pairs them up for a one-point batch)
         if single.any():
-            (am,), (an,) = sdf_amplitude_raw((pair.m, pair.n), rows[single][None],
-                                             *pts[single].T, 0.0)
+            if table:
+                k = rows[single, 0]
+                am, an = sdf_amplitude_raw((pair.m, pair.n), range(k.max() + 1), *pts.T, 0.0)
+                am, an = am[k], an[k]
+            else:
+                (am,), (an,) = sdf_amplitude_raw((pair.m, pair.n), rows[single][None],
+                                                 *pts[single].T, 0.0)
             out[single] = 2.0 * np.abs(am) * np.abs(an)
         if not single.all():
-            u, v = sdf_amplitude_raw((pair.m, pair.n), range(pair.n), *pts[~single].T, 0.0)
+            u, v = sdf_amplitude_raw((pair.m, pair.n), range(pair.n),
+                                     *(pts if table else pts[~single]).T, 0.0)
             nu, nv = np.sqrt(sum(np.abs(u) ** 2)), np.sqrt(sum(np.abs(v) ** 2))
             out[~single] = nu * nv + np.abs(sum(np.conj(u) * v))
         return out
@@ -296,36 +305,32 @@ def classical_threshold(pair: FockPair) -> ThresholdResult:
 
 
 def _cap_error(kind: ThresholdKind, pair: FockPair) -> str | None:
-    """Why ``kind`` is not validated at ``pair``, or None; intrinsic has no cap."""
-    cap = {ThresholdKind.GAUSSIAN_MIN: GAUSSIAN_MIN_INDEX_CAP,
-           ThresholdKind.GENUINE_N: GENUINE_INDEX_CAP}.get(kind)
-    return f"validated for max(m,n) <= {cap}" if cap is not None and pair.n > cap else None
+    """Why ``kind`` is not validated at ``pair``, or None: every searched kind
+    admits the pairs with max(m, n) <= ``MAX_FOCK``, the classical kind all."""
+    searched = kind != ThresholdKind.CLASSICAL
+    return f"validated for max(m,n) <= {MAX_FOCK}" if searched and pair.n > MAX_FOCK else None
 
 
 def _search_pair(pair: FockPair) -> dict:
-    """Search every Gaussian kind whose cap admits ``pair`` in one lockstep
-    run over the rows of the pair's objective, then check each optimum.
+    """Search every Gaussian kind at ``pair`` (admitted by ``_cap_error``) in
+    one lockstep run over the rows of the pair's objective, then check each
+    optimum.
 
     Intrinsic searches the rows of the input Fock levels up to ``MAX_FOCK``,
     genuine the closed-form row.  gaussian-min is intrinsic's vacuum input:
     it takes the result of input 0, so each row is searched once and
     gaussian-min <= intrinsic holds by construction.  Returns the memo
-    entries of those kinds; a failure of any search or check fails every
-    kind of the pair.
+    entries of the three kinds; a failure of any search or check fails
+    every kind of the pair.
     """
     intrinsic, genuine = ThresholdKind.GAUSSIAN_INTRINSIC, ThresholdKind.GENUINE_N
-    kinds = [k for k in ORDERED_KINDS[1:] if _cap_error(k, pair) is None]
     inputs = range(MAX_FOCK + 1)
-    n_inputs = max(len(inputs), pair.n)
-    groups = [Group(k, grid_density=9, n_starts=8) for k in inputs]
-    if genuine in kinds:
-        groups.append(Group(n_inputs))
-    runs = _search_gaussian(_pair_objective(pair, n_inputs), groups)
+    groups = [Group(k, grid_density=9, n_starts=8) for k in inputs] + [Group(len(inputs))]
+    runs = _search_gaussian(_pair_objective(pair, len(inputs)), groups)
     found_by_kind = {ThresholdKind.GAUSSIAN_MIN: runs[:1], intrinsic: runs[:len(inputs)],
                      genuine: runs[len(inputs):]}
     results = {}
-    for kind in kinds:
-        found = found_by_kind[kind]
+    for kind, found in found_by_kind.items():
         k = max(range(len(found)), key=lambda j: found[j].value)
         best = found[k]
         result = ThresholdResult(kind, pair, best.value,

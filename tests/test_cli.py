@@ -262,11 +262,16 @@ class TestSimulateCommand:
         "pairs: [[0, 2.7]]\ndelays: [0.0]\n", "pair: [0, true]\ndelays: [0.0]\n",
         "pair: [0, 1]\ndelays: [0.0]\nseed: 1.9\n",
         "pair: [0, 1]\ndelays: [0.0]\nshots: .inf\n",
-        "pair: [0, 1]\ndelays: [0.0]\nkind: 3\n", "pair: [0, 1]\ndelays: [0.0]\nkind: null\n"],
+        "pair: [0, 1]\ndelays: [0.0]\nkind: 3\n", "pair: [0, 1]\ndelays: [0.0]\nkind: null\n",
+        "pair: [0, 1]\ndelays: [0.0, true]\n",
+        "pair: [0, 1]\ndelays: [0.0]\nnoise: {heating_rate: true}\n",
+        "pair: [0, 1]\ndelays: [0.0]\nnoise: {dephasing_rate: '1.0'}\n",
+        "pair: [0, 1]\ndelays: [0.0]\nnoise: []\n"],
         ids=["missing-file", "top-level-list", "one-index-pair", "unsupported-delta",
              "unsupported-ladder", "negative-seed", "unvalidated-threshold",
              "fractional-index", "boolean-index", "fractional-seed", "infinite-shots",
-             "numeric-kind", "null-kind"])
+             "numeric-kind", "null-kind", "boolean-delay", "boolean-noise", "string-noise",
+             "list-noise"])
     def test_unreadable_config_error(self, runner, tmp_path, text):
         # read as a config error on one line, not truncated to an integer and
         # not a traceback
@@ -381,6 +386,26 @@ def test_click_usage_errors_exit_1(runner, tmp_path, args):
     result = runner.invoke(main, [str(out) if a == "OUT" else a for a in args])
     assert result.exit_code == 1
     assert "Error:" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, pair", [
+    ("thresholds", "12,15"), ("mc-verify", "12,15"), ("simulate", "12,15"),
+    ("simulate", "11,12")])
+def test_intrinsic_above_the_cap_refused(runner, tmp_path, command, pair):
+    # every searched kind, intrinsic included, is validated for max(m,n) <= 10
+    # only: each command refuses the pair before it writes anything
+    out = tmp_path / "out"
+    if command == "simulate":
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"pair: [{pair}]\ndelays: [0.0]\nkind: intrinsic\n")
+        args = ["simulate", "--config", str(cfg), "--out", str(out)]
+    else:
+        args = [command, "--kind", "intrinsic", "--pair", pair, "--out", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.rstrip().endswith("validated for max(m,n) <= 10")
     assert not out.exists()
 
 

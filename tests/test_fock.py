@@ -357,6 +357,15 @@ class TestSdfAmplitude:
         assert sdf_amplitude_raw(1, 2, 0.4, 1.3, 2.2, 0.0) == sdf_amplitude_raw(
             [1], [2], [0.4], 1.3, 2.2, 0.0)[0, 0, 0]
 
+    def test_negative_per_point_input_rejected(self):
+        # input -1 used to wrap to the weight table's last column and read a
+        # clipped ladder row: moduli 0.477 and 1.368, above 1 for an amplitude
+        for _ in range(2):
+            with pytest.raises(ValueError, match="per-point inputs must be non-negative"):
+                sdf_amplitude_raw((0, 1), np.array([[-1, 2]]), [0.3, 0.3], 0.5, 1.0, 0.0)
+        out = sdf_amplitude_raw((0, 1), np.array([[0, 2]]), [0.3, 0.3], 0.5, 1.0, 0.0)
+        assert np.all(np.abs(out) <= 1.0)
+
     def test_threads_calling_at_once_get_the_serial_blocks(self, rng):
         # each call has its own workspace: more threads than cores, switching
         # often, all reproduce their serial result bit for bit

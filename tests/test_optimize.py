@@ -261,6 +261,39 @@ def test_far_start_steps_within_the_radius_and_never_falls():
     assert np.array_equal(x, best_x) and fx == best_f == max(f for _, f in centres)
 
 
+def test_start_whose_radius_falls_below_the_step_stops():
+    # a kink across the first axis: the models keep overshooting it, rejected
+    # trials cut the radius, and the start stops at the first stencil after
+    # which its radius is below the stencil step (without that stop it regrew
+    # and ran 35 stencils, against 22); a Rosenbrock start run beside it
+    # climbs on after that and keeps the record it has alone
+    peak = np.array([0.4137, 0.5219, 0.3311])
+    kink = lambda pts: -((pts - peak) ** 2).sum(axis=1) - 0.01 * np.abs(pts[:, 0] - peak[0])
+    valley = lambda pts: -(100.0 * (pts[:, 1] - pts[:, 0] ** 2) ** 2 + (1.0 - pts[:, 0]) ** 2
+                           + pts[:, 2] ** 2)
+    lo, hi = np.full(3, -1.5), np.full(3, 1.5)
+    x, fx, steps, evals, ok, centres = _ascend_one(kink, [0.2, 0.7, 0.6], lo, hi)
+    radius, (best_x, best_f), radii = optimize.RADIUS * 3.0, centres[0], []
+    for t, ft in centres[1:]:
+        length = np.linalg.norm(t - best_x)
+        if ft >= best_f:
+            best_x, best_f, radius = t, ft, max(radius, 2 * length)
+        else:
+            radius = length / 4
+        radii.append(radius)
+    assert ok and evals == 19 * len(centres) == 19 * 22
+    assert min(radii[:-1]) >= optimize.FINISH_H > radii[-1]
+    assert np.array_equal(x, best_x) and fx == best_f
+
+    both = lambda pts, rows: np.where(rows == 0, kink(pts), valley(pts))
+    x0, rows = np.array([[0.2, 0.7, 0.6], [-1.2, 1.0, 0.0]]), np.array([0, 1])
+    joint = optimize._ascend(both, x0, rows, lo, hi)
+    for j in range(2):
+        alone = optimize._ascend(both, x0[j:j + 1], rows[j:j + 1], lo, hi)
+        assert all(np.array_equal(a[j], b[0]) for a, b in zip(joint, alone))
+    assert joint[3][1] > joint[3][0] and joint[1][1] > -1e-13
+
+
 def test_start_on_a_stationary_point_raises_no_warning():
     # at the origin every stencil pair is symmetric: the gradient is exactly zero
     bowl = lambda pts: -(pts ** 2) @ np.array([1.0, 2.0, 3.0])
@@ -332,8 +365,9 @@ def test_finish_holds_coordinate_on_lower_bound():
 
 
 def test_each_ascent_step_is_one_call_with_its_starts_rows():
-    # three groups on three rows; the grids and seeds are one call per group,
-    # then every step of the ascent is one call over all running starts
+    # three groups on three rows and two grids: each distinct grid is one
+    # call, a table of the rows of the groups on it, then every step of the
+    # ascent is one call over all running starts
     calls = []
 
     def rows_apart(pts, rows):
@@ -344,9 +378,9 @@ def test_each_ascent_step_is_one_call_with_its_starts_rows():
     groups = [Group(0, grid_density=4, n_starts=8), Group(1, grid_density=3, n_starts=9),
               Group(2, grid_density=3, n_starts=8)]
     res = maximize(None, spec, batch_objective=rows_apart, groups=groups)
-    grids, steps = calls[:3], calls[3:]
-    for (pts, rows), g in zip(grids, groups):
-        assert len(pts) == g.grid_density ** 3 and np.all(rows == g.row)
+    grids, steps = calls[:2], calls[2:]
+    for (pts, rows), density, on_grid in zip(grids, (4, 3), ([0], [1, 2])):
+        assert len(pts) == density ** 3 and np.array_equal(rows, np.array(on_grid)[:, None])
     starts = [s for part in res.groups for s in part.trace["starts"]]
     # one call per step, up to the most stencils any start evaluated
     assert len(steps) == max(s["nfev"] for s in starts) // 19
