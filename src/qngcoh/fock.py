@@ -214,11 +214,11 @@ def sdf_amplitude_raw(m, n, xi_mag, xi_phase, alpha_mag, alpha_phase):
     axis; a 0-d call is a one-point batch, so it gives the same bits as the
     same point inside a batch.
 
-    An ``n`` of two or more axes gives each point its own inputs, in any
-    order: its first axis is the block of inputs and its further axes
-    broadcast against the parameters, for a result of shape ``shape(m) +
-    shape(n)[:1] + shape(params)``.  Each entry equals the block form's for
-    its input.
+    An ``n`` of two or more axes gives each point its own non-negative
+    inputs (a negative one raises ``ValueError``), in any order: its first
+    axis is the block of inputs and its further axes broadcast against the
+    parameters, for a result of shape ``shape(m) + shape(n)[:1] +
+    shape(params)``.  Each entry equals the block form's for its input.
     """
     ms, ns = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
     phi = np.asarray(alpha_phase, dtype=float)
