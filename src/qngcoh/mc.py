@@ -59,59 +59,57 @@ class McReport:
 
 
 def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
-                       rng: np.random.Generator, reduce) -> list:
+                       seed: int, reduce) -> list:
     """``reduce`` of the coherences of random pure extreme points of the
     admissible family, one result per chunk of samples.
 
-    Every random number is drawn first, in a fixed order, into arrays of
-    ``samples`` entries: the three Gaussian parameters, and the intrinsic
-    Fock inputs with their sort order or the genuine core states (``2 n``
-    values per sample).  The amplitudes are then evaluated in chunks of
-    ``MC_CHUNK`` samples of one Fock input each, on one worker thread per
-    usable core, and each worker reduces its chunk's coherences itself: no
-    ``samples``-sized array of coherences is formed.  The chunks' results
-    depend neither on the number of workers nor on their timing.
+    The chunks hold at most ``MC_CHUNK`` samples of one Fock input each, so
+    their list is a function of ``samples``, ``MC_CHUNK`` and the intrinsic
+    samples per input (one multinomial draw).  Each chunk gets one child
+    stream of ``SeedSequence(seed)`` and, on the worker thread that
+    evaluates it, draws its own slice of the ``samples``-sized arrays of the
+    three Gaussian parameters and the genuine core states (``2 n`` values
+    per sample), then reduces its coherences itself: no ``samples``-sized
+    array of coherences is formed.  The chunks' results depend neither on
+    the number of workers nor on their timing.
     """
     m, n = pair.m, pair.n
-    core = ks = None
-    if kind == ThresholdKind.CLASSICAL:
-        # exponential energy distribution concentrated near the optimum scale
-        scale = max(_MIN_ENERGY_SCALE, 0.5 * (m + n))
-        amag = np.sqrt(rng.exponential(scale=scale, size=samples))
-        r = th = np.zeros(samples)
-    else:   # kinds are validated by the threshold lookup in mc_verify
-        r = rng.uniform(0.0, XI_BOUND, size=samples)
-        th = rng.uniform(0.0, 2.0 * math.pi, size=samples)
-        amag = rng.uniform(0.0, ALPHA_BOUND, size=samples)
-        if kind == ThresholdKind.GAUSSIAN_INTRINSIC:
-            ks = rng.integers(0, MAX_FOCK + 1, size=samples)
-        elif kind == ThresholdKind.GENUINE_N:
-            # Haar-random core states on the complex d-sphere, drawn as real
-            # and imaginary parts and normalized per chunk
-            core = np.empty((2, n, samples))
-            rng.standard_normal(out=core[0])
-            rng.standard_normal(out=core[1])
+    seq = np.random.SeedSequence(seed)
+    counts = (np.random.default_rng(seq).multinomial(samples, [1 / (MAX_FOCK + 1)] * (MAX_FOCK + 1))
+              if kind == ThresholdKind.GAUSSIAN_INTRINSIC else [samples])
+    # rows xi magnitude, xi phase, alpha magnitude; cores laid out per sample,
+    # so that every chunk's slice of them is contiguous
+    params = np.empty((3, samples))
+    core = np.empty((2, samples, n)) if kind == ThresholdKind.GENUINE_N else None
 
-    def evaluate(k, sel):
+    def evaluate(k, lo, hi, child):
+        rng, sel = np.random.default_rng(child), slice(lo, hi)
+        if kind == ThresholdKind.CLASSICAL:
+            # exponential energy distribution concentrated near the optimum scale
+            amag = rng.standard_exponential(out=params[2, sel])
+            amag *= max(_MIN_ENERGY_SCALE, 0.5 * (m + n))
+            r = th = 0.0
+            np.sqrt(amag, out=amag)
+        else:   # kinds are validated by the threshold lookup in mc_verify
+            r, th, amag = (np.multiply(rng.random(out=row), bound, out=row) for row, bound
+                           in zip(params[:, sel], (XI_BOUND, 2.0 * math.pi, ALPHA_BOUND)))
         if core is None:
-            am, an = sdf_amplitude_raw((m, n), int(k), r[sel], th[sel], amag[sel], 0.0)
+            am, an = sdf_amplitude_raw((m, n), k, r, th, amag, 0.0)
         else:
-            u, v = sdf_amplitude_raw((m, n), range(n), r[sel], th[sel], amag[sel], 0.0)
-            c = core[0][:, sel] + 1j * core[1][:, sel]
-            c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
-            am, an = np.sum(u * c, axis=0), np.sum(v * c, axis=0)
+            # Haar-random core states on the complex d-sphere, drawn as real
+            # and imaginary parts and normalized per sample
+            u, v = sdf_amplitude_raw((m, n), range(n), r, th, amag, 0.0)
+            c = rng.standard_normal(out=core[0, sel]) + 1j * rng.standard_normal(out=core[1, sel])
+            c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=1, keepdims=True))
+            am, an = np.sum(u * c.T, axis=0), np.sum(v * c.T, axis=0)
         return reduce(2.0 * np.abs(am * np.conj(an)))
 
-    if ks is None:
-        chunks = [(0, slice(lo, lo + MC_CHUNK)) for lo in range(0, samples, MC_CHUNK)]
-    else:
-        # sample indices grouped by Fock input, in ascending order in each group
-        order = np.argsort(ks.astype(np.uint8), kind="stable")
-        ends = np.cumsum(np.bincount(ks)).tolist()
-        chunks = [(k, order[lo:min(lo + MC_CHUNK, end)])
-                  for k, (start, end) in enumerate(zip([0] + ends, ends))
-                  for lo in range(start, end, MC_CHUNK)]
-    return _run_chunks(evaluate, chunks)
+    ends = np.cumsum(counts).tolist()
+    chunks = [(k, lo, min(lo + MC_CHUNK, end))
+              for k, (start, end) in enumerate(zip([0] + ends, ends))
+              for lo in range(start, end, MC_CHUNK)]
+    return _run_chunks(evaluate, [chunk + (child,) for chunk, child
+                                  in zip(chunks, seq.spawn(len(chunks)))])
 
 
 def _usable_cores() -> int:
@@ -166,8 +164,10 @@ def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int,
     """Sample the admissible family and count threshold violations.
 
     Deterministic in ``(kind, pair, samples, seed)``: the same call returns a
-    bit-identical report.  The intrinsic sampler and threshold both range
-    over Fock inputs up to ``MAX_FOCK``.
+    bit-identical report on any number of workers, since every chunk of
+    samples draws from its own child stream of ``SeedSequence(seed)``.  The
+    intrinsic sampler and threshold both range over Fock inputs up to
+    ``MAX_FOCK``.
     """
     if samples < 1000:
         raise ValueError("need at least 1e3 samples for a meaningful report")
@@ -180,8 +180,7 @@ def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int,
         return (coh.max(), margins.min(), int(np.count_nonzero(coh > thr + VIOLATION_SLACK)),
                 np.histogram(np.clip(margins, 0.0, thr), bins=edges)[0])
 
-    highs, lows, over, counts = zip(*_sample_coherences(
-        kind, pair, samples, np.random.default_rng(seed), reduce))
+    highs, lows, over, counts = zip(*_sample_coherences(kind, pair, samples, seed, reduce))
     counts = np.sum(counts, axis=0)
     hist = tuple((float(edges[i]), float(edges[i + 1]), int(counts[i]))
                  for i in range(HISTOGRAM_BINS))

@@ -211,6 +211,37 @@ class TestSelfConsistency:
             "--out-dir tests/data")
 
 
+WITNESSES = json.loads((Path(__file__).resolve().parent / "data" / "witnesses.json")
+                       .read_text())["witnesses"]
+
+
+def _witness_case(w: dict):
+    # an open entry fails until its ROADMAP Still broken item is mended, and
+    # then its strict xfail turns into a failure until the mark goes
+    marks = ([pytest.mark.xfail(strict=True, raises=AssertionError,
+                                reason=f"ROADMAP {w['status']}")]
+             if w["status"].startswith("Still broken") else [])
+    return pytest.param(w, marks=marks, id=f"{w['kind']}-{w['pair'][0]},{w['pair'][1]}")
+
+
+@pytest.mark.parametrize("w", [_witness_case(w) for w in WITNESSES])
+def test_known_witness_does_not_beat_its_threshold(w):
+    # each state D(beta) S(xi)|k> is built on the matrix route, apart from the
+    # search and the sampler, and no admitted threshold may lie below it
+    r, theta, beta = (float.fromhex(w[key]) for key in ("r", "theta", "beta"))
+    disp = build_gaussian_matrix(GaussianParams(alpha_mag=beta), 160)
+    squeeze = build_gaussian_matrix(GaussianParams(xi_mag=r, xi_phase=theta), 160)
+    psi = (disp @ squeeze)[:, w["fock_input"]]
+    (m, n), kind = w["pair"], parse_kind(w["kind"])
+    witness = 2.0 * abs(psi[m] * psi[n])
+    assert witness == pytest.approx(float.fromhex(w["coherence"]), rel=0, abs=1e-12)
+    if w["status"] == "refused":
+        with pytest.raises(ValueError, match="validated for max"):
+            threshold(kind, FockPair(m, n))
+    else:
+        assert threshold(kind, FockPair(m, n)).value >= witness - 1e-12
+
+
 class TestCertify:
     def test_published_row_02(self):
         report = certify(FockPair(0, 2), 0.917, 0.004)
