@@ -77,8 +77,9 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
     seq = np.random.SeedSequence(seed)
     counts = (np.random.default_rng(seq).multinomial(samples, [1 / (MAX_FOCK + 1)] * (MAX_FOCK + 1))
               if kind == ThresholdKind.GAUSSIAN_INTRINSIC else [samples])
-    # rows xi magnitude, xi phase, alpha magnitude; cores laid out per sample,
-    # so that every chunk's slice of them is contiguous
+    # rows xi magnitude, xi phase, alpha magnitude; cores laid out per sample, so
+    # that a chunk's slice is contiguous. Samples-sized: with chunk-sized arrays the
+    # kernel's temporaries stay on glibc's mmap path (ROADMAP, measured dead end)
     params = np.empty((3, samples))
     core = np.empty((2, samples, n)) if kind == ThresholdKind.GENUINE_N else None
 

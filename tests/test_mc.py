@@ -85,8 +85,12 @@ def test_intrinsic_chunks_cover_every_sample_once(monkeypatch):
     # the chunks hold one Fock input each, at most MC_CHUNK samples, and
     # together cover the samples-sized arrays once, each with its own stream
     run, seen = mc._run_chunks, []
-    monkeypatch.setattr(mc, "_run_chunks", lambda evaluate, chunks: seen.extend(chunks)
-                        or run(evaluate, chunks))
+
+    def recording_run(evaluate, chunks):
+        seen.extend(chunks)
+        return run(evaluate, chunks)
+
+    monkeypatch.setattr(mc, "_run_chunks", recording_run)
     mc_verify(ThresholdKind.GAUSSIAN_INTRINSIC, FockPair(1, 3), 200_000, seed=5)
     assert [lo for _, lo, _, _ in seen] == [0] + [hi for _, _, hi, _ in seen[:-1]]
     assert seen[-1][2] == 200_000
