@@ -67,21 +67,19 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
     their list is a function of ``samples``, ``MC_CHUNK`` and the intrinsic
     samples per input (one multinomial draw).  Each chunk gets one child
     stream of ``SeedSequence(seed)`` and, on the worker thread that
-    evaluates it, draws its own slice of the ``samples``-sized arrays of the
-    three Gaussian parameters and the genuine core states (``2 n`` values
-    per sample), then reduces its coherences itself: no ``samples``-sized
-    array of coherences is formed.  The chunks' results depend neither on
+    evaluates it, draws its own slice of the ``samples``-sized array of the
+    three Gaussian parameters and, for the genuine kind, its own core states
+    (``2 n`` values per sample), then reduces its coherences itself: no
+    ``samples``-sized array of coherences is formed.  The chunks' results depend neither on
     the number of workers nor on their timing.
     """
     m, n = pair.m, pair.n
     seq = np.random.SeedSequence(seed)
     counts = (np.random.default_rng(seq).multinomial(samples, [1 / (MAX_FOCK + 1)] * (MAX_FOCK + 1))
               if kind == ThresholdKind.GAUSSIAN_INTRINSIC else [samples])
-    # rows xi magnitude, xi phase, alpha magnitude; cores laid out per sample, so
-    # that a chunk's slice is contiguous. Samples-sized: with chunk-sized arrays the
-    # kernel's temporaries stay on glibc's mmap path (ROADMAP, measured dead end)
+    # rows xi magnitude, xi phase, alpha magnitude. Samples-sized: with chunk-sized
+    # arrays the kernel's temporaries stay on glibc's mmap path (ROADMAP, measured dead end)
     params = np.empty((3, samples))
-    core = np.empty((2, samples, n)) if kind == ThresholdKind.GENUINE_N else None
 
     def evaluate(k, lo, hi, child):
         rng, sel = np.random.default_rng(child), slice(lo, hi)
@@ -94,15 +92,15 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
         else:   # kinds are validated by the threshold lookup in mc_verify
             r, th, amag = (np.multiply(rng.random(out=row), bound, out=row) for row, bound
                            in zip(params[:, sel], (XI_BOUND, 2.0 * math.pi, ALPHA_BOUND)))
-        if core is None:
+        if kind != ThresholdKind.GENUINE_N:
             am, an = sdf_amplitude_raw((m, n), k, r, th, amag, 0.0)
         else:
             # Haar-random core states on the complex d-sphere, drawn as real
             # and imaginary parts and normalized per sample
             u, v = sdf_amplitude_raw((m, n), range(n), r, th, amag, 0.0)
-            c = rng.standard_normal(out=core[0, sel]) + 1j * rng.standard_normal(out=core[1, sel])
-            c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=1, keepdims=True))
-            am, an = np.sum(u * c.T, axis=0), np.sum(v * c.T, axis=0)
+            c = rng.standard_normal((n, hi - lo)) + 1j * rng.standard_normal((n, hi - lo))
+            c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
+            am, an = np.sum(u * c, axis=0), np.sum(v * c, axis=0)
         return reduce(2.0 * np.abs(am * np.conj(an)))
 
     ends = np.cumsum(counts).tolist()

@@ -26,10 +26,11 @@ def test_classical_01_sound_and_tight():
 
 
 def test_gaussian_min_01_bounded():
-    # the paper's 0.93 is the rounded threshold 0.933815, which bounds every sample
+    # the paper's 0.93 is the rounded threshold 0.933815, which bounds every
+    # sample with no slack: a sharper bound than the report's violation count
     report = mc_verify(ThresholdKind.GAUSSIAN_MIN, FockPair(0, 1), 1000, seed=3)
-    assert report.threshold == pytest.approx(0.93, abs=5e-3)
-    assert report.max_observed <= report.threshold + 1e-3
+    assert report.threshold == pytest.approx(0.933815, abs=1e-6)
+    assert report.max_observed <= 0.933815
     assert report.violations == 0
 
 
