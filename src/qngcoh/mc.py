@@ -70,8 +70,8 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
     evaluates it, draws its own slice of the ``samples``-sized array of the
     three Gaussian parameters and, for the genuine kind, its own core states
     (``2 n`` values per sample), then reduces its coherences itself: no
-    ``samples``-sized array of coherences is formed.  The chunks' results depend neither on
-    the number of workers nor on their timing.
+    ``samples``-sized array of coherences is formed.  The chunks' results
+    depend neither on the number of workers nor on their timing.
     """
     m, n = pair.m, pair.n
     seq = np.random.SeedSequence(seed)
@@ -165,7 +165,8 @@ def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int,
     Deterministic in ``(kind, pair, samples, seed)``: the same call returns a
     bit-identical report on any number of workers, since every chunk of
     samples draws from its own child stream of ``SeedSequence(seed)``.  The
-    intrinsic sampler and threshold both range over Fock inputs up to
+    chunks follow ``MC_CHUNK``, so changing it changes every seeded report.
+    The intrinsic sampler and threshold both range over Fock inputs up to
     ``MAX_FOCK``.
     """
     if samples < 1000:
