@@ -243,12 +243,16 @@ def cmd_simulate(config_path: Path, out_dir: Path) -> int:
             raise ValueError("config needs 'pair' or 'pairs'")
         pairs = [FockPair(_config_int(m, "pair index"), _config_int(n, "pair index"))
                  for m, n in raw_pairs]
+        if len(set(pairs)) < len(pairs):
+            raise ValueError(f"pairs must be distinct, got {[[p.m, p.n] for p in pairs]}")
         for pair in pairs:
             problem = _cap_error(kind, pair)
             if problem is not None:
                 raise ValueError(f"{KIND_NAMES[kind]} threshold at pair {pair}: {problem}")
             build_sequence(pair)   # an unsupported pair is a config error
         delays = sorted_times([_config_number(t, "delay") for t in blob["delays"]], "delays")
+        if not delays:
+            raise ValueError("delays must list at least one delay")
         noise_block = blob.get("noise", {})
         noise = _noise_from_config(noise_block)
         n_phases = _config_int(blob.get("phases", 16), "phases")

@@ -23,7 +23,6 @@ import enum
 import math
 import threading
 from dataclasses import asdict, dataclass, field
-from itertools import groupby
 from math import lgamma
 
 import numpy as np
@@ -39,10 +38,6 @@ from .optimize import Group, SearchSpec, maximize
 #: value, so theta is searched on [0, pi])
 XI_BOUND = 1.5
 ALPHA_BOUND = 4.0
-
-#: caps for the bound-doubling retry, matching the validated amplitude range
-XI_CAP = fock.SDF_XI_MAX
-ALPHA_CAP = fock.SDF_ALPHA_MAX
 
 #: the largest intrinsic Fock input, and the largest pair index any searched
 #: kind admits: above it the inputs leave out the Fock states that matter
@@ -182,44 +177,39 @@ def genuine_coherence_matrix(u: np.ndarray, v: np.ndarray,
 
 
 def _search_gaussian(batch_objective, groups=(Group(),)):
-    """Multistart search over (|xi|, arg xi in [0, pi], |alpha|) with bound doubling.
+    """Multistart search over (|xi|, arg xi in [0, pi], |alpha|).
 
-    A magnitude bound hit at the optimum doubles that bound (up to the
-    validated amplitude range) and reruns, so reported maxima are never
-    artifacts of the box.  The trace records every box tried as
+    Every group first runs on (``XI_BOUND``, ``ALPHA_BOUND``) in one
+    ``maximize`` call.  A group whose optimum lies within 1e-3 of a magnitude
+    bound has that bound set to the validated amplitude range
+    (``fock.SDF_XI_MAX``, ``fock.SDF_ALPHA_MAX``) and reruns alone, until no
+    bound grows: at most two reruns, so reported maxima are not artifacts of
+    the first box.  The trace records every box tried as
     ``magnitude_bounds`` ([|xi| bound, |alpha| bound] per run) and sets
-    ``at_cap`` when the optimum is left on a magnitude bound that could not
-    be doubled further.
+    ``at_cap`` when the last box's optimum is left on a magnitude bound,
+    which then sits at the validated range.
 
-    Returns one result per entry of ``groups`` (see ``maximize``); the
-    groups share each run and keep their own boxes.
+    Returns one result per entry of ``groups`` (see ``maximize``); groups
+    of one run are independent, so a rerun alone gives a group's own bits.
     """
-    box = [(XI_BOUND, ALPHA_BOUND)] * len(groups)
-    boxes, results = [[] for _ in groups], [None] * len(groups)
-    pending = list(range(len(groups)))
-    for _ in range(3):
-        runs = groupby(sorted(pending, key=box.__getitem__), key=box.__getitem__)
-        pending = []
-        for (xi_hi, alpha_hi), members in ((b, list(m)) for b, m in runs):
-            spec = SearchSpec(bounds=((0.0, xi_hi), (0.0, math.pi),
-                                      (0.0, alpha_hi)))
-            res = maximize(None, spec, batch_objective=batch_objective,
-                           groups=[groups[i] for i in members])
-            for i, part in zip(members, res.groups):
-                boxes[i].append([xi_hi, alpha_hi])
-                on_xi = part.argmax[0] > xi_hi - 1e-3
-                on_alpha = part.argmax[2] > alpha_hi - 1e-3
-                part.trace["magnitude_bounds"] = boxes[i]
-                part.trace["at_cap"] = bool(on_xi or on_alpha)
-                results[i] = part
-                grow_xi = on_xi and xi_hi < XI_CAP
-                grow_alpha = on_alpha and alpha_hi < ALPHA_CAP
-                if grow_xi or grow_alpha:
-                    box[i] = (min(2.0 * xi_hi, XI_CAP) if grow_xi else xi_hi,
-                              min(2.0 * alpha_hi, ALPHA_CAP) if grow_alpha else alpha_hi)
-                    pending.append(i)
-        if not pending:
-            break
+    caps = (fock.SDF_XI_MAX, fock.SDF_ALPHA_MAX)
+
+    def run(members, box):
+        spec = SearchSpec(bounds=((0.0, box[0]), (0.0, math.pi), (0.0, box[1])))
+        return maximize(None, spec, batch_objective=batch_objective, groups=members).groups
+
+    results = []
+    for group, part in zip(groups, run(groups, (XI_BOUND, ALPHA_BOUND))):
+        boxes = [[XI_BOUND, ALPHA_BOUND]]
+        while True:
+            on = [x > bound - 1e-3 for x, bound in zip(part.argmax[::2], boxes[-1])]
+            part.trace.update(magnitude_bounds=boxes, at_cap=any(on))
+            grown = [cap if hit else bound for bound, cap, hit in zip(boxes[-1], caps, on)]
+            if grown == boxes[-1]:
+                break
+            boxes.append(grown)
+            (part,) = run([group], grown)
+        results.append(part)
     return results
 
 
@@ -284,9 +274,10 @@ def classical_threshold(pair: FockPair) -> ThresholdResult:
     is stationary at ``|alpha|^2 = (m+n)/2``; the factorial weight is
     evaluated in log space.
     """
+    problem = _cap_error(ThresholdKind.CLASSICAL, pair)
+    if problem is not None:
+        raise ValueError(problem)
     m, n = pair.m, pair.n
-    if m + n > 40:
-        raise ValueError("closed form validated for m+n <= 40 only")
 
     def compute() -> ThresholdResult:
         s = m + n
@@ -305,10 +296,12 @@ def classical_threshold(pair: FockPair) -> ThresholdResult:
 
 
 def _cap_error(kind: ThresholdKind, pair: FockPair) -> str | None:
-    """Why ``kind`` is not validated at ``pair``, or None: every searched kind
-    admits the pairs with max(m, n) <= ``MAX_FOCK``, the classical kind all."""
-    searched = kind != ThresholdKind.CLASSICAL
-    return f"validated for max(m,n) <= {MAX_FOCK}" if searched and pair.n > MAX_FOCK else None
+    """Why ``kind`` is not validated at ``pair``, or None: the classical
+    closed form admits the pairs with m + n <= 40, every searched kind those
+    with max(m, n) <= ``MAX_FOCK``."""
+    if kind == ThresholdKind.CLASSICAL:
+        return "closed form validated for m+n <= 40 only" if pair.m + pair.n > 40 else None
+    return f"validated for max(m,n) <= {MAX_FOCK}" if pair.n > MAX_FOCK else None
 
 
 def _search_pair(pair: FockPair) -> dict:

@@ -242,7 +242,9 @@ class TestSimulateCommand:
         ("delays", [-0.01, 0.0], ">= 0 and finite"),
         ("phases", 3.9, "phases must be an integer, got 3.9"),
         ("phases", True, "phases must be an integer, got True"),
-        ("shots", 2.5, "shots must be an integer, got 2.5")])
+        ("shots", 2.5, "shots must be an integer, got 2.5"),
+        ("delays", [], "delays must list at least one delay"),
+        ("pairs", [[0, 2], [2, 0]], "pairs must be distinct, got [[0, 2], [0, 2]]")])
     def test_scan_shape_config_error(self, runner, tmp_path, key, value, message):
         # a scan no fringe can be fitted from is a bad config, found before
         # any delay is simulated
@@ -266,12 +268,14 @@ class TestSimulateCommand:
         "pair: [0, 1]\ndelays: [0.0, true]\n",
         "pair: [0, 1]\ndelays: [0.0]\nnoise: {heating_rate: true}\n",
         "pair: [0, 1]\ndelays: [0.0]\nnoise: {dephasing_rate: '1.0'}\n",
-        "pair: [0, 1]\ndelays: [0.0]\nnoise: []\n"],
+        "pair: [0, 1]\ndelays: [0.0]\nnoise: []\n", "pair: [0, 1]\ndelays: []\n",
+        "pairs: [[0, 2], [2, 0]]\ndelays: [0.0]\n",
+        "pair: [20, 21]\ndelays: [0.0]\nkind: classical\n"],
         ids=["missing-file", "top-level-list", "one-index-pair", "unsupported-delta",
              "unsupported-ladder", "negative-seed", "unvalidated-threshold",
              "fractional-index", "boolean-index", "fractional-seed", "infinite-shots",
              "numeric-kind", "null-kind", "boolean-delay", "boolean-noise", "string-noise",
-             "list-noise"])
+             "list-noise", "no-delays", "repeated-pair", "classical-out-of-range"])
     def test_unreadable_config_error(self, runner, tmp_path, text):
         # read as a config error on one line, not truncated to an integer and
         # not a traceback
@@ -406,6 +410,20 @@ def test_intrinsic_above_the_cap_refused(runner, tmp_path, command, pair):
     assert result.exit_code == 1
     assert result.stderr.count("\n") == 1
     assert result.stderr.rstrip().endswith("validated for max(m,n) <= 10")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["thresholds", "--kind", "classical"],
+                                  ["certify", "--measured", "0.5"],
+                                  ["mc-verify", "--kind", "classical"]], ids=lambda a: a[0])
+def test_classical_above_its_range_refused(runner, tmp_path, args):
+    # the classical closed form is validated for m+n <= 40 only: each command
+    # refuses (20,21) before it writes anything (simulate: a config error)
+    out = tmp_path / "out"
+    result = runner.invoke(main, args + ["--pair", "20,21", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.rstrip().endswith("closed form validated for m+n <= 40 only")
     assert not out.exists()
 
 

@@ -369,6 +369,16 @@ def per_phase_fringe(seq, delay, noise, phases, shots, seed):
     return np.array(pes), np.array(counts)
 
 
+@pytest.mark.xfail(raises=TruncationError, reason="ROADMAP Still broken 2")
+@pytest.mark.parametrize("delay", [0.002, 0.004, 0.008])
+def test_headline_pair_runs_under_the_decay_curve_budget(delay):
+    # heating lifts (0,6) close to the truncation edge and the analysis
+    # sideband pulses reach it, so the edge check refuses the fringe
+    fringe = run_ramsey(build_sequence_0n(6), delay,
+                        NoiseConfig(heating_rate=3.2, dephasing_rate=1.0), PHASES)
+    assert 0.0 < fringe.contrast < 1.0
+
+
 @pytest.mark.parametrize("pair", [(0, 4), (1, 3)])
 def test_batched_fringe_matches_per_phase_runs(pair):
     # a shelved (0,n) ladder and an (m,n) mapping sequence, with every

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qngcoh.fock import (FockPair, GaussianParams,
+from qngcoh.fock import (SDF_ALPHA_MAX, SDF_XI_MAX, FockPair, GaussianParams,
                          bogoliubov_displacement, build_gaussian_matrix,
                          coherence_quantifier, sdf_amplitude_raw)
 from qngcoh import thresholds as thresholds_module
 from qngcoh.cli import main
 from qngcoh.optimize import Group, maximize
-from qngcoh.thresholds import (ALPHA_BOUND, ALPHA_CAP, MAX_FOCK, ORDERED_KINDS, XI_BOUND,
-                               XI_CAP, ThresholdKind, _pair_objective, _search_gaussian,
+from qngcoh.thresholds import (ALPHA_BOUND, MAX_FOCK, ORDERED_KINDS, XI_BOUND,
+                               ThresholdKind, _pair_objective, _search_gaussian,
                                certify, classical_threshold, clear_threshold_cache,
                                genuine_coherence_matrix, parse_kind, threshold)
 from conftest import argmax_state
@@ -64,8 +64,9 @@ class TestClassical:
         assert all(v2 < v1 for v1, v2 in zip(vals, vals[1:]))
 
     def test_precondition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^closed form validated for m\+n <= 40 only$"):
             classical_threshold(FockPair(20, 21))
+        assert classical_threshold(FockPair(19, 21)).value > 0.0
 
 
 class TestGaussianMin:
@@ -218,7 +219,7 @@ WITNESSES = json.loads((Path(__file__).resolve().parent / "data" / "witnesses.js
 def _witness_case(w: dict):
     # an open entry fails until its ROADMAP Still broken item is mended, and
     # then its strict xfail turns into a failure until the mark goes
-    marks = ([pytest.mark.xfail(strict=True, raises=AssertionError,
+    marks = ([pytest.mark.xfail(raises=AssertionError,
                                 reason=f"ROADMAP {w['status']}")]
              if w["status"].startswith("Still broken") else [])
     return pytest.param(w, marks=marks, id=f"{w['kind']}-{w['pair'][0]},{w['pair'][1]}")
@@ -474,9 +475,9 @@ class TestJointSearch:
         # every row at the point, at every batch size a search makes
         n_inputs = MAX_FOCK + 1
         rng = np.random.default_rng(pair.m * 11 + pair.n)
-        pts = np.column_stack([rng.uniform(0.0, XI_CAP, 2280),
+        pts = np.column_stack([rng.uniform(0.0, SDF_XI_MAX, 2280),
                                rng.uniform(0.0, 2.0 * math.pi, 2280),
-                               rng.uniform(0.0, ALPHA_CAP, 2280)])
+                               rng.uniform(0.0, SDF_ALPHA_MAX, 2280)])
         pts[::7, 0] = 0.0    # squeezing exactly 0, as on every grid
         pts[::11, 2] = 0.0
         rows = rng.permutation(np.resize(np.arange(n_inputs + 1), 2280))
@@ -497,7 +498,7 @@ class TestJointSearch:
                            np.linspace(0.0, ALPHA_BOUND, 9), indexing="ij")
         rng = np.random.default_rng(pair.m * 11 + pair.n)
         pts = np.vstack([np.stack([a.ravel() for a in axes], axis=-1),
-                         rng.uniform(0.0, 1.0, (300, 3)) * [XI_CAP, math.pi, ALPHA_CAP]])
+                         rng.uniform(0.0, 1.0, (300, 3)) * [SDF_XI_MAX, math.pi, SDF_ALPHA_MAX]])
         f = _pair_objective(pair, n_inputs)
         table = f(pts, np.arange(n_inputs + 1)[:, None])
         assert table.shape == (n_inputs + 1, len(pts))
@@ -514,9 +515,9 @@ class TestJointSearch:
         # which is why the search box holds theta in [0, pi] only
         n_inputs = MAX_FOCK + 1
         rng = np.random.default_rng(pair.m * 11 + pair.n)
-        pts = np.column_stack([rng.uniform(0.0, XI_CAP, 600),
+        pts = np.column_stack([rng.uniform(0.0, SDF_XI_MAX, 600),
                                rng.uniform(0.0, 2.0 * math.pi, 600),
-                               rng.uniform(0.0, ALPHA_CAP, 600)])
+                               rng.uniform(0.0, SDF_ALPHA_MAX, 600)])
         mirror = pts.copy()
         mirror[:, 1] = 2.0 * math.pi - pts[:, 1]
         f = _pair_objective(pair, n_inputs)
@@ -581,21 +582,53 @@ class TestJointSearch:
                                               rel=0, abs=1e-15)
 
 
-class TestBoundDoubling:
+class TestBoundGrowth:
     def test_interior_optimum_keeps_first_box(self):
         trace = threshold(ThresholdKind.GENUINE_N, FockPair(0, 2)).diagnostics
         assert trace["magnitude_bounds"] == [[XI_BOUND, ALPHA_BOUND]]
         assert trace["at_cap"] is False
 
+    @pytest.mark.parametrize("objective, boxes, argmax", [
+        (lambda pts, rows: -(pts[:, 0] - 0.7) ** 2 + pts[:, 2],
+         [[1.5, 4], [1.5, 6]], (0.7, 6)),
+        (lambda pts, rows: pts[:, 0] - (pts[:, 2] - 2.0) ** 2,
+         [[1.5, 4], [2, 4]], (2, 2)),
+        # |alpha| pays only once |xi| passes 1.6, outside the first box
+        (lambda pts, rows: pts[:, 0] + pts[:, 2] * (pts[:, 0] - 1.6),
+         [[1.5, 4], [2, 4], [2, 6]], (2, 6))],
+        ids=["alpha", "xi", "xi-then-alpha"])
+    def test_touched_bound_grows_to_the_validated_range(self, objective, boxes, argmax):
+        # a bound the optimum touches grows in one step to fock.SDF_*_MAX and
+        # the other bound stays, until no bound grows
+        res, = _search_gaussian(objective, [Group(grid_density=4, n_starts=8)])
+        assert res.trace["magnitude_bounds"] == boxes
+        assert res.trace["at_cap"] is True
+        assert (res.argmax[0], res.argmax[2]) == pytest.approx(argmax, abs=1e-6)
+
     def test_optimum_left_at_cap_is_flagged(self):
-        # increasing in |xi| and |alpha|: both bounds double up to their caps
+        # increasing in |xi| and |alpha|: both bounds grow to their caps at once
         res, = _search_gaussian(lambda pts, rows: pts[:, 0] + pts[:, 2],
                                 [Group(grid_density=4, n_starts=8)])
         assert res.trace["magnitude_bounds"] == [[XI_BOUND, ALPHA_BOUND],
-                                                 [XI_CAP, ALPHA_CAP]]
+                                                 [SDF_XI_MAX, SDF_ALPHA_MAX]]
         assert res.trace["at_cap"] is True
-        assert res.argmax[0] == pytest.approx(XI_CAP)
-        assert res.argmax[2] == pytest.approx(ALPHA_CAP)
+        assert res.argmax[0] == pytest.approx(SDF_XI_MAX)
+        assert res.argmax[2] == pytest.approx(SDF_ALPHA_MAX)
+
+    def test_grown_group_matches_its_lone_search(self):
+        # on (1,10) the vacuum row grows through |alpha| <= 6 to |xi| <= 2 and
+        # reruns alone; every group of the joint search, grown or not, has
+        # the value, argmax and trace of its own lone search
+        f = _pair_objective(FockPair(1, 10), MAX_FOCK + 1)
+        groups = [Group(0, grid_density=9, n_starts=8), Group(4, grid_density=9, n_starts=8),
+                  Group(MAX_FOCK + 1)]
+        joint = _search_gaussian(f, groups)
+        assert [len(part.trace["magnitude_bounds"]) for part in joint] == [3, 1, 1]
+        for group, part in zip(groups, joint):
+            alone, = _search_gaussian(f, [group])
+            assert part.value == alone.value
+            assert np.array_equal(part.argmax, alone.argmax)
+            assert part.trace == alone.trace
 
 
 def test_parse_kind_names():
