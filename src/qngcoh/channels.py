@@ -165,11 +165,12 @@ def _tail_dim(top: int, nbar: float, heat: float, reach: int) -> int:
 
 
 def sorted_times(times, name: str = "times") -> list[float]:
-    """``times`` as floats; raises ``ValueError`` unless they are sorted
+    """``times`` as floats; raises ``ValueError`` unless they are strictly
     ascending, >= 0 and finite (the rule for delay lists and heating times)."""
     times = [float(t) for t in times]
-    if not all(0.0 <= t1 <= t2 < math.inf for t1, t2 in zip([0.0] + times, times)):
-        raise ValueError(f"{name} must be sorted ascending, >= 0 and finite: {times}")
+    if not all(t1 < t2 and 0.0 <= t2 < math.inf for t1, t2 in zip([-1.0] + times, times)):
+        raise ValueError(f"{name} must be sorted ascending without repeats, >= 0 and "
+                         f"finite: {times}")
     return times
 
 

@@ -47,6 +47,13 @@ def _parse_pair(text: str) -> FockPair:
     return FockPair(int(parts[0]), int(parts[1]))
 
 
+def _distinct(pairs: list[FockPair]) -> list[FockPair]:
+    """``pairs``, unless one is listed twice (in either order)."""
+    if len(set(pairs)) < len(pairs):
+        raise ValueError(f"pairs must be distinct, got {[[p.m, p.n] for p in pairs]}")
+    return pairs
+
+
 def _fail(code: int, label: str, exc) -> NoReturn:
     click.echo(f"{label}: {exc}", err=True)
     sys.exit(code)
@@ -146,7 +153,7 @@ def cmd_thresholds(pairs, kinds, out: Path) -> int:
     with _failures("usage error"):
         if not pairs:
             raise ValueError("provide at least one --pair m,n")
-        pair_objs = [_parse_pair(p) for p in pairs]
+        pair_objs = _distinct([_parse_pair(p) for p in pairs])
         kind_objs = [parse_kind(k) for k in kinds] if kinds else list(ORDERED_KINDS)
         for pair in pair_objs:
             row: dict = {}
@@ -228,23 +235,28 @@ def _noise_from_config(blob: dict) -> NoiseConfig:
 def cmd_simulate(config_path: Path, out_dir: Path) -> int:
     """Run Ramsey decay scans from a scenario config.
 
-    Config keys: ``pairs`` (list of [m, n]) or ``pair``, ``delays`` (seconds),
-    ``noise`` (NoiseConfig fields), ``phases`` (scan points), ``shots``
-    (null for exact readout), ``seed``, ``kind`` (depth threshold).
+    Config keys: ``pairs`` (list of [m, n]) or ``pair``, not both,
+    ``delays`` (seconds, strictly ascending), ``noise`` (NoiseConfig
+    fields), ``phases`` (scan points), ``shots`` (null for exact readout),
+    ``seed``, ``kind`` (depth threshold); any other key is a config error.
     """
     t0 = time.monotonic()
     try:
         blob = yaml.safe_load(config_path.read_text())
         if not isinstance(blob, dict):
             raise ValueError(f"config must be a mapping, got {type(blob).__name__}")
+        unknown = set(blob) - {"pairs", "pair", "delays", "noise", "phases", "shots",
+                               "seed", "kind"}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown, key=str)}")
+        if "pair" in blob and "pairs" in blob:
+            raise ValueError("config takes 'pair' or 'pairs', not both")
         kind = parse_kind(blob.get("kind", "genuine"))
         raw_pairs = blob.get("pairs") or ([blob["pair"]] if "pair" in blob else None)
         if not raw_pairs:
             raise ValueError("config needs 'pair' or 'pairs'")
-        pairs = [FockPair(_config_int(m, "pair index"), _config_int(n, "pair index"))
-                 for m, n in raw_pairs]
-        if len(set(pairs)) < len(pairs):
-            raise ValueError(f"pairs must be distinct, got {[[p.m, p.n] for p in pairs]}")
+        pairs = _distinct([FockPair(_config_int(m, "pair index"), _config_int(n, "pair index"))
+                           for m, n in raw_pairs])
         for pair in pairs:
             problem = _cap_error(kind, pair)
             if problem is not None:

@@ -28,6 +28,7 @@ sampler pass ``phi = 0``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
@@ -79,7 +80,13 @@ class FockPair:
     n: int
 
     def __post_init__(self) -> None:
-        m, n = int(self.m), int(self.n)
+        try:  # never truncated: a float, a string or a bool is not an index
+            if isinstance(self.m, bool) or isinstance(self.n, bool):
+                raise TypeError
+            m, n = operator.index(self.m), operator.index(self.n)
+        except TypeError:
+            raise ValueError(
+                f"Fock indices must be integers, got ({self.m!r}, {self.n!r})") from None
         if m < 0 or n < 0:
             raise ValueError(f"Fock indices must be non-negative, got ({m}, {n})")
         if m == n:

@@ -304,46 +304,42 @@ def _check_edge(kind: PulseKind, dim: int, population) -> None:
         raise TruncationError(f"{kind.value} pulse at the truncation edge")
 
 
-def _prepare(pulses: list[PulseSpec], nbar: float, dim: int, areas,
-             phases) -> np.ndarray:
-    """Stack of density matrices, of shape (3 dim, 3 dim, P), after
-    ``pulses`` on the thermal start.
+def _prepare(steps, nbar: float, dim: int) -> np.ndarray:
+    """Stack of density matrices, of shape (3 dim, 3 dim, P), after the
+    pulse ``steps`` on the thermal start.
 
-    Each pulse rotates the factor of :func:`_thermal_factor` once, from the
-    left, and ``A A^H`` is formed at the end.  ``areas`` and ``phases`` hold
-    one entry per pulse, a float or one value per matrix.
+    Each step ``(kind, area, phase)`` rotates the factor of
+    :func:`_thermal_factor` once, from the left, and ``A A^H`` is formed at
+    the end; ``area`` and ``phase`` are floats or one value per matrix.
     """
     amps = _thermal_factor(nbar, dim)[..., None]
-    for pulse, area, phase in zip(pulses, areas, phases):
+    for kind, area, phase in steps:
         amps = _widen(amps, area, phase)
-        _check_edge(pulse.kind, dim, lambda edge: np.sum(np.abs(amps[edge]) ** 2, axis=0))
-        _rotate(amps.reshape(3, dim, *amps.shape[1:]), pulse.kind, area, phase)
+        _check_edge(kind, dim, lambda edge: np.sum(np.abs(amps[edge]) ** 2, axis=0))
+        _rotate(amps.reshape(3, dim, *amps.shape[1:]), kind, area, phase)
     cols = amps.transpose(2, 0, 1)
     rho = np.empty((3 * dim, 3 * dim, amps.shape[-1]), dtype=complex)
     np.matmul(cols, cols.conj().transpose(0, 2, 1), out=rho.transpose(2, 0, 1))
     return rho
 
 
-def _apply_unitaries(rho: np.ndarray, pulses: list[PulseSpec], dim: int,
-                     areas=None, phases=None) -> np.ndarray:
-    """Apply ``rho -> U rho U^H`` for each pulse to a stack of Hermitian
-    matrices of shape (3 dim, 3 dim, P), as ``U (U rho)^H``: two in-place
-    ``_rotate`` calls on the (3, dim, 3 dim, P) row view, O(dim^2) each.
+def _apply_unitaries(rho: np.ndarray, steps, dim: int) -> np.ndarray:
+    """Apply ``rho -> U rho U^H`` for each pulse step ``(kind, area, phase)``
+    to a stack of Hermitian matrices of shape (3 dim, 3 dim, P), as
+    ``U (U rho)^H``: two in-place ``_rotate`` calls on the (3, dim, 3 dim, P)
+    row view, O(dim^2) each.
 
-    ``areas`` and ``phases`` (default: the pulses' own) hold one entry per
-    pulse, a float or one value per matrix; the stack widens as in
-    :func:`_widen`.  Works in place: ``rho`` is overwritten unless it widens
-    first, and the result is the returned stack.
+    ``area`` and ``phase`` are floats or one value per matrix; the stack
+    widens as in :func:`_widen`.  Works in place: ``rho`` is overwritten
+    unless it widens first, and the result is the returned stack.
     """
-    areas = [p.area for p in pulses] if areas is None else areas
-    phases = [p.phase for p in pulses] if phases is None else phases
-    for pulse, area, phase in zip(pulses, areas, phases):
+    for kind, area, phase in steps:
         rho = _widen(rho, area, phase)
-        _check_edge(pulse.kind, dim, lambda edge: np.abs(rho[edge, edge]))
+        _check_edge(kind, dim, lambda edge: np.abs(rho[edge, edge]))
         # each row view only splits the leading axis, so it is a view of rho
-        _rotate(rho.reshape(3, dim, 3 * dim, -1), pulse.kind, area, phase)
+        _rotate(rho.reshape(3, dim, 3 * dim, -1), kind, area, phase)
         rho = np.conjugate(rho, out=rho).transpose(1, 0, 2)
-        _rotate(rho.reshape(3, dim, 3 * dim, -1), pulse.kind, area, phase)
+        _rotate(rho.reshape(3, dim, 3 * dim, -1), kind, area, phase)
     return rho
 
 
@@ -459,24 +455,21 @@ def run_ramsey(seq: RamseySequence, delay: float, noise: NoiseConfig,
     dim = simulation_dim(seq, noise, delay)
 
     children = np.random.SeedSequence((seed, 0x52414D)).spawn(phases.size + 1)
-    pulses = seq.prep + seq.analysis
-    n_prep = len(seq.prep)
-    areas = [p.area for p in pulses]
+    steps = [(p.kind, p.area, p.phase) for p in seq.prep + seq.analysis]
     if noise.pulse_error > 0.0:
         # one area error per pulse for each scan phase, from its own stream
         jit = noise.pulse_error * np.array(
-            [np.random.default_rng(c).standard_normal(len(pulses))
+            [np.random.default_rng(c).standard_normal(len(steps))
              for c in children[:-1]])
-        areas = [a * np.maximum(0.0, 1.0 + j) for a, j in zip(areas, jit.T)]
-    offsets = [p.phase for p in pulses]
-    offsets[-1] += phases  # the last analysis pulse carries the scanned phase
-
-    rho = _prepare(seq.prep, noise.initial_thermal_nbar, dim, areas[:n_prep],
-                   offsets[:n_prep])
+        steps = [(kind, area * np.maximum(0.0, 1.0 + j), phase)
+                 for (kind, area, phase), j in zip(steps, jit.T)]
+    kind, area, phase = steps[-1]
+    steps[-1] = (kind, area, phase + phases)  # the last analysis pulse carries the scanned phase
+    n_prep = len(seq.prep)
+    rho = _prepare(steps[:n_prep], noise.initial_thermal_nbar, dim)
     rho = _delay_channels(rho, delay, noise, dim)
-    rho = _apply_unitaries(rho, seq.analysis[:-1], dim, areas[n_prep:-1],
-                           offsets[n_prep:-1])
-    pg = _scan_readout(rho, seq.analysis[-1].kind, areas[-1], offsets[-1], dim)
+    rho = _apply_unitaries(rho, steps[n_prep:-1], dim)
+    pg = _scan_readout(rho, *steps[-1], dim)
 
     # fluorescence-dark probability 1 - P(g); shelf counts as dark
     pes = np.clip(1.0 - pg, 0.0, 1.0)

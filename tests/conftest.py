@@ -87,12 +87,21 @@ def thermal_spin_osc(nbar: float, dim: int) -> np.ndarray:
     return rho
 
 
+def pulse_steps(pulses, areas=None, phases=None) -> list:
+    """The steps ``(kind, area, phase)`` the Ramsey pulse stages take, one per
+    pulse: the pulses' own areas and phases unless ``areas`` or ``phases``
+    (one entry per pulse, a float or one value per matrix) replace them."""
+    areas = [p.area for p in pulses] if areas is None else areas
+    phases = [p.phase for p in pulses] if phases is None else phases
+    return [(p.kind, area, phase) for p, area, phase in zip(pulses, areas, phases)]
+
+
 def prepared_state(seq, noise) -> np.ndarray:
     """Spin-oscillator density matrix right after the preparation half of
     ``seq`` (no delay, no jitter), at the simulator's truncation."""
     dim = simulation_dim(seq, noise, 0.0)
     rho0 = thermal_spin_osc(noise.initial_thermal_nbar, dim)[..., None]
-    return _apply_unitaries(rho0, seq.prep, dim)[..., 0]
+    return _apply_unitaries(rho0, pulse_steps(seq.prep), dim)[..., 0]
 
 
 def oracle_dim_for(g: GaussianParams, top_index: int = 0) -> int:

@@ -222,6 +222,12 @@ class TestThermalDepthLimit:
             thermal_depth_limit(FockPair(0, 1), 3.2, [0.01, 0.0],
                                 ThresholdKind.CLASSICAL)
 
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [0.0, 0.01, 0.01]])
+    def test_repeated_times_rejected(self, times):
+        # a repeated time used to pass and be reported twice
+        with pytest.raises(ValueError, match="times must be sorted ascending without repeats"):
+            thermal_depth_limit(FockPair(0, 2), 3.2, times, ThresholdKind.GENUINE_N)
+
     @pytest.mark.parametrize("times", [[-0.05, 0.0], [0.0, math.nan], [0.0, math.inf]])
     def test_negative_or_non_finite_times_rejected(self, times):
         with pytest.raises(ValueError, match="times must be"):

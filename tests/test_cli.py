@@ -89,6 +89,14 @@ class TestThresholdsCommand:
                                       "--out", str(tmp_path / "t.json")])
         assert result.exit_code == 1
 
+    def test_repeated_pair_usage_error(self, runner, tmp_path):
+        # 2,0 is 0,2: one row would be written under a manifest echoing both
+        result = runner.invoke(main, ["thresholds", "--pair", "0,2", "--pair", "2,0",
+                                      "--kind", "classical", "--out", str(tmp_path / "t.json")])
+        assert result.exit_code == 1
+        assert result.stderr == "usage error: pairs must be distinct, got [[0, 2], [0, 2]]\n"
+        assert not (tmp_path / "t.json").exists()
+
     def test_out_of_range_pair_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["thresholds", "--pair", "0,12",
                                       "--kind", "genuine",
@@ -244,17 +252,23 @@ class TestSimulateCommand:
         ("phases", True, "phases must be an integer, got True"),
         ("shots", 2.5, "shots must be an integer, got 2.5"),
         ("delays", [], "delays must list at least one delay"),
-        ("pairs", [[0, 2], [2, 0]], "pairs must be distinct, got [[0, 2], [0, 2]]")])
+        ("pairs", [[0, 2], [2, 0]], "pairs must be distinct, got [[0, 2], [0, 2]]"),
+        ("delays", [0.0, 0.0], "delays must be sorted ascending"),
+        ("delays", [0.0, 0.004, 0.004], "delays must be sorted ascending"),
+        ("shot", 200, "unknown config keys: ['shot']")])
     def test_scan_shape_config_error(self, runner, tmp_path, key, value, message):
         # a scan no fringe can be fitted from is a bad config, found before
         # any delay is simulated
+        blob = {"pair": [0, 1], "delays": [0.0, 0.004], "phases": 8, key: value}
+        if key == "pairs":  # a config names its pairs one way
+            del blob["pair"]
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(yaml.safe_dump({"pair": [0, 1], "delays": [0.0, 0.004],
-                                       "phases": 8, key: value}))
+        cfg.write_text(yaml.safe_dump(blob))
         result = runner.invoke(main, ["simulate", "--config", str(cfg),
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 1
         assert "config error" in result.output and message in result.output
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", [
         None, "- 0.0\n- 0.004\n", "pairs: [[0]]\ndelays: [0.0]\n",
@@ -270,12 +284,16 @@ class TestSimulateCommand:
         "pair: [0, 1]\ndelays: [0.0]\nnoise: {dephasing_rate: '1.0'}\n",
         "pair: [0, 1]\ndelays: [0.0]\nnoise: []\n", "pair: [0, 1]\ndelays: []\n",
         "pairs: [[0, 2], [2, 0]]\ndelays: [0.0]\n",
-        "pair: [20, 21]\ndelays: [0.0]\nkind: classical\n"],
+        "pair: [20, 21]\ndelays: [0.0]\nkind: classical\n",
+        "pair: [0, 1]\npairs: [[0, 2]]\ndelays: [0.0]\n",
+        "pair: [0, 1]\ndelays: [0.0, 0.0]\n", "pair: [0, 1]\ndelays: [0.0]\nshot: 200\n",
+        "pair: [0, 1]\ndelays: [0.0]\n1: x\n"],
         ids=["missing-file", "top-level-list", "one-index-pair", "unsupported-delta",
              "unsupported-ladder", "negative-seed", "unvalidated-threshold",
              "fractional-index", "boolean-index", "fractional-seed", "infinite-shots",
              "numeric-kind", "null-kind", "boolean-delay", "boolean-noise", "string-noise",
-             "list-noise", "no-delays", "repeated-pair", "classical-out-of-range"])
+             "list-noise", "no-delays", "repeated-pair", "classical-out-of-range",
+             "pair-and-pairs", "repeated-delay", "unknown-key", "non-string-key"])
     def test_unreadable_config_error(self, runner, tmp_path, text):
         # read as a config error on one line, not truncated to an integer and
         # not a traceback

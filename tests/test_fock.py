@@ -464,12 +464,20 @@ class TestDomainTypes:
         pair = FockPair(3, 1)
         assert (pair.m, pair.n) == (1, 3)
         assert pair.delta == 2
+        assert FockPair(np.int64(3), np.int32(1)) == pair
 
     def test_fock_pair_rejects_equal_and_negative(self):
         with pytest.raises(ValueError):
             FockPair(2, 2)
         with pytest.raises(ValueError):
             FockPair(-1, 2)
+
+    @pytest.mark.parametrize("m, n", [(0, 2.7), (0, 2.0), (True, 2), (0, False),
+                                      ("0", "2"), (np.float64(1.0), 3), (np.True_, 2)])
+    def test_fock_pair_takes_integer_indices_only(self, m, n):
+        # int() used to truncate 2.7 to 2, read True as 1 and parse "0"
+        with pytest.raises(ValueError, match="Fock indices must be integers"):
+            FockPair(m, n)
 
     def test_gaussian_params_normalization(self):
         g = GaussianParams(0.5, 2 * math.pi + 0.25, 1.0, -0.5)

@@ -18,7 +18,7 @@ from qngcoh.ramsey import (ROW_G, ConditioningError, FitError, MappingConditionE
                            simulation_dim)
 from qngcoh.thresholds import ThresholdKind, threshold
 from conftest import (assert_density_matrix, motional_populations, prepared_state,
-                      thermal_spin_osc)
+                      pulse_steps, thermal_spin_osc)
 
 PHASES = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
 
@@ -109,8 +109,8 @@ class TestPulses:
             rho = np.zeros((3 * dim, 3 * dim), dtype=complex)
             rho[level, level] = 1.0
             with pytest.raises(TruncationError):
-                _apply_unitaries(rho.copy()[..., None], pulses, dim)
-            _apply_unitaries(rho[..., None], pulses[:-1], dim)
+                _apply_unitaries(rho.copy()[..., None], pulse_steps(pulses), dim)
+            _apply_unitaries(rho[..., None], pulse_steps(pulses[:-1]), dim)
 
     def test_factored_preparation_truncation_edge_raises(self):
         # from a thermal start at nbar 0.5 the top ground rung is occupied; a
@@ -119,8 +119,7 @@ class TestPulses:
         bsb, rsb = PulseSpec(PulseKind.BSB, math.pi), PulseSpec(PulseKind.RSB, math.pi)
 
         def prepare(pulses, nbar, dim):
-            return _prepare(pulses, nbar, dim, [p.area for p in pulses],
-                            [p.phase for p in pulses])
+            return _prepare(pulse_steps(pulses), nbar, dim)
 
         for pulses, nbar, dim in (([bsb], 0.5, 4), ([bsb, rsb], 0.0, 2)):
             with pytest.raises(TruncationError, match="pulse at the truncation edge"):
@@ -165,7 +164,7 @@ class TestPulses:
                 rho += p * np.outer(vec, vec.conj())
                 out = apply_pulse(amps, pulse).reshape(-1)
                 expected += p * np.outer(out, out.conj())
-            got = _apply_unitaries(rho[..., None], [pulse], dim)[..., 0]
+            got = _apply_unitaries(rho[..., None], pulse_steps([pulse]), dim)[..., 0]
             assert np.max(np.abs(got - expected)) < 1e-12, kind
 
 
@@ -190,9 +189,9 @@ def test_factored_preparation_matches_two_sided_pulses(pair, nbar):
     jittered = ([p.area * (1.0 + 0.02 * rng.standard_normal(16)) for p in seq.prep],
                 [p.phase + 0.1 * rng.standard_normal(16) for p in seq.prep])
     for areas, phases in (exact, jittered):
-        got = _prepare(seq.prep, nbar, dim, areas, phases)
-        want = _apply_unitaries(thermal_spin_osc(nbar, dim)[..., None], seq.prep, dim,
-                                areas, phases)
+        steps = pulse_steps(seq.prep, areas, phases)
+        got = _prepare(steps, nbar, dim)
+        want = _apply_unitaries(thermal_spin_osc(nbar, dim)[..., None], steps, dim)
         assert got.shape == want.shape == (3 * dim, 3 * dim, np.size(areas[0]))
         assert np.max(np.abs(got - want)) < 1e-14
 
@@ -213,7 +212,7 @@ def test_scan_readout_matches_applied_pulse(kind, rng):
                       (stack, pulse.area * (1.0 + 0.05 * rng.standard_normal(16)))):
         phase = pulse.phase + PHASES
         got = _scan_readout(rho, kind, area, phase, dim)
-        after = _apply_unitaries(rho.copy(), [pulse], dim, [area], [phase])
+        after = _apply_unitaries(rho.copy(), pulse_steps([pulse], [area], [phase]), dim)
         assert got.shape == (16,)
         assert np.max(np.abs(got - np.real(np.trace(after[:dim, :dim])))) < 1e-14
 
@@ -358,10 +357,10 @@ def per_phase_fringe(seq, delay, noise, phases, shots, seed):
         offsets = [p.phase for p in pulses]
         offsets[-1] += phi
         rho = thermal_spin_osc(noise.initial_thermal_nbar, dim)[..., None]
-        rho = _apply_unitaries(rho, seq.prep, dim, areas[:n_prep], offsets[:n_prep])
+        steps = pulse_steps(pulses, areas, offsets)
+        rho = _apply_unitaries(rho, steps[:n_prep], dim)
         rho = _delay_channels(rho, delay, noise, dim)
-        rho = _apply_unitaries(rho, seq.analysis, dim, areas[n_prep:],
-                               offsets[n_prep:])
+        rho = _apply_unitaries(rho, steps[n_prep:], dim)
         pg = float(np.real(np.trace(rho[:dim, :dim, 0])))
         pe = min(1.0, max(0.0, 1.0 - pg))
         pes.append(pe)
@@ -526,6 +525,15 @@ class TestDecayScan:
         with pytest.raises(ValueError):
             decay_scan(FockPair(0, 1), [0.01, 0.0], NoiseConfig(),
                        ThresholdKind.CLASSICAL)
+
+    def test_repeated_delay_rejected_before_any_fringe(self):
+        # a repeated delay used to be simulated twice, one row each
+        fringes = []
+        with pytest.raises(ValueError, match="delays must be sorted ascending without repeats"):
+            decay_scan(FockPair(0, 1), [0.0, 0.004, 0.004], NoiseConfig(),
+                       ThresholdKind.CLASSICAL,
+                       fringe_sink=lambda delay, fringe: fringes.append(delay))
+        assert fringes == []
 
     @pytest.mark.parametrize("last", [math.inf, math.nan])
     def test_non_finite_delay_rejected_before_any_fringe(self, last):
