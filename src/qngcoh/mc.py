@@ -10,6 +10,7 @@ threshold rather than sitting far below it.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -25,8 +26,8 @@ VIOLATION_SLACK = 1e-3
 #: coherent-state energy scale floor for the classical sampler
 _MIN_ENERGY_SCALE = 1.0
 
-#: samples per amplitude evaluation; bounds the amplitude and coherence
-#: memory of each worker, so a run holds at most workers x chunk of them
+#: samples per chunk and kernel call (``MC_CHUNK // 11`` draws for intrinsic
+#: and genuine); a run holds at most workers x chunk amplitudes and coherences
 MC_CHUNK = 1 << 14
 
 #: bins of the margin histogram between zero and the threshold
@@ -61,27 +62,28 @@ class McReport:
 def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
                        seed: int, reduce) -> list:
     """``reduce`` of the coherences of random pure extreme points of the
-    admissible family, one result per chunk of samples.
+    admissible family, one result per chunk.
 
-    The chunks hold at most ``MC_CHUNK`` samples of one Fock input each, so
-    their list is a function of ``samples``, ``MC_CHUNK`` and the intrinsic
-    samples per input (one multinomial draw).  Each chunk gets one child
-    stream of ``SeedSequence(seed)`` and, on the worker thread that
-    evaluates it, draws its own slice of the ``samples``-sized array of the
-    three Gaussian parameters and, for the genuine kind, its own core states
-    (``2 n`` values per sample), then reduces its coherences itself: no
-    ``samples``-sized array of coherences is formed.  The chunks' results
-    depend neither on the number of workers nor on their timing.
+    A draw is one Gaussian ``(|xi|, arg xi, |alpha|)``.  Intrinsic applies it
+    to every Fock input ``0..MAX_FOCK`` in one kernel block, genuine to
+    ``MAX_FOCK + 1`` Haar-random core states that the chunk draws after its
+    parameters; classical and gaussian-min take one sample per draw.  A chunk
+    holds at most ``MC_CHUNK`` samples, gets one child stream of
+    ``SeedSequence(seed)`` and, on the worker thread that evaluates it, draws
+    its own slice of the draws-sized parameter array and reduces its
+    coherences itself (a draw's samples in input order, the last draw cut so
+    that exactly ``samples`` are reduced): no ``samples``-sized array of
+    coherences is formed.  The results depend neither on the number of
+    workers nor on their timing.
     """
     m, n = pair.m, pair.n
-    seq = np.random.SeedSequence(seed)
-    counts = (np.random.default_rng(seq).multinomial(samples, [1 / (MAX_FOCK + 1)] * (MAX_FOCK + 1))
-              if kind == ThresholdKind.GAUSSIAN_INTRINSIC else [samples])
-    # rows xi magnitude, xi phase, alpha magnitude. Samples-sized: with chunk-sized
+    per = MAX_FOCK + 1 if kind in (ThresholdKind.GAUSSIAN_INTRINSIC, ThresholdKind.GENUINE_N) else 1
+    draws, step = -(-samples // per), MC_CHUNK // per
+    # rows xi magnitude, xi phase, alpha magnitude. Draws-sized: with chunk-sized
     # arrays the kernel's temporaries stay on glibc's mmap path (ROADMAP, measured dead end)
-    params = np.empty((3, samples))
+    params = np.empty((3, draws))
 
-    def evaluate(k, lo, hi, child):
+    def evaluate(lo, hi, child):
         rng, sel = np.random.default_rng(child), slice(lo, hi)
         if kind == ThresholdKind.CLASSICAL:
             # exponential energy distribution concentrated near the optimum scale
@@ -93,22 +95,19 @@ def _sample_coherences(kind: ThresholdKind, pair: FockPair, samples: int,
             r, th, amag = (np.multiply(rng.random(out=row), bound, out=row) for row, bound
                            in zip(params[:, sel], (XI_BOUND, 2.0 * math.pi, ALPHA_BOUND)))
         if kind != ThresholdKind.GENUINE_N:
-            am, an = sdf_amplitude_raw((m, n), k, r, th, amag, 0.0)
+            am, an = sdf_amplitude_raw((m, n), range(per) if per > 1 else 0, r, th, amag, 0.0)
         else:
-            # Haar-random core states on the complex d-sphere, drawn as real
-            # and imaginary parts and normalized per sample
+            # Haar-random core states on the complex n-sphere, MAX_FOCK + 1 per
+            # draw, drawn as real and imaginary parts and normalized per state
             u, v = sdf_amplitude_raw((m, n), range(n), r, th, amag, 0.0)
-            c = rng.standard_normal((n, hi - lo)) + 1j * rng.standard_normal((n, hi - lo))
+            c = rng.standard_normal((n, per, hi - lo)) + 1j * rng.standard_normal((n, per, hi - lo))
             c /= np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
-            am, an = np.sum(u * c, axis=0), np.sum(v * c, axis=0)
-        return reduce(2.0 * np.abs(am * np.conj(an)))
+            am, an = np.sum(u[:, None] * c, axis=0), np.sum(v[:, None] * c, axis=0)
+        return reduce((2.0 * np.abs(am * np.conj(an))).T.reshape(-1)[:samples - lo * per])
 
-    ends = np.cumsum(counts).tolist()
-    chunks = [(k, lo, min(lo + MC_CHUNK, end))
-              for k, (start, end) in enumerate(zip([0] + ends, ends))
-              for lo in range(start, end, MC_CHUNK)]
-    return _run_chunks(evaluate, [chunk + (child,) for chunk, child
-                                  in zip(chunks, seq.spawn(len(chunks)))])
+    los = range(0, draws, step)
+    return _run_chunks(evaluate, [(lo, min(lo + step, draws), child) for lo, child
+                                  in zip(los, np.random.SeedSequence(seed).spawn(len(los)))])
 
 
 def _usable_cores() -> int:
@@ -163,12 +162,16 @@ def mc_verify(kind: ThresholdKind, pair: FockPair, samples: int,
     """Sample the admissible family and count threshold violations.
 
     Deterministic in ``(kind, pair, samples, seed)``: the same call returns a
-    bit-identical report on any number of workers, since every chunk of
-    samples draws from its own child stream of ``SeedSequence(seed)``.  The
-    chunks follow ``MC_CHUNK``, so changing it changes every seeded report.
-    The intrinsic sampler and threshold both range over Fock inputs up to
-    ``MAX_FOCK``.
+    bit-identical report on any number of workers, since every chunk draws
+    from its own child stream of ``SeedSequence(seed)``.  The chunks follow
+    ``MC_CHUNK``, so changing it changes every seeded report.  The intrinsic
+    sampler and threshold both range over Fock inputs up to ``MAX_FOCK``, and
+    one Gaussian draw serves all of them (genuine: as many core states).
+    ``samples`` and ``seed`` are non-negative integers, never bools.
     """
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     if samples < 1000:
         raise ValueError("need at least 1e3 samples for a meaningful report")
     thr = threshold(kind, pair).value

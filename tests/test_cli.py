@@ -376,6 +376,16 @@ class TestMcVerifyCommand:
                                       "--out", str(tmp_path / "mc.json")])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("option, value", [("--seed", "-3"), ("--samples", "-5")])
+    def test_negative_seed_or_samples_usage_error(self, runner, tmp_path, option, value):
+        out = tmp_path / "mc.json"
+        result = runner.invoke(main, ["mc-verify", "--kind", "classical", "--pair", "0,1",
+                                      option, value, "--out", str(out)])
+        assert result.exit_code == 1
+        assert (f"usage error: {option[2:]} must be a non-negative integer, got {value}"
+                in result.output)
+        assert not out.exists()
+
     @pytest.mark.parametrize("error", [
         TruncationRiskError("threshold optimum unstable under truncation doubling"),
         NonConvergenceError("no refinement start reached the grid seed value", {})])

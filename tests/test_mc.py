@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qngcoh import mc
-from qngcoh.fock import FockPair
+from qngcoh.fock import FockPair, GaussianParams, build_gaussian_matrix
 from qngcoh.mc import mc_verify
 from qngcoh.thresholds import ThresholdKind
 
@@ -82,9 +82,10 @@ def test_intrinsic_sound_where_the_search_misses(pair):
     assert report.violations == 0
 
 
-def test_intrinsic_chunks_cover_every_sample_once(monkeypatch):
-    # the chunks hold one Fock input each, at most MC_CHUNK samples, and
-    # together cover the samples-sized arrays once, each with its own stream
+@pytest.mark.parametrize("kind", list(ThresholdKind), ids=lambda k: k.name)
+def test_chunks_cover_every_draw_once(monkeypatch, kind):
+    # the chunks cover the draws once, in order, each with its own stream and
+    # at most MC_CHUNK samples; the last draw is cut to exactly `samples`
     run, seen = mc._run_chunks, []
 
     def recording_run(evaluate, chunks):
@@ -92,13 +93,55 @@ def test_intrinsic_chunks_cover_every_sample_once(monkeypatch):
         return run(evaluate, chunks)
 
     monkeypatch.setattr(mc, "_run_chunks", recording_run)
-    mc_verify(ThresholdKind.GAUSSIAN_INTRINSIC, FockPair(1, 3), 200_000, seed=5)
-    assert [lo for _, lo, _, _ in seen] == [0] + [hi for _, _, hi, _ in seen[:-1]]
-    assert seen[-1][2] == 200_000
-    assert all(0 < hi - lo <= mc.MC_CHUNK for _, lo, hi, _ in seen)
-    inputs = [k for k, _, _, _ in seen]
-    assert inputs == sorted(inputs) and set(inputs) == set(range(mc.MAX_FOCK + 1))
-    assert len({child.spawn_key for _, _, _, child in seen}) == len(seen)
+    samples = 200_003
+    per = mc.MAX_FOCK + 1 if kind in (ThresholdKind.GAUSSIAN_INTRINSIC,
+                                      ThresholdKind.GENUINE_N) else 1
+    coh = mc._sample_coherences(kind, FockPair(1, 3), samples, 5, lambda c: c)
+    assert [lo for lo, _, _ in seen] == [0] + [hi for _, hi, _ in seen[:-1]]
+    assert seen[-1][1] == -(-samples // per)
+    assert all(0 < (hi - lo) * per <= mc.MC_CHUNK for lo, hi, _ in seen)
+    assert len({child.spawn_key for _, _, child in seen}) == len(seen)
+    assert [c.size for c in coh[:-1]] == [(hi - lo) * per for lo, hi, _ in seen[:-1]]
+    assert sum(c.size for c in coh) == samples
+
+
+def test_intrinsic_inputs_share_the_samples_evenly(monkeypatch):
+    # a kernel whose coherence names the Fock input: 2 |(k + 1) 0.5| = k + 1
+    def input_kernel(rows, inputs, r, th, amag, phi):
+        k = np.asarray(inputs, dtype=float)[:, None] + 1.0
+        return np.stack([k + 0.0 * amag, 0.5 + 0.0 * k * amag])
+
+    monkeypatch.setattr(mc, "sdf_amplitude_raw", input_kernel)
+    for samples in (200_003, 11 * 5000, 1001):
+        coh = np.concatenate(mc._sample_coherences(
+            ThresholdKind.GAUSSIAN_INTRINSIC, FockPair(1, 3), samples, 5, lambda c: c))
+        counts = np.bincount(np.rint(coh).astype(int) - 1, minlength=mc.MAX_FOCK + 1)
+        assert counts.size == mc.MAX_FOCK + 1 and counts.sum() == samples
+        assert set(counts.tolist()) <= {samples // 11, -(-samples // 11)}
+
+
+@pytest.mark.parametrize("kind", [ThresholdKind.GAUSSIAN_INTRINSIC, ThresholdKind.GENUINE_N],
+                         ids=lambda k: k.name)
+def test_sampled_coherences_match_the_matrix_route(kind):
+    # the draws are replayed from the first chunk's stream and each state is
+    # built from build_gaussian_matrix at the drawn parameters
+    pair, per, draws, seed = FockPair(1, 3), mc.MAX_FOCK + 1, 4, 23
+    coh = np.concatenate(mc._sample_coherences(kind, pair, per * draws, seed, lambda c: c))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    r, th, amag = (rng.random(draws) * bound for bound
+                   in (mc.XI_BOUND, 2.0 * np.pi, mc.ALPHA_BOUND))
+    if kind == ThresholdKind.GENUINE_N:
+        c = (rng.standard_normal((pair.n, per, draws))
+             + 1j * rng.standard_normal((pair.n, per, draws)))
+    for d in range(draws):
+        g = build_gaussian_matrix(GaussianParams(r[d], th[d], amag[d]), 40, pad=120)
+        for j in range(per):
+            if kind == ThresholdKind.GENUINE_N:
+                psi = g[:, :pair.n] @ (c[:, j, d] / np.linalg.norm(c[:, j, d]))
+            else:
+                psi = g[:, j]
+            want = 2.0 * abs(psi[pair.m] * np.conj(psi[pair.n]))
+            assert coh[d * per + j] == pytest.approx(want, abs=1e-10)
 
 
 def test_sample_floor():
@@ -106,9 +149,23 @@ def test_sample_floor():
         mc_verify(ThresholdKind.CLASSICAL, FockPair(0, 1), 999, seed=1)
 
 
+@pytest.mark.parametrize("name, samples, seed", [
+    ("samples", 1e4, 1), ("samples", 10_000.0, 1), ("samples", True, 1), ("samples", "10000", 1),
+    ("samples", -5, 1), ("seed", 10_000, True), ("seed", 10_000, False), ("seed", 10_000, -3),
+    ("seed", 10_000, 1.0), ("seed", 10_000, "7"), ("seed", 10_000, None)])
+def test_samples_and_seed_are_non_negative_integers(name, samples, seed):
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+        mc_verify(ThresholdKind.CLASSICAL, FockPair(0, 1), samples, seed=seed)
+
+
+def test_numpy_integer_samples_and_seed_accepted():
+    report = mc_verify(ThresholdKind.CLASSICAL, FockPair(0, 1), np.int64(2000), seed=np.uint8(7))
+    assert report.as_dict() == mc_verify(ThresholdKind.CLASSICAL, FockPair(0, 1), 2000, seed=7).as_dict()
+
+
 def test_threaded_chunks_match_serial(monkeypatch):
-    # 5 chunks of 1024 samples (more for intrinsic's per-input groups): one
-    # core runs the plain loop, two split the chunks with a second thread
+    # 5 chunks of at most 1024 samples (93 draws of 11 for intrinsic and
+    # genuine): one core runs the plain loop, two split the chunks with a second thread
     monkeypatch.setattr(mc, "MC_CHUNK", 1024)
     reports = {}
     for cores in (1, 2):
@@ -116,7 +173,7 @@ def test_threaded_chunks_match_serial(monkeypatch):
         reports[cores] = [mc_verify(kind, FockPair(*pair), 5000, seed=17).as_dict()
                           for pair in ((0, 2), (0, 3), (1, 3)) for kind in ThresholdKind]
     assert reports[1] == reports[2]
-    # at the default chunk size: 1e5 intrinsic samples make 11 or more chunks
+    # at the default chunk size: 1e5 intrinsic samples make 7 chunks of 1489 draws
     monkeypatch.setattr(mc, "MC_CHUNK", 1 << 14)
     for cores in (1, 2):
         monkeypatch.setattr(mc, "_usable_cores", lambda: cores)
